@@ -31,13 +31,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import (
-    active_nodes_array,
-    concat_rows,
-    packed_rows,
-    require_undirected,
-)
-from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics
+from repro.baselines._packed import concat_rows, packed_rows, require_undirected
+from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics, node_array
 from repro.graphs import bitset
 from repro.graphs.array_adjacency import as_backend
 
@@ -67,7 +62,7 @@ class NeighborhoodFlooding(DiscoveryProcess):
     def step(self) -> RoundResult:
         """One synchronous flooding round restricted to the participating nodes."""
         result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
+        active = node_array(self.participating_nodes())
         packed = packed_rows(self.graph)
         if packed is not None:
             self._packed_round(result, active, *packed)

@@ -34,13 +34,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import (
-    active_nodes_array,
-    packed_rows,
-    require_undirected,
-    rows_with_self,
+from repro.baselines._packed import packed_rows, require_undirected, rows_with_self
+from repro.core.base import (
+    BatchProposals,
+    DiscoveryProcess,
+    RoundResult,
+    UpdateSemantics,
+    node_array,
 )
-from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
 from repro.graphs.array_adjacency import as_backend
 
 __all__ = ["NameDropper"]
@@ -77,7 +78,7 @@ class NameDropper(DiscoveryProcess):
     def step(self) -> RoundResult:
         """One Name Dropper round under the configured update semantics."""
         result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
+        active = node_array(self.participating_nodes())
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:

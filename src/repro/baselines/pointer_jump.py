@@ -27,8 +27,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import active_nodes_array, concat_rows, packed_rows
-from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
+from repro.baselines._packed import concat_rows, packed_rows
+from repro.core.base import (
+    BatchProposals,
+    DiscoveryProcess,
+    RoundResult,
+    UpdateSemantics,
+    node_array,
+)
 from repro.graphs.array_adjacency import as_backend
 from repro.graphs.closure import transitive_closure_edges
 
@@ -81,7 +87,7 @@ class RandomPointerJump(DiscoveryProcess):
     def step(self) -> RoundResult:
         """One Random Pointer Jump round under the configured update semantics."""
         result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
+        active = node_array(self.participating_nodes())
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:

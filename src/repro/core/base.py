@@ -8,14 +8,22 @@ synchronous semantics is achieved without copying the graph: a round
 first collects every node's proposed edge(s) and only then applies them.
 
 Synchronous rounds are executed through :meth:`DiscoveryProcess.propose_batch`,
-which the concrete processes override with vectorized kernels (one bulk RNG
-draw per sampling stage, whole-array index math, a batched edge insert).
-The base implementation falls back to calling :meth:`propose` per node, so
+which the concrete processes override with vectorized kernels (bulk RNG
+draws, whole-array index math, a batched edge insert).  The base
+implementation falls back to calling :meth:`propose` per node, so
 processes that customise ``propose`` — the faulty variants' churn wrapper,
-user subclasses — keep their exact per-node behaviour.  The bulk draw
-convention is shared by the list and array graph backends
-(see :mod:`repro.graphs.sampling`), which makes seeded traces identical
-across backends under ``UpdateSemantics.SYNCHRONOUS``.
+user subclasses — keep their exact per-node behaviour.
+
+The bulk draw convention: a round of ``m`` participating nodes that
+samples in two stages (push's two endpoints, the two hops of pull and of
+the directed walk) consumes ``2m`` uniforms, ``m`` per stage in stage
+order.  On the array backend a kernel draws them as one
+``rng.random((2, m))`` block and reads row ``s`` at stage ``s``; the list
+backend still draws stage by stage, one ``rng.random(m)`` per
+``random_neighbors`` call.  NumPy fills a block in order, so the two
+consume the same stream (see :mod:`repro.graphs.sampling`), which makes
+seeded traces identical across backends under
+``UpdateSemantics.SYNCHRONOUS``.
 
 A ``sequential`` update mode is provided as an ablation (nodes act in index
 order and see edges added earlier in the same round) — the paper's proofs
@@ -33,7 +41,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend, backend_name
+from repro.graphs.array_adjacency import (
+    ArrayDiGraph,
+    ArrayGraph,
+    EdgeArrays,
+    as_backend,
+    backend_name,
+)
 
 __all__ = [
     "UpdateSemantics",
@@ -42,10 +56,13 @@ __all__ = [
     "BatchProposals",
     "DiscoveryProcess",
     "id_bits",
+    "node_array",
 ]
 
 GraphLike = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
 Edge = Tuple[int, int]
+#: a round's new edges: tuples, or the array backend's endpoint arrays.
+AddedEdges = Union[List[Edge], EdgeArrays]
 
 
 def id_bits(n: int) -> int:
@@ -59,6 +76,23 @@ def id_bits(n: int) -> int:
     tests: a 1- or 2-node system still pays 1 bit per ID.
     """
     return max(1, (max(int(n), 2) - 1).bit_length())
+
+
+def node_array(nodes: Iterable[int]) -> np.ndarray:
+    """A round's participating nodes as an ``int64`` array, order preserved.
+
+    ``participating_nodes()`` returns ``range(n)`` under full activation.
+    ``np.asarray`` converts a range element by element, which at n=1024
+    costs more than a push round's whole sampling stage; ``np.arange``
+    builds the same array in one call.  The gossip kernels and the
+    baselines' packed rounds both convert through here, so activation
+    schedules restrict every kind of process alike.
+    """
+    if isinstance(nodes, range):
+        return np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
+    if isinstance(nodes, np.ndarray):
+        return nodes.astype(np.int64, copy=False)
+    return np.asarray(list(nodes), dtype=np.int64).reshape(-1)
 
 
 class UpdateSemantics(str, enum.Enum):
@@ -91,14 +125,16 @@ class RoundResult:
         hot convergence loops never touch it, so they never pay for the
         tuple conversion.
     added_edges:
-        The subset of proposals that were genuinely new edges.
+        The subset of proposals that were genuinely new edges.  Like
+        ``proposed_edges``, built as tuples on first access when the array
+        backend's insert returned them as :class:`EdgeArrays`.
     messages_sent:
         Number of protocol messages this round (for bit accounting).
     bits_sent:
         Total message payload in bits, assuming ``ceil(log2 n)``-bit node IDs.
     """
 
-    __slots__ = ("round_index", "added_edges", "messages_sent", "bits_sent", "_proposed", "_batch")
+    __slots__ = ("round_index", "messages_sent", "bits_sent", "_proposed", "_batch", "_added")
 
     def __init__(
         self,
@@ -113,7 +149,7 @@ class RoundResult:
             proposed_edges if proposed_edges is not None else []
         )
         self._batch: Optional["BatchProposals"] = None
-        self.added_edges: List[Edge] = added_edges if added_edges is not None else []
+        self._added: AddedEdges = added_edges if added_edges is not None else []
         self.messages_sent = messages_sent
         self.bits_sent = bits_sent
 
@@ -135,9 +171,20 @@ class RoundResult:
         self._proposed = None
 
     @property
+    def added_edges(self) -> List[Edge]:
+        """This round's new edges as tuples (materialised on first access)."""
+        if isinstance(self._added, EdgeArrays):
+            self._added = self._added.tolist()
+        return self._added
+
+    @added_edges.setter
+    def added_edges(self, value: AddedEdges) -> None:
+        self._added = value
+
+    @property
     def num_added(self) -> int:
         """Number of new edges created this round."""
-        return len(self.added_edges)
+        return len(self._added)
 
     def __repr__(self) -> str:
         return (
@@ -311,35 +358,41 @@ class DiscoveryProcess(abc.ABC):
 
     def apply_proposals(
         self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals] = None
-    ) -> List[Edge]:
+    ) -> AddedEdges:
         """Apply a round's proposals to the graph; return the new edges in order.
 
         Uses the graph's batched insert when :meth:`apply_edge` has not been
         customised (the batch contract matches sequential first-occurrence
-        application exactly) — staying in array form when the proposals came
-        from a vectorized kernel; otherwise applies edge by edge through
-        :meth:`apply_edge` so subclass bookkeeping stays correct.
-        ``proposed=None`` means "derive the tuples from ``batch`` if a
-        non-array path actually needs them".  Every path funnels the new
-        edges through :meth:`_note_added_edges` so the cached convergence
-        counters stay current without rescanning the graph.
+        application exactly) — staying in array form end to end when the
+        proposals came from a vectorized kernel; otherwise applies edge by
+        edge through :meth:`apply_edge` so subclass bookkeeping stays
+        correct.  ``proposed=None`` means "derive the tuples from ``batch``
+        if a non-array path actually needs them".  Every path funnels the
+        new edges through :meth:`_note_added_edges` so the cached
+        convergence counters stay current without rescanning the graph.
         """
-        added: Optional[List[Edge]] = None
         if "apply_edge" not in self.__dict__ and type(self).apply_edge is DiscoveryProcess.apply_edge:
-            if batch is not None:
-                arrays = getattr(self.graph, "add_edges_batch_arrays", None)
-                if arrays is not None:
-                    added = arrays(batch.us, batch.vs)
-            if added is None:
-                tuple_batch = getattr(self.graph, "add_edges_batch", None)
-                if tuple_batch is not None:
-                    added = tuple_batch(proposed if proposed is not None else batch.edges())
-        if added is None:
-            if proposed is None:
-                proposed = batch.edges() if batch is not None else []
-            added = [edge for edge in proposed if self.apply_edge(edge)]
+            added = self._insert_batch(proposed, batch)
+        else:
+            added = self._apply_each(proposed, batch)
         self._note_added_edges(added)
         return added
+
+    def _insert_batch(
+        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals]
+    ) -> AddedEdges:
+        """The graph's batched insert, fed the kernel's arrays when there are some."""
+        if batch is not None:
+            return self.graph.add_edges_batch_arrays(batch.us, batch.vs)
+        return self.graph.add_edges_batch(proposed if proposed is not None else [])
+
+    def _apply_each(
+        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals]
+    ) -> List[Edge]:
+        """Apply proposals one by one through :meth:`apply_edge`; the new ones in order."""
+        if proposed is None:
+            proposed = batch.edges() if batch is not None else []
+        return [edge for edge in proposed if self.apply_edge(edge)]
 
     # ------------------------------------------------------------------ #
     # incrementally-maintained convergence counters
@@ -377,14 +430,12 @@ class DiscoveryProcess(abc.ABC):
             self._min_deg_dirty = False
         return self._min_deg
 
-    def _note_added_edges(self, added: List[Edge]) -> None:
+    def _note_added_edges(self, added: AddedEdges) -> None:
         """Patch the cached degree counters for one round's new edges."""
-        if self._deg_cache is None:
+        if self._deg_cache is None or not len(added):
             return
-        if not added:
-            return
-        arr = np.asarray(added, dtype=np.int64).reshape(-1, 2)
-        ends = arr[:, 0] if self.graph.directed else arr.ravel()
+        edges = EdgeArrays.of(added)
+        ends = edges.us if self.graph.directed else np.concatenate((edges.us, edges.vs))
         deg = self._deg_cache
         if not self._min_deg_dirty and bool((deg[ends] == self._min_deg).any()):
             self._min_deg_dirty = True

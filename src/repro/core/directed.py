@@ -18,9 +18,16 @@ from typing import Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
+from repro.core.base import (
+    AddedEdges,
+    BatchProposals,
+    DiscoveryProcess,
+    UpdateSemantics,
+    node_array,
+)
 from repro.graphs import bitset
 from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, EdgeArrays
 from repro.graphs.closure import IncrementalClosure, adjacency_bits
 
 __all__ = ["DirectedTwoHopWalk"]
@@ -101,7 +108,7 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         return node, w
 
     def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized directed round: both hops of every walk in two bulk draws."""
+        """Vectorized directed round: both hops of every walk from ``2m`` bulk uniforms."""
         if (
             not self._propose_is(DirectedTwoHopWalk)
             or not self._default_accounting()
@@ -111,16 +118,25 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         return self._propose_batch_kernel(nodes)
 
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel: ``-1`` sentinels chain dead ends through both hops."""
+        """The raw kernel: ``-1`` sentinels chain dead ends through both hops.
+
+        The array backend draws both hops' uniforms as one ``(2, m)``
+        block; the list backend draws them hop by hop.
+        """
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
-        vs = graph.random_out_neighbors(nodes, self.rng)
-        ws = graph.random_out_neighbors(vs, self.rng)
+        nodes = node_array(nodes)
+        if isinstance(graph, ArrayDiGraph):
+            u = self.rng.random((2, nodes.shape[0]))
+            vs = graph.sample_out_neighbors(nodes, u[0])
+            ws = graph.sample_out_neighbors(vs, u[1])
+        else:
+            vs = graph.random_out_neighbors(nodes, self.rng)
+            ws = graph.random_out_neighbors(vs, self.rng)
         valid = (ws >= 0) & (ws != nodes)
-        pos = np.flatnonzero(valid)
+        pos = valid.nonzero()[0]
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)
 
-    def _absorb_added(self, added: List[Tuple[int, int]]) -> None:
+    def _absorb_added(self, added: AddedEdges) -> None:
         """Fold genuinely-new edges into the deficit counter and live closure.
 
         One batched membership test against the packed target rows replaces
@@ -129,12 +145,12 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         Every insertion path — per-edge :meth:`apply_edge`, the batched
         synchronous round, the sharded merge — funnels its new edges here.
         """
-        if not added:
+        if not len(added):
             return
-        arr = np.asarray(added, dtype=np.int64).reshape(-1, 2)
-        in_target = bitset.get_bits(self._target_bits, arr[:, 0], arr[:, 1])
+        edges = EdgeArrays.of(added)
+        in_target = bitset.get_bits(self._target_bits, edges.us, edges.vs)
         self._deficit -= int(in_target.sum())
-        self._closure.add_edges(arr[:, 0], arr[:, 1])
+        self._closure.add_edges(edges.us, edges.vs)
 
     def apply_edge(self, edge: Tuple[int, int]) -> bool:
         """Insert the edge and keep the closure-deficit counter up to date."""
@@ -147,19 +163,12 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         self,
         proposed: Optional[List[Tuple[int, int]]],
         batch: Optional[BatchProposals] = None,
-    ) -> List[Tuple[int, int]]:
+    ) -> AddedEdges:
         """Batched insert plus closure-deficit bookkeeping over the new edges only."""
         if "apply_edge" in self.__dict__ or type(self).apply_edge is not DirectedTwoHopWalk.apply_edge:
-            if proposed is None:
-                proposed = batch.edges() if batch is not None else []
-            added = [edge for edge in proposed if self.apply_edge(edge)]
+            added = self._apply_each(proposed, batch)
         else:
-            if batch is not None and hasattr(self.graph, "add_edges_batch_arrays"):
-                added = self.graph.add_edges_batch_arrays(batch.us, batch.vs)
-            elif hasattr(self.graph, "add_edges_batch"):
-                added = self.graph.add_edges_batch(proposed if proposed is not None else [])
-            else:
-                added = [edge for edge in (proposed or []) if self.graph.add_edge(*edge)]
+            added = self._insert_batch(proposed, batch)
             self._absorb_added(added)
         self._note_added_edges(added)
         return added

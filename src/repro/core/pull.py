@@ -19,8 +19,9 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
+from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
 from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = ["PullDiscovery"]
 
@@ -68,7 +69,7 @@ class PullDiscovery(DiscoveryProcess):
         return node, w
 
     def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized pull round: both hops of every node's walk in two bulk draws."""
+        """Vectorized pull round: both hops of every node's walk from ``2m`` bulk uniforms."""
         if (
             not self._propose_is(PullDiscovery)
             or not self._default_accounting()
@@ -80,16 +81,23 @@ class PullDiscovery(DiscoveryProcess):
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
         """The raw kernel: hop one over all nodes, hop two over the sampled ``v``s.
 
-        The second hop chains through the ``-1`` sentinel, so isolated nodes
-        consume their uniforms (keeping the draw stream aligned across
-        backends) without ever touching a neighbour row.
+        The array backend draws both hops' uniforms as one ``(2, m)``
+        block; the list backend draws them hop by hop.  The second hop
+        chains through the ``-1`` sentinel, so isolated nodes consume their
+        uniforms (keeping the draw stream aligned across backends) without
+        ever touching a neighbour row.
         """
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
-        vs = graph.random_neighbors(nodes, self.rng)
-        ws = graph.random_neighbors(vs, self.rng)
-        valid = (vs >= 0) & (ws >= 0) & (ws != nodes)
-        pos = np.flatnonzero(valid)
+        nodes = node_array(nodes)
+        if isinstance(graph, ArrayGraph):
+            u = self.rng.random((2, nodes.shape[0]))
+            vs = graph.sample_neighbors(nodes, u[0])
+            ws = graph.sample_neighbors(vs, u[1])
+        else:
+            vs = graph.random_neighbors(nodes, self.rng)
+            ws = graph.random_neighbors(vs, self.rng)
+        valid = (ws >= 0) & (ws != nodes)
+        pos = valid.nonzero()[0]
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)
 
     def is_converged(self) -> bool:

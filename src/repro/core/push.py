@@ -18,8 +18,9 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
+from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
 from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs.sampling import uniform_indices
 
 __all__ = ["PushDiscovery"]
@@ -82,7 +83,7 @@ class PushDiscovery(DiscoveryProcess):
         return v, w
 
     def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized push round: all nodes' neighbour pairs in two bulk draws."""
+        """Vectorized push round: all nodes' neighbour pairs from ``2m`` bulk uniforms."""
         if (
             not self._propose_is(PushDiscovery)
             or not self._default_accounting()
@@ -94,15 +95,19 @@ class PushDiscovery(DiscoveryProcess):
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
         """The raw kernel, draw-stream-identical on every backend.
 
-        With replacement (the paper's process): one ``rng.random(m)`` per
+        With replacement (the paper's process): ``m`` uniforms per
         introduced endpoint, mapped to indices by the shared sampling rule.
-        Without replacement: two bulk draws over ``k`` and ``k - 1`` slots
-        with the collision-shift, so no draw is wasted on ``v == w``.
+        The array backend draws both rows as one ``(2, m)`` block and
+        gathers both endpoints in one call; the list backend draws them
+        endpoint by endpoint.  Without replacement: one ``(2, m)`` block
+        over ``k`` and ``k - 1`` slots with the collision-shift, so no draw
+        is wasted on ``v == w``.
         """
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = node_array(nodes)
+        m = nodes.shape[0]
         if self.without_replacement:
-            u = self.rng.random((2, nodes.shape[0]))
+            u = self.rng.random((2, m))
             deg = graph.degrees()[nodes]
             i = uniform_indices(u[0], deg)
             j = uniform_indices(u[1], deg - 1)
@@ -111,11 +116,15 @@ class PushDiscovery(DiscoveryProcess):
             ws = graph.neighbors_at(nodes, np.where(deg >= 2, j, -1))
             valid = deg >= 2
         else:
-            vs = graph.random_neighbors(nodes, self.rng)
-            ws = graph.random_neighbors(nodes, self.rng)
-            valid = (vs >= 0) & (vs != ws)
-        pos = np.flatnonzero(valid)
-        return BatchProposals(nodes.shape[0], vs[pos], ws[pos], pos)
+            if isinstance(graph, ArrayGraph):
+                vs, ws = graph.sample_neighbors(nodes, self.rng.random((2, m)))
+            else:
+                vs = graph.random_neighbors(nodes, self.rng)
+                ws = graph.random_neighbors(nodes, self.rng)
+            # An isolated node samples -1 twice, so this also drops it.
+            valid = vs != ws
+        pos = valid.nonzero()[0]
+        return BatchProposals(m, vs[pos], ws[pos], pos)
 
     def is_converged(self) -> bool:
         """The absorbing state of the undirected processes is the complete graph."""

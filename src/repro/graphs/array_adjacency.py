@@ -6,11 +6,14 @@ the discovery processes that store neighbour lists in one preallocated
 word-packed membership matrix, instead of per-node Python lists and a
 hash set.  Per-round work then becomes whole-array operations:
 
-* ``random_neighbors(nodes, rng)`` — one ``rng.random(m)`` draw and one
-  fancy-indexed gather for a whole batch of nodes;
-* ``add_edges_batch(edges)`` — vectorized duplicate/self-loop rejection
-  with first-occurrence order preserved, then O(1) slot writes for the
-  (few) genuinely new edges.
+* ``sample_neighbors(nodes, u)`` — one neighbour per node for uniforms
+  the caller already drew, gathered by flat index from the row block;
+  ``random_neighbors(nodes, rng)`` is the same with its own
+  ``rng.random(m)`` draw;
+* ``add_edges_batch_arrays(us, vs)`` — one packed membership test over
+  every proposal, then duplicate/self-loop rejection with
+  first-occurrence order preserved and O(1) slot writes for the (few)
+  genuinely new edges, which come back as :class:`EdgeArrays`.
 
 The classes share the paper's append-only contract with the list backend
 (:mod:`repro.graphs.adjacency`): edges are only ever added.
@@ -28,11 +31,15 @@ their kernels with zero conversion cost.
 
 Draw-stream equivalence
 -----------------------
-Both backends sample through :mod:`repro.graphs.sampling`, consume the
-same number of uniforms per call, and keep neighbour rows in the same
-insertion order, so a process run on ``ArrayGraph`` reproduces the exact
-seeded trace of the same run on ``DynamicGraph`` under synchronous
-semantics.  ``tests/test_backend_equivalence.py`` pins this contract.
+Both backends map uniforms to neighbour indices through
+:mod:`repro.graphs.sampling` and keep neighbour rows in the same
+insertion order.  The gossip kernels draw a round's uniforms as one block
+and hand each row to :meth:`ArrayGraph.sample_neighbors`; on the list
+backend they call ``random_neighbors`` once per stage instead, which
+consumes the same stream.  So a process run on ``ArrayGraph`` reproduces
+the exact seeded trace of the same run on ``DynamicGraph`` under
+synchronous semantics.  ``tests/test_backend_equivalence.py`` pins this
+contract.
 Membership storage is invisible to the RNG draw convention: repacking the
 ``bool`` matrix into bitset rows changed no trace byte (pinned by the
 golden traces under ``tests/data/``).
@@ -50,7 +57,7 @@ from repro.graphs import bitset
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.sampling import masked_counts, uniform_indices
 
-__all__ = ["ArrayGraph", "ArrayDiGraph", "as_backend", "backend_name", "BACKENDS"]
+__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays", "as_backend", "backend_name", "BACKENDS"]
 
 #: the selectable graph-backend names.
 BACKENDS = ("list", "array")
@@ -64,6 +71,104 @@ def _round_up_pow2(value: int) -> int:
     while cap < value:
         cap *= 2
     return cap
+
+
+class EdgeArrays:
+    """A batch of edges as two ``int64`` endpoint arrays, in order.
+
+    What :meth:`ArrayGraph.add_edges_batch_arrays` returns, so a round's
+    new edges stay in array form through the engine's bookkeeping.  It
+    stands in for the list of ``(u, v)`` tuples it holds: ``len`` and
+    iteration work, and :meth:`tolist` builds the tuples.
+    """
+
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us: np.ndarray, vs: np.ndarray) -> None:
+        self.us = us
+        self.vs = vs
+
+    @classmethod
+    def of(cls, edges: Union["EdgeArrays", Sequence[Tuple[int, int]]]) -> "EdgeArrays":
+        """``edges`` as endpoint arrays (returned as is when it already is one)."""
+        if isinstance(edges, cls):
+            return edges
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        return cls(arr[:, 0], arr[:, 1])
+
+    def tolist(self) -> List[Tuple[int, int]]:
+        """The edges as ``(u, v)`` tuples of Python ints."""
+        return list(zip(self.us.tolist(), self.vs.tolist()))
+
+    def __len__(self) -> int:
+        return self.us.shape[0]
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.us.tolist(), self.vs.tolist())
+
+
+def _sample_rows(rows: np.ndarray, deg: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rows[nodes[i], idx_i]`` with ``idx_i`` from ``u[i]`` and the degree; ``-1`` if none.
+
+    The sampling core of both array graphs.  Indices come from
+    :func:`repro.graphs.sampling.uniform_indices`, and the gather is one
+    ``take`` at ``node · capacity + idx`` into the row block.  A ``-1``
+    node (a dead end handed on by an earlier hop) or a node of degree 0
+    yields ``-1``; only a batch that holds one pays for the masking.
+    """
+    if nodes.size and nodes.min() < 0:
+        nodes, counts = masked_counts(nodes, deg)
+    else:
+        counts = deg.take(nodes)
+    idx = uniform_indices(u, counts)
+    out = rows.take(nodes * rows.shape[1] + idx)
+    if idx.size and counts.min() == 0:
+        out[idx < 0] = -1
+    return out
+
+
+def _new_edges(
+    bits: np.ndarray, n: int, us: np.ndarray, vs: np.ndarray, directed: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The proposals ``(us[i], vs[i])`` that are genuinely new edges, in order.
+
+    The packed membership test runs once over every proposal.  An
+    undirected graph's bit rows are symmetric, so ``bits[us, vs]`` needs
+    no ``(min, max)`` orientation.  The within-batch dedupe (first
+    occurrence wins) and the self-loop filter then run only on the
+    survivors, which late in a run are few; a self loop is never present,
+    so it always survives the test.
+    """
+    cand = (~bitset.get_bits(bits, us, vs)).nonzero()[0]
+    add_u, add_v = us[cand], vs[cand]
+    if cand.size > 1:
+        if directed:
+            keys = add_u * np.int64(n) + add_v
+        else:
+            keys = np.minimum(add_u, add_v) * np.int64(n) + np.maximum(add_u, add_v)
+        _, first = np.unique(keys, return_index=True)
+        if first.size != cand.size:
+            first.sort()
+            add_u, add_v = add_u[first], add_v[first]
+    keep = add_u != add_v
+    if not keep.all():
+        add_u, add_v = add_u[keep], add_v[keep]
+    return add_u, add_v
+
+
+def _append_slots(deg: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Row slot of every appended entry: ``deg[end]`` plus the entries for that row before it.
+
+    Grouped slot assignment: entries bound for the same row take
+    consecutive slots in batch order (ranked by a stable sort), which is
+    exactly where appending them one at a time would put them.
+    """
+    order = np.argsort(ends, kind="stable")
+    sorted_ends = ends[order]
+    slots = np.empty_like(ends)
+    slots[order] = np.arange(ends.shape[0]) - np.searchsorted(sorted_ends, sorted_ends)
+    slots += deg[ends]
+    return slots
 
 
 class ArrayGraph:
@@ -211,44 +316,30 @@ class ArrayGraph:
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= self._n):
             raise IndexError(f"edge endpoint out of range [0, {self._n})")
-        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1])
+        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1]).tolist()
 
-    def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> List[Tuple[int, int]]:
-        """Array-argument core of :meth:`add_edges_batch` (same contract).
+    def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
+        """Array form of :meth:`add_edges_batch`: same contract, no tuples.
 
         The hot path of the vectorized round engine: endpoints arrive as the
-        arrays a propose kernel produced, so no tuple round-trip happens.
-        Already-present edges are filtered *before* the within-batch dedupe
-        (the two commute), so late rounds — where almost every proposal
-        already exists — skip the sort entirely.
+        arrays a propose kernel produced and the new edges leave as
+        :class:`EdgeArrays`.  Already-present edges are filtered *before*
+        the within-batch dedupe (the two commute), so late rounds — where
+        almost every proposal already exists — skip the sort entirely.
         """
-        if us.shape[0] == 0:
-            return []
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        cand = np.flatnonzero((lo != hi) & ~bitset.get_bits(self._bits, lo, hi))
-        if cand.size == 0:
-            return []
-        if cand.size > 1:
-            keys = lo[cand] * np.int64(self._n) + hi[cand]
-            _, first = np.unique(keys, return_index=True)
-            if first.size != cand.size:
-                first.sort()
-                cand = cand[first]
-        add_u, add_v = us[cand], vs[cand]
-        self._write_new_edges(add_u, add_v)
-        bitset.set_bits(self._bits, add_u, add_v)
-        bitset.set_bits(self._bits, add_v, add_u)
-        self._num_edges += add_u.shape[0]
-        return list(zip(add_u.tolist(), add_v.tolist()))
+        add_u, add_v = _new_edges(self._bits, self._n, us, vs, directed=False)
+        if add_u.shape[0]:
+            self._write_new_edges(add_u, add_v)
+        return EdgeArrays(add_u, add_v)
 
     def _write_new_edges(self, add_u: np.ndarray, add_v: np.ndarray) -> None:
-        """Scatter the mutual neighbour entries for verified-new edges.
+        """Append the mutual neighbour entries and membership bits of verified-new edges.
 
-        Grouped slot assignment: interleaving the endpoints (u-entry before
-        v-entry, batch order preserved by the stable sort) reproduces the
-        exact append order of sequential :meth:`add_edge` calls, which keeps
-        neighbour rows identical to the list backend's.
+        Interleaving the endpoints (u-entry before v-entry, in batch order)
+        makes :func:`_append_slots` reproduce the exact append order of
+        sequential :meth:`add_edge` calls, which keeps neighbour rows
+        identical to the list backend's.  The interleaved pairs hold both
+        orientations, so one scatter sets both bits of every edge.
         """
         k = add_u.shape[0]
         ends = np.empty(2 * k, dtype=np.int64)
@@ -257,15 +348,12 @@ class ArrayGraph:
         ends[1::2] = add_v
         vals[0::2] = add_v
         vals[1::2] = add_u
-        grow = np.bincount(ends, minlength=self._n)
-        self._ensure_capacity(int((self._deg + grow).max()))
-        order = np.argsort(ends, kind="stable")
-        se = ends[order]
-        run_start = np.flatnonzero(np.concatenate(([True], se[1:] != se[:-1])))
-        run_length = np.diff(np.concatenate((run_start, [se.size])))
-        offsets = np.arange(se.size) - np.repeat(run_start, run_length)
-        self._nbr[se, self._deg[se] + offsets] = vals[order]
-        self._deg += grow
+        slots = _append_slots(self._deg, ends)
+        self._ensure_capacity(int(slots.max()) + 1)
+        self._nbr.put(ends * self._cap + slots, vals)
+        self._deg += np.bincount(ends, minlength=self._n)
+        bitset.set_bits(self._bits, ends, vals)
+        self._num_edges += k
 
     def _append(self, u: int, v: int) -> None:
         """Write the mutual neighbour entries for a new edge (capacity ensured)."""
@@ -291,17 +379,27 @@ class ArrayGraph:
         """Vectorized uniform neighbour sample for a whole batch of nodes.
 
         Same draw-stream contract as :meth:`DynamicGraph.random_neighbors`:
-        exactly ``rng.random(len(nodes))`` is consumed and indices come from
-        :func:`repro.graphs.sampling.uniform_indices`, so both backends map
-        the same seed to the same choices.  ``-1`` marks invalid entries.
+        exactly ``rng.random(len(nodes))`` is consumed and turned into
+        neighbours by :meth:`sample_neighbors`, so both backends map the
+        same seed to the same choices.  ``-1`` marks invalid entries.  The
+        gossip kernels do not call this per stage on this backend: they
+        draw a round's uniforms as one ``(2, m)`` block and pass its rows
+        to :meth:`sample_neighbors`, which consumes the same stream as the
+        list backend's one ``rng.random(m)`` per stage.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        u = rng.random(nodes.shape[0])
-        safe, counts = masked_counts(nodes, self._deg)
-        idx = uniform_indices(u, counts)
-        # Inlined gather (same result as neighbors_at, fewer passes).
-        gathered = self._nbr[safe, np.maximum(idx, 0)]
-        return np.where(idx >= 0, gathered, -1)
+        return self.sample_neighbors(nodes, rng.random(nodes.shape[0]))
+
+    def sample_neighbors(self, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One neighbour of every ``nodes[i]`` chosen by the drawn uniform ``u[i]``.
+
+        The draw-free half of :meth:`random_neighbors`, for kernels that
+        draw a whole round's uniforms as one block.  ``nodes`` is an
+        ``int64`` array that broadcasts against ``u`` — a ``(2, m)`` block
+        of uniforms samples two neighbours of each of ``m`` nodes.  A
+        ``-1`` node or an isolated node yields ``-1``.
+        """
+        return _sample_rows(self._nbr, self._deg, nodes, u)
 
     def neighbors_at(self, nodes: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gather ``neighbors(nodes[i])[idx[i]]`` per element (``-1`` passthrough)."""
@@ -540,40 +638,26 @@ class ArrayDiGraph:
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= self._n):
             raise IndexError(f"edge endpoint out of range [0, {self._n})")
-        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1])
+        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1]).tolist()
 
-    def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> List[Tuple[int, int]]:
-        """Array-argument core of :meth:`add_edges_batch` (same contract).
+    def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
+        """Array form of :meth:`add_edges_batch`: same contract, no tuples.
 
         Same structure as the undirected version: filter present edges
         first, dedupe the (usually few) remaining candidates, then scatter
-        the new out-entries with grouped slot assignment.
+        the new out-entries with grouped slot assignment
+        (:func:`_append_slots`).
         """
-        if us.shape[0] == 0:
-            return []
-        cand = np.flatnonzero((us != vs) & ~bitset.get_bits(self._bits, us, vs))
-        if cand.size == 0:
-            return []
-        if cand.size > 1:
-            keys = us[cand] * np.int64(self._n) + vs[cand]
-            _, first = np.unique(keys, return_index=True)
-            if first.size != cand.size:
-                first.sort()
-                cand = cand[first]
-        add_u, add_v = us[cand], vs[cand]
-        grow = np.bincount(add_u, minlength=self._n)
-        self._ensure_capacity(int((self._out_deg + grow).max()))
-        order = np.argsort(add_u, kind="stable")
-        su = add_u[order]
-        run_start = np.flatnonzero(np.concatenate(([True], su[1:] != su[:-1])))
-        run_length = np.diff(np.concatenate((run_start, [su.size])))
-        offsets = np.arange(su.size) - np.repeat(run_start, run_length)
-        self._out[su, self._out_deg[su] + offsets] = add_v[order]
-        self._out_deg += grow
-        self._in_deg += np.bincount(add_v, minlength=self._n)
-        bitset.set_bits(self._bits, add_u, add_v)
-        self._num_edges += add_u.shape[0]
-        return list(zip(add_u.tolist(), add_v.tolist()))
+        add_u, add_v = _new_edges(self._bits, self._n, us, vs, directed=True)
+        if add_u.shape[0]:
+            slots = _append_slots(self._out_deg, add_u)
+            self._ensure_capacity(int(slots.max()) + 1)
+            self._out.put(add_u * self._cap + slots, add_v)
+            self._out_deg += np.bincount(add_u, minlength=self._n)
+            self._in_deg += np.bincount(add_v, minlength=self._n)
+            bitset.set_bits(self._bits, add_u, add_v)
+            self._num_edges += add_u.shape[0]
+        return EdgeArrays(add_u, add_v)
 
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._cap:
@@ -593,12 +677,11 @@ class ArrayDiGraph:
         Draw-stream identical to :meth:`DynamicDiGraph.random_out_neighbors`.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        u = rng.random(nodes.shape[0])
-        safe, counts = masked_counts(nodes, self._out_deg)
-        idx = uniform_indices(u, counts)
-        # Inlined gather (same result as out_neighbors_at, fewer passes).
-        gathered = self._out[safe, np.maximum(idx, 0)]
-        return np.where(idx >= 0, gathered, -1)
+        return self.sample_out_neighbors(nodes, rng.random(nodes.shape[0]))
+
+    def sample_out_neighbors(self, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Directed counterpart of :meth:`ArrayGraph.sample_neighbors` (drawn uniforms in)."""
+        return _sample_rows(self._out, self._out_deg, nodes, u)
 
     def out_neighbors_at(self, nodes: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gather ``out_neighbors(nodes[i])[idx[i]]`` per element (``-1`` passthrough)."""

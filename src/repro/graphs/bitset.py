@@ -149,10 +149,20 @@ def _word_and_mask(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def get_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Batched membership test: boolean array of ``bits[rows[i], cols[i]]``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    word, mask = _word_and_mask(cols)
-    return (bits[rows, word] & mask) != 0
+    """Batched membership test: boolean array of ``bits[rows[i], cols[i]]``.
+
+    Reads the packed words directly: one flat gather at ``row · words +
+    (col >> 6)`` of the matrix viewed as ``int64``, then a shift by
+    ``col & 63``.  The arithmetic shift smears the sign bit only into the
+    high bits, so the low bit is still bit ``col``.  No bit mask is built,
+    and no temporary is larger than one ``int64`` per test.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    flat = np.asarray(rows, dtype=np.int64) * bits.shape[1] + (cols >> 6)
+    words = bits.view(np.int64).take(flat)
+    words >>= cols & 63
+    words &= 1
+    return words.astype(bool)
 
 
 def set_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:

@@ -3,12 +3,19 @@
 Cross-backend trace equivalence rests on one invariant: for the same seed,
 the list backend (:mod:`repro.graphs.adjacency`) and the array backend
 (:mod:`repro.graphs.array_adjacency`) must consume the *same* random
-values and map them to the *same* neighbour choices.  Both backends
-therefore draw one uniform float per sampled node (``rng.random(m)`` for a
-batch of ``m`` nodes) and turn it into a neighbour index with the exact
-floating-point computation implemented here.  Only the final gather —
-ragged Python lists versus one fancy-indexed 2-D array — differs between
-backends, and gathering is deterministic.
+values and map them to the *same* neighbour choices.  Every sampled node
+costs one uniform float, turned into a neighbour index with the exact
+floating-point computation implemented here.
+
+The two backends consume those uniforms in different call shapes.  The
+gossip kernels on the array backend draw a whole round's uniforms as one
+block — ``rng.random((2, m))`` for two sampling stages over ``m`` nodes —
+and hand row ``s`` to stage ``s``.  The list backend still draws stage by
+stage, one ``rng.random(m)`` per ``random_neighbors`` call.  NumPy fills
+the block in order from the same stream, so both see the same values
+(``tests/test_draw_budget.py`` pins this).  Only the final gather —
+ragged Python lists versus one flat ``take`` into a 2-D array — differs
+between backends, and gathering is deterministic.
 
 The helpers use ``-1`` as the sentinel for "no sample" (a node with no
 neighbours, or a ``-1`` node propagated from an earlier sampling stage),

@@ -2,8 +2,10 @@
 
 An :class:`ExperimentSpec` describes one measurement point — which process,
 on which graph family, at which size, under which options, for how many
-trials.  A :class:`SweepSpec` expands a grid of sizes (and optionally
-families and processes) into a list of experiment specs.  The runner in
+trials.  A spec checks its fields when it is built, so a typo fails at
+once instead of as one failed-trial record per trial.  A
+:class:`SweepSpec` expands a grid of sizes (and optionally families and
+processes) into a list of experiment specs.  The runner in
 :mod:`repro.simulation.runner` executes them.
 """
 
@@ -15,8 +17,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Unio
 import numpy as np
 
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.directed_generators import make_directed_family
-from repro.graphs.generators import make_family
+from repro.graphs.array_adjacency import BACKENDS
+from repro.graphs.directed_generators import DIRECTED_FAMILY_REGISTRY, make_directed_family
+from repro.graphs.generators import FAMILY_REGISTRY, make_family
+from repro.simulation.engine import PROCESS_REGISTRY
 
 __all__ = ["ExperimentSpec", "SweepSpec"]
 
@@ -87,6 +91,33 @@ class ExperimentSpec:
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = field(default=None, compare=False)
     label: str = ""
+
+    def __post_init__(self) -> None:
+        """Reject a bad field with a ``ValueError`` naming it and its value."""
+        if self.process not in PROCESS_REGISTRY:
+            raise ValueError(
+                f"process={self.process!r} is not registered; known: {sorted(PROCESS_REGISTRY)}"
+            )
+        if self.graph_factory is None:
+            families = DIRECTED_FAMILY_REGISTRY if self.directed else FAMILY_REGISTRY
+            if self.family not in families:
+                kind = "directed" if self.directed else "undirected"
+                raise ValueError(
+                    f"family={self.family!r} is not a registered {kind} family; "
+                    f"known: {sorted(families)}"
+                )
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend={self.backend!r} is not a backend; known: {list(BACKENDS)}")
+        for name, least in (("n", 1), ("trials", 1), ("shards", 1), ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name}={value!r} must be at least {least}")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError(f"max_rounds={self.max_rounds!r} must be None or at least 0")
+        if self.shards > 1 and self.backend != "array":
+            raise ValueError(
+                f"shards={self.shards!r} requires backend='array', got {self.backend!r}"
+            )
 
     def build_graph(
         self, rng: Optional[np.random.Generator] = None

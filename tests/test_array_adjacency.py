@@ -119,6 +119,22 @@ class TestArrayGraphOracle:
         assert out[0] == 1 and out[3] == 0
         assert out[1] == -1 and out[2] == -1
 
+    def test_sampling_sentinels_never_read_neighbouring_rows(self):
+        # Row 0 is full (degree 4 = capacity 4), node 1 is isolated and the
+        # last node has a neighbour, so a flat gather that skipped the
+        # masking would read row 0's last slot for node 1, or wrap a -1 node
+        # to the last row.
+        edges = [(0, 2), (0, 3), (0, 4), (0, 5), (5, 6)]
+        base = DynamicGraph(7, edges)
+        fast = ArrayGraph(7, edges)
+        assert fast.capacity == 4
+        nodes = np.array([1, -1, 0, 6, 1, -1])
+        for seed in range(20):
+            expected = base.random_neighbors(nodes, np.random.default_rng(seed))
+            got = fast.random_neighbors(nodes, np.random.default_rng(seed))
+            assert np.array_equal(got, expected)
+            assert got[0] == got[1] == got[4] == got[5] == -1
+
     def test_copy_is_independent(self):
         g = as_backend(gen.cycle_graph(10), "array")
         h = g.copy()

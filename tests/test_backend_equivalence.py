@@ -5,6 +5,8 @@ to the reference list backend: same RNG stream consumption, same neighbour
 choices, same per-round added edges, same totals.  These tests run push,
 pull, and the directed two-hop walk to convergence on seeded graph
 families under both backends and compare everything the trace exposes.
+Walks that hit dead ends (sinks, an isolated node) are compared too, so
+the ``-1`` sentinel chain of the array kernels meets the list backend.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
+from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import as_backend
 from repro.simulation.engine import make_process
 
@@ -40,7 +43,20 @@ DIRECTED_FAMILIES = {
     "random_strong": lambda: dgen.random_strongly_connected_digraph(
         16, rng=np.random.default_rng(99)
     ),
+    # dead ends: the registered E6 family's sinks have out-degree 0
+    "thm14_weak": lambda: dgen.make_directed_family("thm14_weak", 16),
+    "directed_path": lambda: dgen.directed_path(16),
 }
+
+
+def path_plus_isolated(n):
+    """The isolated node 0 plus a path on nodes ``1 .. n-1`` (never complete).
+
+    The isolated node comes first so that a ``-1`` sentinel read as a node
+    index would wrap to the path's end, which has a neighbour, not to the
+    isolated node itself.
+    """
+    return DynamicGraph(n, [(u, u + 1) for u in range(1, n - 1)])
 
 
 def run_trace(process_cls, base_graph, seed, backend, normalize=False, **kwargs):
@@ -71,6 +87,21 @@ def run_trace(process_cls, base_graph, seed, backend, normalize=False, **kwargs)
     }
 
 
+def run_fixed(process_cls, base_graph, seed, backend, rounds):
+    """Run exactly ``rounds`` rounds; return per-round added edges, totals and RNG state."""
+    graph = as_backend(base_graph.copy(), backend)
+    process = process_cls(graph, rng=seed)
+    result = process.run(max_rounds=rounds, record_history=True)
+    return {
+        "rounds": result.rounds,
+        "added": [[(int(u), int(v)) for u, v in r.added_edges] for r in result.history],
+        "messages": result.total_messages,
+        "bits": result.total_bits,
+        "edges": sorted((int(u), int(v)) for u, v in process.graph.edge_list()),
+        "rng_state": process.rng.bit_generator.state,
+    }
+
+
 class TestUndirectedEquivalence:
     @pytest.mark.parametrize("family", sorted(UNDIRECTED_FAMILIES))
     @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
@@ -85,6 +116,17 @@ class TestUndirectedEquivalence:
             assert ref["messages"] == fast["messages"]
             assert ref["bits"] == fast["bits"]
             assert ref["edges"] == fast["edges"]
+
+    @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
+    def test_isolated_node_fixed_rounds_identical(self, process_cls):
+        """The isolated node samples -1 every round, so run_trace (which needs
+        convergence) cannot compare it; compare 40 fixed rounds instead."""
+        base = path_plus_isolated(20)
+        for seed in SEEDS:
+            ref = run_fixed(process_cls, base, seed, "list", rounds=40)
+            fast = run_fixed(process_cls, base, seed, "array", rounds=40)
+            assert ref["rounds"] == 40
+            assert ref == fast
 
     def test_push_without_replacement_trace_identical(self):
         base = gen.path_graph(20)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.push import PushDiscovery
 from repro.graphs import generators as gen
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.simulation import bounds
+from repro.simulation import bounds, experiment
 from repro.simulation.engine import (
     PROCESS_REGISTRY,
     make_process,
@@ -149,6 +149,34 @@ class TestExperimentSpecs:
     def test_describe(self):
         spec = ExperimentSpec(process="push", family="cycle", n=10, label="demo")
         assert "push" in spec.describe() and "demo" in spec.describe()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "arary"),
+            ("process", "pushh"),
+            ("family", "cycel"),
+            ("n", -5),
+            ("trials", -1),
+            ("shards", 0),
+            ("checkpoint_every", -3),
+            ("max_rounds", -1),
+        ],
+    )
+    def test_bad_field_raises_before_any_graph_is_built(self, monkeypatch, field, value):
+        built = []
+        monkeypatch.setattr(experiment, "make_family", lambda *args: built.append(args))
+        monkeypatch.setattr(experiment, "make_directed_family", lambda *args: built.append(args))
+        good = dict(process="push", family="cycle", n=16, trials=2, backend="array")
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            run_trials(ExperimentSpec(**{**good, field: value}), root_seed=0)
+        assert built == []
+
+    def test_family_registry_follows_directed_and_shards_need_array(self):
+        with pytest.raises(ValueError, match="family='cycle' is not a registered directed"):
+            ExperimentSpec(process="directed_pull", family="cycle", n=8, directed=True)
+        with pytest.raises(ValueError, match="shards=2 requires backend='array'"):
+            ExperimentSpec(process="push", family="cycle", n=8, shards=2)
 
     def test_sweep_expansion(self):
         sweep = SweepSpec(processes=["push", "pull"], families=["cycle"], sizes=[8, 16], trials=2)
