@@ -11,9 +11,10 @@ Backend-agnostic: the list backend runs the per-node reference loop
 (snapshot every knowledge set, deliver payload by payload), while the
 array backend runs the whole round as **one pass of row unions** on the
 word-packed membership rows: node ``v``'s new row is the OR of its
-neighbours' round-start rows (:func:`repro.graphs.bitset.rows_or_into`),
-the genuinely new edges fall out of the popcount delta
-(:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
+neighbours' round-start rows (:func:`repro.graphs.bitset.rows_or_into`,
+which sorts the deliveries by recipient and folds each recipient's run
+with one ``reduceat``), the genuinely new edges fall out of the popcount
+delta (:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
 ``messages_sent``/``bits_sent``.  Flooding draws no randomness, so both
 paths add the identical per-round edge sets; the packed round discovers
 them in canonical rather than scan order and does not materialise the
@@ -109,9 +110,10 @@ class NeighborhoodFlooding(DiscoveryProcess):
         Each participating sender ``u`` delivers its round-start row to
         every neighbour ``v``; a sender's own ID bit is already present in
         the recipient's row, so the neighbour-row union *is* the whole
-        merge.  The scatter runs over the flattened neighbour block of the
-        active senders (one row-OR per delivered message) and the new edges
-        are the popcount delta between the old and unioned rows.  New bits
+        merge.  The deliveries are the flattened neighbour block of the
+        active senders (one row-OR per delivered message), unioned per
+        recipient by :func:`bitset.rows_or_into`, and the new edges are the
+        popcount delta between the old and unioned rows.  New bits
         always arrive in symmetric pairs (both endpoints of a new edge are
         recipients of the same sender), so the undirected delta extraction
         is exact.
@@ -125,14 +127,15 @@ class NeighborhoodFlooding(DiscoveryProcess):
         result.bits_sent = int((counts * (counts + 1)).sum()) * self._id_bits
         if senders.size == 0:
             return
-        recipients = concat_rows(rows, deg, senders)
+        recipients = concat_rows(rows, senders, counts)
         merged = bits.copy()
         bitset.rows_or_into(merged, recipients, bits, np.repeat(senders, counts))
         nodes = np.arange(n, dtype=np.int64)
         bitset.clear_bits(merged, nodes, nodes)  # no self-knowledge edges
         us, vs = bitset.delta_edges(bits, merged, n)
-        result.added_edges = graph.add_edges_batch_arrays(us, vs)
-        self._note_added_edges(result.added_edges)
+        added = graph.add_edges_batch_arrays(us, vs)
+        result.added_edges = added
+        self._note_added_edges(added)
 
     def is_converged(self) -> bool:
         """Flooding also converges to the complete graph."""

@@ -14,11 +14,13 @@ identical experiment harness (``make_process``/``ExperimentSpec``/CLI
 * **list backend** — the per-node reference loop: one payload list per
   sender, one ``add_edge`` per delivered ID;
 * **array backend** — the packed round: targets come from one bulk draw,
-  all payloads are expanded from the padded neighbour-row block in one
-  gather, and the whole round's deliveries go through the graph's batched
-  edge insert.  A delivery merges the sender's bitset membership row into
-  the recipient's, and popcount/degree deltas feed the
-  ``messages_sent``/``bits_sent`` accounting.
+  and each message's *teach row* — the sender's packed row minus the
+  recipient's row and the recipient — says which of the IDs it carries
+  are new to the recipient (:func:`~repro.baselines._packed.taught_edges`).
+  Only messages that teach something are expanded, only the IDs they
+  teach reach the graph's batched edge insert, and degree sums feed the
+  ``messages_sent``/``bits_sent`` accounting.  ``proposed_edges`` still
+  lists every carried ID; it is rebuilt from the rows on first access.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
 round (the shared backend draw convention of
@@ -34,9 +36,13 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import packed_rows, require_undirected, rows_with_self
+from repro.baselines._packed import (
+    PayloadProposals,
+    packed_rows,
+    require_undirected,
+    taught_edges,
+)
 from repro.core.base import (
-    BatchProposals,
     DiscoveryProcess,
     RoundResult,
     UpdateSemantics,
@@ -139,14 +145,17 @@ class NameDropper(DiscoveryProcess):
         deg: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Synchronous packed round on the array backend.
+        """Synchronous packed round on the array backend: expand only what is taught.
 
-        Same bulk target draw as the reference round, then the whole
-        round's payloads — each active sender's neighbour row plus itself —
-        are expanded in one gather and delivered through the graph's batched
-        row-union insert, preserving the reference path's first-occurrence
-        edge order exactly (so neighbour rows, and hence future draws,
-        stay aligned across backends).
+        Same bulk target draw as the reference round.  Sender ``s`` sends
+        its round-start row plus itself to its target; the recipient
+        already has ``s`` in its row, so only the row can teach it
+        anything.  :func:`taught_edges` keeps exactly the IDs the
+        recipient lacks, in payload order, and the batched insert adds
+        them in the reference path's first-occurrence edge order (so
+        neighbour rows, and hence future draws, stay aligned across
+        backends).  ``proposed_edges`` lists every carried ID but
+        ``(v, v)``, as the reference round does, built on first access.
         """
         graph = self.graph
         targets = graph.random_neighbors(active, self.rng)
@@ -157,20 +166,11 @@ class NameDropper(DiscoveryProcess):
         result.bits_sent = int((counts + 1).sum()) * self._id_bits
         if senders.size == 0:
             return
-        payload = rows_with_self(rows, deg, senders)
-        recipients = np.repeat(targets[valid], counts + 1)
-        keep = recipients != payload
-        recipients, payload = recipients[keep], payload[keep]
-        result.attach_batch(
-            BatchProposals(
-                int(senders.size),
-                recipients,
-                payload,
-                np.repeat(np.arange(senders.size, dtype=np.int64), counts + 1)[keep],
-            )
-        )
-        result.added_edges = graph.add_edges_batch_arrays(recipients, payload)
-        self._note_added_edges(result.added_edges)
+        recipients = targets[valid]
+        result.attach_batch(PayloadProposals(graph, recipients, senders, counts, with_self=True))
+        added = graph.add_edges_batch_arrays(*taught_edges(rows, bits, recipients, senders, counts))
+        result.added_edges = added
+        self._note_added_edges(added)
 
     def _apply_action(self, u: int, v: int, payload: List[int], result: RoundResult) -> None:
         result.messages_sent += 1

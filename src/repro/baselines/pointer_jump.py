@@ -9,11 +9,14 @@ Harchol-Balter et al. example gives it an Ω(n) round lower bound.
 We provide both the directed form (the one discussed in the paper, used
 as a baseline for the directed two-hop walk experiments) and an undirected
 form for the undirected comparison sweep.  Both forms are
-backend-agnostic: the list backend runs the per-node reference loop, the
-array backend expands every pulled payload — the chosen neighbour's whole
-row — from the padded (out-)neighbour block in one gather and applies the
-round through the graph's batched row-union insert, with degree sums
-feeding the ``messages_sent``/``bits_sent`` accounting.
+backend-agnostic: the list backend runs the per-node reference loop; the
+array backend builds each pull's *teach row* — the chosen neighbour's
+packed (out-)row minus the puller's row and the puller — and expands only
+the pulled payloads that teach something, keeping only the IDs they
+teach (:func:`~repro.baselines._packed.taught_edges`), before one
+batched insert.  Degree sums feed the ``messages_sent``/``bits_sent``
+accounting, and ``proposed_edges`` is rebuilt from the rows on first
+access.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
 round (the shared backend draw convention), sequential rounds one
@@ -27,9 +30,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import concat_rows, packed_rows
+from repro.baselines._packed import PayloadProposals, packed_rows, taught_edges
 from repro.core.base import (
-    BatchProposals,
     DiscoveryProcess,
     RoundResult,
     UpdateSemantics,
@@ -144,12 +146,15 @@ class RandomPointerJump(DiscoveryProcess):
         deg: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Synchronous packed round: gather every pulled row in one expansion.
+        """Synchronous packed round: expand only the pulled IDs that are new.
 
-        The pulled payloads are the chosen neighbours' padded rows,
-        flattened in participating-node order, so the batched insert
-        reproduces the reference path's first-occurrence edge order exactly
-        and neighbour rows stay aligned across backends.
+        Puller ``u`` pulls its chosen neighbour's round-start row;
+        :func:`taught_edges` keeps the IDs ``u`` lacks, in
+        participating-node and row order, so the batched insert
+        reproduces the reference path's first-occurrence edge order
+        exactly and neighbour rows stay aligned across backends.
+        ``proposed_edges`` lists every pulled ID but ``(u, u)``, built on
+        first access.
         """
         graph = self.graph
         targets = self._bulk_targets(active)
@@ -161,19 +166,8 @@ class RandomPointerJump(DiscoveryProcess):
         result.bits_sent = int((1 + counts).sum()) * self._id_bits
         if pullers.size == 0:
             return
-        payload = concat_rows(rows, deg, chosen)
-        learners = np.repeat(pullers, counts)
-        keep = learners != payload
-        learners, payload = learners[keep], payload[keep]
-        result.attach_batch(
-            BatchProposals(
-                int(pullers.size),
-                learners,
-                payload,
-                np.repeat(np.arange(pullers.size, dtype=np.int64), counts)[keep],
-            )
-        )
-        added = graph.add_edges_batch_arrays(learners, payload)
+        result.attach_batch(PayloadProposals(graph, pullers, chosen, counts, with_self=False))
+        added = graph.add_edges_batch_arrays(*taught_edges(rows, bits, pullers, chosen, counts))
         result.added_edges = added
         self._absorb_added(added)
         self._note_added_edges(added)

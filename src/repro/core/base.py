@@ -36,7 +36,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +63,13 @@ GraphLike = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
 Edge = Tuple[int, int]
 #: a round's new edges: tuples, or the array backend's endpoint arrays.
 AddedEdges = Union[List[Edge], EdgeArrays]
+
+
+class ProposalSource(Protocol):
+    """Array-form proposals (:class:`BatchProposals`, the payload baselines' own)."""
+
+    def edges(self) -> List[Edge]:
+        """The proposals as plain ``(u, v)`` tuples in order."""
 
 
 def id_bits(n: int) -> int:
@@ -148,7 +155,7 @@ class RoundResult:
         self._proposed: Optional[List[Edge]] = (
             proposed_edges if proposed_edges is not None else []
         )
-        self._batch: Optional["BatchProposals"] = None
+        self._batch: Optional[ProposalSource] = None
         self._added: AddedEdges = added_edges if added_edges is not None else []
         self.messages_sent = messages_sent
         self.bits_sent = bits_sent
@@ -165,7 +172,7 @@ class RoundResult:
         self._proposed = value
         self._batch = None
 
-    def attach_batch(self, batch: "BatchProposals") -> None:
+    def attach_batch(self, batch: ProposalSource) -> None:
         """Record the array-form proposals, deferring tuple conversion."""
         self._batch = batch
         self._proposed = None

@@ -127,6 +127,29 @@ def _sample_rows(rows: np.ndarray, deg: np.ndarray, nodes: np.ndarray, u: np.nda
     return out
 
 
+def _stable_sort(keys: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` in ascending order, and the batch position each came from.
+
+    Equal keys keep their batch order, as a stable argsort would give, but
+    the sort is one ``np.sort`` of the composite keys ``key · 2^b +
+    position`` (``k`` keys, each in ``[0, bound)``; ``2^b > k``), which a
+    shift and a mask decode.  A stable argsort of 4M ``int64`` keys costs
+    about ten times as much.  The composite keys must fit in ``int64``:
+    a batch where ``bound · 2^b`` exceeds ``2^63`` is refused rather than
+    wrapped around.
+    """
+    k = keys.shape[0]
+    shift = k.bit_length()
+    if bound << shift > 1 << 63:
+        raise OverflowError(
+            f"a batch of {k} keys below {bound} overflows the int64 composite sort keys"
+        )
+    composite = keys << shift
+    composite |= np.arange(k, dtype=np.int64)
+    composite.sort()
+    return composite >> shift, composite & ((1 << shift) - 1)
+
+
 def _new_edges(
     bits: np.ndarray, n: int, us: np.ndarray, vs: np.ndarray, directed: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -137,7 +160,9 @@ def _new_edges(
     no ``(min, max)`` orientation.  The within-batch dedupe (first
     occurrence wins) and the self-loop filter then run only on the
     survivors, which late in a run are few; a self loop is never present,
-    so it always survives the test.
+    so it always survives the test.  The dedupe sorts the edge keys with
+    :func:`_stable_sort` and drops every entry that is not the first of
+    its run: a later occurrence of an edge earlier in the batch.
     """
     cand = (~bitset.get_bits(bits, us, vs)).nonzero()[0]
     add_u, add_v = us[cand], vs[cand]
@@ -146,9 +171,11 @@ def _new_edges(
             keys = add_u * np.int64(n) + add_v
         else:
             keys = np.minimum(add_u, add_v) * np.int64(n) + np.maximum(add_u, add_v)
-        _, first = np.unique(keys, return_index=True)
-        if first.size != cand.size:
-            first.sort()
+        keys, pos = _stable_sort(keys, n * n)
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            first = np.ones(cand.size, dtype=bool)
+            first[pos[1:][repeated]] = False
             add_u, add_v = add_u[first], add_v[first]
     keep = add_u != add_v
     if not keep.all():
@@ -160,11 +187,11 @@ def _append_slots(deg: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Row slot of every appended entry: ``deg[end]`` plus the entries for that row before it.
 
     Grouped slot assignment: entries bound for the same row take
-    consecutive slots in batch order (ranked by a stable sort), which is
-    exactly where appending them one at a time would put them.
+    consecutive slots in batch order (ranked within the row's run of
+    :func:`_stable_sort` order by ``searchsorted``), which is exactly
+    where appending them one at a time would put them.
     """
-    order = np.argsort(ends, kind="stable")
-    sorted_ends = ends[order]
+    sorted_ends, order = _stable_sort(ends, deg.shape[0])
     slots = np.empty_like(ends)
     slots[order] = np.arange(ends.shape[0]) - np.searchsorted(sorted_ends, sorted_ends)
     slots += deg[ends]

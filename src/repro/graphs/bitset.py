@@ -18,9 +18,10 @@ below operates on 64 set elements per machine word:
   (via ``np.bitwise_count`` when available, an 8-bit lookup otherwise);
 * :func:`or_rows` — OR-reduction of selected rows (the frontier-merge
   primitive of bitset BFS);
-* :func:`rows_or_into` / :func:`delta_edges` — scatter row-union delivery
-  and new-edge extraction (the payload-merge primitives of the baseline
-  processes, whose messages are whole neighbour sets);
+* :func:`rows_or_into` / :func:`delta_edges` — row-union delivery (sorted
+  by destination, one ``reduceat`` per run of a destination) and new-edge
+  extraction: the payload-merge primitives of the baseline processes,
+  whose messages are whole neighbour sets;
 * :func:`or_into_range` / :class:`DeltaRows` — the shard-merge kernels of
   the sharded round engine (:mod:`repro.simulation.sharding`): contiguous
   row-range OR and a per-round delta accumulator that merges shard
@@ -229,7 +230,7 @@ def rows_or_into(
     dst_rows: np.ndarray,
     src_bits: np.ndarray,
     src_rows: Optional[np.ndarray] = None,
-    chunk: int = 8192,
+    chunk: int = 4096,
 ) -> None:
     """Batched row-union delivery: OR source rows into destination rows.
 
@@ -238,10 +239,15 @@ def rows_or_into(
     itself when ``src_rows`` is None and ``src_bits`` carries one payload
     row per delivery).  This is the packed form of "send your whole known
     set": one message becomes one row-OR, 64 IDs per word operation.
-    Duplicate destinations accumulate correctly (unbuffered
-    ``bitwise_or.at`` scatter), and the payload gather is chunked so peak
-    scratch memory stays at ``chunk`` rows regardless of how many
-    deliveries a round makes.
+
+    The deliveries are sorted by destination (one ``np.sort`` of the
+    composite keys ``dst · S + src``, ``S`` the number of source rows; OR
+    commutes, so any order within a destination will do).  Each chunk of
+    ``chunk`` sorted deliveries then gathers its payload rows,
+    ``bitwise_or.reduceat`` folds every run of one destination into a
+    single row, and one fancy-index ``|=`` merges those rows into their
+    destinations, which are unique within the chunk.  Peak scratch memory
+    stays at ``chunk`` payload rows however many deliveries a round makes.
     """
     dst_rows = np.asarray(dst_rows, dtype=np.int64)
     deliveries = dst_rows.shape[0]
@@ -255,13 +261,18 @@ def rows_or_into(
         raise ValueError(
             f"src_bits has {src_bits.shape[0]} payload rows for {deliveries} deliveries"
         )
+    if deliveries == 0:
+        return
+    span = src_bits.shape[0]
+    keys = dst_rows * span
+    keys += src_rows if src_rows is not None else np.arange(deliveries, dtype=np.int64)
+    keys.sort()
+    dst_sorted, src_sorted = np.divmod(keys, span)
     for start in range(0, deliveries, chunk):
-        stop = min(start + chunk, deliveries)
-        if src_rows is not None:
-            payload = src_bits[src_rows[start:stop]]
-        else:
-            payload = src_bits[start:stop]
-        np.bitwise_or.at(dst_bits, dst_rows[start:stop], payload)
+        dst = dst_sorted[start : start + chunk]
+        runs = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
+        payload = src_bits[src_sorted[start : start + chunk]]
+        dst_bits[dst[runs]] |= np.bitwise_or.reduceat(payload, runs, axis=0)
 
 
 def or_into_range(dst_bits: np.ndarray, lo: int, src_block: np.ndarray) -> None:

@@ -98,7 +98,7 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import bitset
-from repro.graphs.array_adjacency import backend_name
+from repro.graphs.array_adjacency import EdgeArrays, backend_name
 from repro.graphs.sampling import masked_counts, uniform_indices
 
 __all__ = [
@@ -252,8 +252,9 @@ def _flooding_shard(
     local = np.flatnonzero(deg[lo:hi] > 0)
     if local.size:
         receivers = local + lo
-        senders = concat_rows(nbr, deg, receivers)
-        bitset.rows_or_into(merged, np.repeat(local, deg[receivers]), bits, senders)
+        counts = deg[receivers]
+        senders = concat_rows(nbr, receivers, counts)
+        bitset.rows_or_into(merged, np.repeat(local, counts), bits, senders)
     rowsel = np.arange(hi - lo, dtype=np.int64)
     bitset.clear_bits(merged, rowsel, rowsel + lo)
     np.bitwise_and(merged, ~bits[lo:hi], out=merged)
@@ -714,10 +715,11 @@ class ShardedProcess:
         low, high = low[keep], high[keep]
         fresh = ~bitset.get_bits(graph.adjacency_bits(), low, high)
         keys = np.unique(low[fresh] * np.int64(n) + high[fresh])
-        result.added_edges = graph.add_edges_batch_arrays(keys // n, keys % n)
+        added = graph.add_edges_batch_arrays(keys // n, keys % n)
+        result.added_edges = added
         result.messages_sent = process.MESSAGES_PER_NODE * n
         result.bits_sent = result.messages_sent * process._id_bits
-        return self._finish_round(result)
+        return self._finish_round(result, added)
 
     def _merge_rowblocks(
         self, shard_results: Sequence[np.ndarray], u: Optional[np.ndarray]
@@ -744,8 +746,9 @@ class ShardedProcess:
             delta.or_into_range(lo, block)
         add_us, add_vs = delta.new_edges(bits, directed=self.kind != "flooding")
         self._account_rowblocks(result, u)
-        result.added_edges = graph.add_edges_batch_arrays(add_us, add_vs)
-        return self._finish_round(result)
+        added = graph.add_edges_batch_arrays(add_us, add_vs)
+        result.added_edges = added
+        return self._finish_round(result, added)
 
     def _account_rowblocks(self, result: RoundResult, u: Optional[np.ndarray]) -> None:
         """Round message/bit accounting for the payload kinds (round-start state)."""
@@ -765,16 +768,20 @@ class ShardedProcess:
             result.messages_sent = 2 * int(chosen.size)  # request + bulk reply each
             result.bits_sent = int((1 + deg[chosen]).sum()) * process._id_bits
 
-    def _finish_round(self, result: RoundResult) -> RoundResult:
-        """Advance the wrapped process's counters exactly like its own step()."""
+    def _finish_round(self, result: RoundResult, added: EdgeArrays) -> RoundResult:
+        """Advance the wrapped process's counters exactly like its own step().
+
+        ``added`` is the round's insert result, handed on as arrays: reading
+        ``result.added_edges`` would build one tuple per new edge.
+        """
         process = self.process
         # Processes with closure-deficit bookkeeping (the directed walk,
         # pointer jump) fold the round's new edges into it here — the same
         # hook their own batched rounds use.
         absorb = getattr(process, "_absorb_added", None)
         if absorb is not None:
-            absorb(result.added_edges)
-        process._note_added_edges(result.added_edges)
+            absorb(added)
+        process._note_added_edges(added)
         process.round_index += 1
         process.total_edges_added += result.num_added
         process.total_messages += result.messages_sent

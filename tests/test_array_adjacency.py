@@ -17,6 +17,7 @@ from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.array_adjacency import (
     ArrayDiGraph,
     ArrayGraph,
+    _stable_sort,
     as_backend,
     backend_name,
 )
@@ -28,6 +29,18 @@ def random_edge_sequence(n, count, rng):
     us = rng.integers(n, size=count)
     vs = rng.integers(n, size=count)
     return list(zip(us.tolist(), vs.tolist()))
+
+
+def batch_cases(seeds):
+    """Inputs ``(seed, n, batch size)`` of the batch-insert oracle tests.
+
+    ``n=None`` draws a small graph fed batches of ``n`` proposals.  The
+    ``n300`` case has the batch sizes of payload rounds: 20,000 proposals
+    per batch put about 130 entries on every row, with duplicates, both
+    orientations of an edge and self loops in each batch.
+    """
+    small = [pytest.param(seed, None, None, id=str(seed)) for seed in range(seeds)]
+    return small + [pytest.param(seeds, 300, 20_000, id="n300")]
 
 
 class TestArrayGraphOracle:
@@ -52,14 +65,14 @@ class TestArrayGraphOracle:
         assert np.array_equal(array.adjacency_matrix(), oracle.adjacency_matrix())
         assert array == oracle  # cross-representation equality
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_batch_add_matches_sequential_oracle(self, seed):
+    @pytest.mark.parametrize("seed, n, size", batch_cases(5))
+    def test_batch_add_matches_sequential_oracle(self, seed, n, size):
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(5, 30))
+        n = n or int(rng.integers(5, 30))
         oracle = DynamicGraph(n)
         array = ArrayGraph(n)
-        for _ in range(6):
-            chunk = random_edge_sequence(n, n, rng)
+        for _ in range(6 if size is None else 3):
+            chunk = random_edge_sequence(n, size or n, rng)
             assert array.add_edges_batch(chunk) == oracle.add_edges_batch(chunk)
         assert array == oracle
         for u in range(n):
@@ -183,16 +196,19 @@ class TestArrayDiGraphOracle:
         assert np.array_equal(array.adjacency_matrix(), oracle.adjacency_matrix())
         assert array == oracle
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batch_add_matches_sequential_oracle(self, seed):
+    @pytest.mark.parametrize("seed, n, size", batch_cases(3))
+    def test_batch_add_matches_sequential_oracle(self, seed, n, size):
         rng = np.random.default_rng(300 + seed)
-        n = int(rng.integers(5, 25))
+        n = n or int(rng.integers(5, 25))
         oracle = DynamicDiGraph(n)
         array = ArrayDiGraph(n)
-        for _ in range(5):
-            chunk = random_edge_sequence(n, n, rng)
+        for _ in range(5 if size is None else 3):
+            chunk = random_edge_sequence(n, size or n, rng)
             assert array.add_edges_batch(chunk) == oracle.add_edges_batch(chunk)
         assert array == oracle
+        for u in range(n):
+            assert array.out_neighbors(u).tolist() == list(oracle.out_neighbors(u))
+        assert np.array_equal(array.in_degrees(), oracle.in_degrees())
 
     def test_bulk_out_sampling_matches_list_backend_stream(self):
         from repro.graphs import directed_generators as dgen
@@ -235,3 +251,25 @@ class TestArrayDiGraphOracle:
         g = ArrayDiGraph(4, [(0, 1), (1, 0), (2, 3)])
         und = g.to_undirected()
         assert und.edge_list() == [(0, 1), (2, 3)]
+
+
+class TestCompositeSort:
+    """The insert's stable sort packs each key and its batch position into one ``int64``."""
+
+    def test_matches_stable_argsort(self):
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 50, size=5000)
+        sorted_keys, pos = _stable_sort(keys, 50)
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(pos, order)
+        assert np.array_equal(sorted_keys, keys[order])
+
+    def test_refuses_batches_whose_keys_overflow_int64(self):
+        # 4 positions take 3 bits: keys below 2**60 fill int64 exactly.
+        keys = np.array([2**60 - 1, 0, 2**60 - 1, 5], dtype=np.int64)
+        sorted_keys, pos = _stable_sort(keys, 2**60)
+        assert sorted_keys.tolist() == [0, 5, 2**60 - 1, 2**60 - 1]
+        assert pos.tolist() == [1, 3, 0, 2]
+        # 8 positions take 4 bits: one more than fits.
+        with pytest.raises(OverflowError, match="overflows the int64"):
+            _stable_sort(np.zeros(8, dtype=np.int64), 2**60)

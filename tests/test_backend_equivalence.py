@@ -177,21 +177,54 @@ class TestBaselineEquivalence:
         )
         assert ref == fast
 
-    @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
-    def test_exact_added_order_parity(self, process_cls):
+    @pytest.mark.parametrize(
+        "process_cls, graph_factory",
+        [
+            pytest.param(NameDropper, lambda: gen.cycle_graph(24), id="NameDropper"),
+            pytest.param(RandomPointerJump, lambda: gen.cycle_graph(24), id="RandomPointerJump"),
+            pytest.param(NameDropper, lambda: gen.cycle_graph(128), id="NameDropper-n128"),
+            pytest.param(
+                RandomPointerJump, lambda: gen.cycle_graph(128), id="RandomPointerJump-n128"
+            ),
+            pytest.param(
+                RandomPointerJump,
+                lambda: dgen.random_strongly_connected_digraph(96, rng=np.random.default_rng(4)),
+                id="RandomPointerJump-directed-n96",
+            ),
+        ],
+    )
+    def test_exact_added_order_parity(self, process_cls, graph_factory):
         """Name Dropper / pointer jump packed rounds reproduce the exact edge
         application order of the reference loop (not just the sets) — the
-        invariant that keeps neighbour rows, and hence future draws, aligned."""
-        base = gen.cycle_graph(24)
+        invariant that keeps neighbour rows, and hence future draws, aligned.
+
+        Each round's proposal list must match too.  It is read only after
+        the run, when the array backend rebuilds it from rows that have
+        grown since.  At n=128 a round carries tens of thousands of payload
+        IDs, most of them already known, so the teach-row filter has real
+        work."""
+        base = graph_factory()
         runs = {}
         for backend in ("list", "array"):
             graph = as_backend(base.copy(), backend)
             process = process_cls(graph, rng=9)
             result = process.run_to_convergence(record_history=True)
             runs[backend] = [
-                [(int(u), int(v)) for u, v in r.added_edges] for r in result.history
+                (
+                    [(int(u), int(v)) for u, v in r.added_edges],
+                    [(int(u), int(v)) for u, v in r.proposed_edges],
+                )
+                for r in result.history
             ]
         assert runs["list"] == runs["array"]
+
+    def test_large_flooding_round_parity(self):
+        """Flooding at n=128: late rounds deliver more than 4096 rows, so the
+        sorted row union crosses chunk boundaries mid-run."""
+        base = gen.cycle_graph(128)
+        ref = run_trace(NeighborhoodFlooding, base, 0, "list", normalize=True)
+        fast = run_trace(NeighborhoodFlooding, base, 0, "array", normalize=True)
+        assert ref == fast
 
 
 class TestDirectedEquivalence:

@@ -11,8 +11,9 @@ from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.adjacency import DynamicDiGraph
-from repro.graphs.array_adjacency import as_backend
+from repro.graphs.array_adjacency import EdgeArrays, as_backend
 from repro.graphs.closure import is_transitively_closed
+from repro.simulation.engine import make_process
 
 
 class TestNameDropper:
@@ -251,3 +252,39 @@ class TestBaselineComparison:
         )
         assert flood <= nd <= push
         assert push > 5 * nd
+
+
+class TestPayloadRoundsKeepEdgeArrays:
+    """Payload rounds hand their new edges on as arrays, never as tuples.
+
+    A round at n=2048 adds up to about 10⁶ edges; turning them into Python
+    tuples for the degree cache took longer than some whole rounds.  With
+    ``EdgeArrays.tolist`` refusing, the runs below only finish if nothing
+    on the round path asks for tuples.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_tolist(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a payload round built a tuple per new edge")
+
+        monkeypatch.setattr(EdgeArrays, "tolist", refuse)
+
+    @pytest.mark.parametrize(
+        "name, shards",
+        [
+            ("name_dropper", 1),
+            ("pointer_jump", 1),
+            ("flooding", 1),
+            ("name_dropper", 2),
+            ("flooding", 2),
+        ],
+    )
+    def test_round_path_builds_no_edge_tuples(self, name, shards):
+        process = make_process(
+            name, gen.cycle_graph(40), rng=3, backend="array", shards=shards, shard_parallel=False
+        )
+        process.degree_view()  # primed, so every round's new edges update it
+        result = process.run_to_convergence()
+        assert result.converged
+        assert process.degree_view().tolist() == [39] * 40
