@@ -313,37 +313,13 @@ def _cmd_async(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.quality import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.rules:
-        argv += ["--rules", *args.rules]
-    if args.no_registry:
-        argv.append("--no-registry")
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.changed_only:
-        argv.append("--changed-only")
-    if args.no_summaries:
-        argv.append("--no-summaries")
-    if args.summary_cache:
-        argv += ["--summary-cache", args.summary_cache]
-    for pattern in args.exclude or []:
-        argv += ["--exclude", pattern]
-    return lint_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for tests).
 
     Every ``--process``/``--family``/``--protocol`` option derives its
     ``choices=`` from the live registries, so registering a new process or
-    family surfaces it here automatically — and the repro-lint
-    ``registry-consistency`` checker cross-checks exactly that coupling.
+    family surfaces it here automatically (``tests/test_cli.py`` asserts
+    the choices equal the registries).
     """
     all_families = sorted(set(family_names()) | set(directed_family_names()))
     parser = argparse.ArgumentParser(
@@ -531,60 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_async.add_argument("--save", default=None, help="write results to a .json or .csv file")
     p_async.set_defaults(func=_cmd_async)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="repro-lint: determinism & resource-safety static analysis",
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed repro package)",
-    )
-    p_lint.add_argument(
-        "--rules", nargs="+", default=None, help="run only these rule ids"
-    )
-    p_lint.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the registry-consistency cross-check",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p_lint.add_argument(
-        "--format", choices=["text", "json", "github"], default="text"
-    )
-    p_lint.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write a JSON findings report to PATH (atomically)",
-    )
-    p_lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed vs. the merge-base with main (plus untracked)",
-    )
-    p_lint.add_argument(
-        "--no-summaries",
-        action="store_true",
-        help="disable interprocedural function summaries (intraprocedural only)",
-    )
-    p_lint.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="PATH",
-        help="persist function summaries to PATH keyed by file sha256",
-    )
-    p_lint.add_argument(
-        "--exclude",
-        action="append",
-        default=None,
-        metavar="GLOB",
-        help="skip files matching GLOB (repeatable)",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     return parser
 

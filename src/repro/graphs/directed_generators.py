@@ -45,9 +45,9 @@ def _ensure_rng(
     """Coerce an explicit seed source to a ``Generator``; reject ``None``.
 
     Same explicit-seed contract as the undirected families: an unseeded
-    fallback would silently void trace replayability (repro-lint
-    ``determinism`` rule), so fresh entropy must be requested explicitly
-    with ``default_rng(None)`` at the call site.
+    fallback would silently void trace replayability (the ``determinism``
+    rule of ``tests/test_source_rules.py``), so fresh entropy must be
+    requested explicitly with ``default_rng(None)`` at the call site.
     """
     if rng is None:
         raise ValueError(

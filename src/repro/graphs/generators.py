@@ -262,9 +262,10 @@ def _ensure_rng(
     """Coerce an explicit seed source to a ``Generator``; reject ``None``.
 
     Random families feed seeded experiment traces, so an unseeded fallback
-    here would silently void replayability (the repro-lint ``determinism``
-    rule).  Callers that genuinely want fresh entropy must say so:
-    ``default_rng(None)`` at the call site.
+    here would silently void replayability (the ``determinism`` rule of
+    ``tests/test_source_rules.py`` bans one anywhere in the tree).  Callers
+    that genuinely want fresh entropy must say so: ``default_rng(None)`` at
+    the call site.
     """
     if rng is None:
         raise ValueError(

@@ -28,7 +28,6 @@ from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend, b
 
 __all__ = [
     "PROCESS_REGISTRY",
-    "ARRAY_BACKEND_PROCESSES",
     "make_process",
     "run_process",
     "measure_convergence_rounds",
@@ -49,12 +48,6 @@ PROCESS_REGISTRY: Dict[str, Tuple[Callable[..., DiscoveryProcess], bool]] = {
     "faulty_push": (FaultyPushDiscovery, False),
     "faulty_pull": (FaultyPullDiscovery, False),
 }
-
-#: processes that accept the NumPy array backend.  Since the baselines
-#: were ported onto the packed bitset substrate (payloads as membership
-#: rows, deliveries as row unions) every registered process qualifies;
-#: the set is kept as the explicit opt-in list for future processes.
-ARRAY_BACKEND_PROCESSES = frozenset(PROCESS_REGISTRY)
 
 
 def process_names() -> Sequence[str]:
@@ -77,8 +70,8 @@ def make_process(
 
     ``backend`` selects the graph substrate: ``"list"`` (default behaviour)
     or ``"array"`` (the vectorized fast path — supported by every
-    registered process, baselines included; see
-    :data:`ARRAY_BACKEND_PROCESSES`).  The graph is converted as needed.
+    registered process, baselines included).  The graph is converted as
+    needed.
 
     ``shards > 1`` wraps the process in
     :class:`repro.simulation.sharding.ShardedProcess`, which runs each
@@ -111,11 +104,6 @@ def make_process(
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
     if backend is not None:
-        if backend == "array" and name not in ARRAY_BACKEND_PROCESSES:
-            raise ValueError(
-                f"process {name!r} does not support the array backend; "
-                f"array-capable: {sorted(ARRAY_BACKEND_PROCESSES)}"
-            )
         graph = as_backend(graph, backend)
     process = ctor(graph, rng=rng, semantics=semantics, **kwargs)
     if shards > 1:

@@ -105,8 +105,6 @@ __all__ = [
     "ShardPlan",
     "ShardedProcess",
     "SHARDABLE_PROCESSES",
-    "SHARD_KINDS",
-    "UNSHARDABLE_PROCESSES",
     "DEFAULT_PARALLEL_THRESHOLD",
     "DEFAULT_SHARD_RETRIES",
 ]
@@ -114,9 +112,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: process classes with a registered sharded propose kernel (exact types —
-#: subclasses may customise ``propose`` and must opt in explicitly).  This
-#: covers the whole process registry: the gossip processes merge sparse
-#: proposal endpoints, the payload baselines merge packed delta-row blocks.
+#: subclasses may customise ``propose`` and must opt in explicitly).  The
+#: gossip processes merge sparse proposal endpoints, the payload baselines
+#: merge packed delta-row blocks.  The faulty variants (``faulty_push``,
+#: ``faulty_pull``) are the registry's only processes left out: they draw
+#: per-call fault decisions inside ``propose``, while the shard kernels
+#: replay only the bulk per-round uniform convention, so sharding them
+#: would change the draw sequence.
 SHARDABLE_PROCESSES: Dict[type, str] = {
     PushDiscovery: "push",
     PullDiscovery: "pull",
@@ -129,18 +131,6 @@ SHARDABLE_PROCESSES: Dict[type, str] = {
 #: kinds whose shards report packed delta-row blocks (OR-merged through
 #: ``DeltaRows.or_into_range``); the rest report proposal endpoint arrays.
 _ROWBLOCK_KINDS = frozenset({"flooding", "name_dropper", "pointer_jump"})
-
-#: every kernel kind ``_run_kernel`` implements.  The repro-lint
-#: registry-consistency checker verifies ``SHARDABLE_PROCESSES`` maps only
-#: into this set, so a typo'd kind fails lint instead of raising mid-run.
-SHARD_KINDS = frozenset({"push", "pull", "directed_walk"}) | _ROWBLOCK_KINDS
-
-#: registry names exempt from the "every process is shardable" invariant.
-#: The faulty variants draw per-call fault decisions inside ``propose``;
-#: the shard kernels replay only the bulk per-round uniform convention, so
-#: sharding them would change the draw sequence.  Listing them here is the
-#: documented opt-out the registry-consistency checker accepts.
-UNSHARDABLE_PROCESSES = frozenset({"faulty_push", "faulty_pull"})
 
 #: below this n the per-round process-pool round-trip costs more than the
 #: round itself; the auto mode stays in-process.
@@ -905,7 +895,7 @@ class ShardedProcess:
                 )
             # Interpreter-exit finalizer: the logging machinery itself may be
             # torn down, and raising from __del__ is worse than silence.
-            except Exception:  # repro-lint: allow[exception-hygiene]
+            except Exception:
                 pass
 
     def __repr__(self) -> str:

@@ -246,6 +246,82 @@ class TestClosureKernels:
 
 
 # --------------------------------------------------------------------------- #
+# the packed-row contract, on every kernel that writes rows
+# --------------------------------------------------------------------------- #
+def _in_place(bits, kernel, *args):
+    out = bits.copy()
+    kernel(out, *args)
+    return out
+
+
+def _batch(rng, n, size=12):
+    return rng.integers(0, n, size), rng.integers(0, n, size)
+
+
+def _delta_rows(bits, n, rng):
+    delta = bitset.DeltaRows(n, n)
+    delta.add_edges(*_batch(rng, n))
+    delta.or_into_range(0, bits[: n // 2])
+    return delta.bits
+
+
+def _closure_plus_batch(bits, n, rng):
+    reach = bitset.transitive_closure_bits(bits, n)
+    bitset.closure_add_edges(reach, *_batch(rng, n))
+    return reach
+
+
+#: kernel -> f(packed n x n adjacency, n, rng) returning the packed rows it writes;
+#: in-place kernels write into a copy.
+ROW_KERNELS = {
+    "zeros": lambda bits, n, rng: bitset.zeros(n, n),
+    "pack_bool_matrix": lambda bits, n, rng: bitset.pack_bool_matrix(
+        bitset.unpack_bool_matrix(bits, n)
+    ),
+    "set_bit": lambda bits, n, rng: _in_place(bits, bitset.set_bit, n - 1, n - 1),
+    "set_bits": lambda bits, n, rng: _in_place(bits, bitset.set_bits, *_batch(rng, n)),
+    "clear_bits": lambda bits, n, rng: _in_place(bits, bitset.clear_bits, *_batch(rng, n)),
+    "or_rows": lambda bits, n, rng: bitset.or_rows(bits, rng.integers(0, n, 4)),
+    "rows_or_into": lambda bits, n, rng: _in_place(
+        bits, bitset.rows_or_into, rng.integers(0, n, 12), bits, rng.integers(0, n, 12)
+    ),
+    "or_into_range": lambda bits, n, rng: _in_place(
+        bits, bitset.or_into_range, n // 2, bits[: n - n // 2]
+    ),
+    "DeltaRows": _delta_rows,
+    "transitive_closure_bits": lambda bits, n, rng: bitset.transitive_closure_bits(bits, n),
+    "closure_add_edges": _closure_plus_batch,
+    "reachable_bits": lambda bits, n, rng: bitset.reachable_bits(bits, int(rng.integers(n))),
+    "transpose_bits": lambda bits, n, rng: bitset.transpose_bits(bits, n),
+}
+
+
+class TestRowContract:
+    """What the kernels' callers rely on: rows stay ``uint64``, ``words_for(n)``
+    words wide (a ceiling), with every bit past ``n`` clear (no un-masked
+    complement leaks into the padding), and no kernel writes to its inputs."""
+
+    @pytest.mark.parametrize("kernel", sorted(ROW_KERNELS))
+    @FAST
+    @given(
+        n=st.integers(min_value=1, max_value=140),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        density=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_rows_keep_dtype_width_and_clear_padding(self, kernel, n, seed, density):
+        rng = np.random.default_rng(seed)
+        bits = bitset.pack_bool_matrix(rng.random((n, n)) < density)
+        before = bits.copy()
+        out = ROW_KERNELS[kernel](bits, n, rng)
+        assert out.dtype == np.uint64
+        assert out.shape[-1] == -(-n // bitset.WORD_BITS)
+        tail = n % bitset.WORD_BITS
+        if tail:
+            assert not (out[..., -1] >> np.uint64(tail)).any(), "bits set past n"
+        assert np.array_equal(bits, before)
+
+
+# --------------------------------------------------------------------------- #
 # packed membership storage ≡ naive bool-matrix graph behaviour
 # --------------------------------------------------------------------------- #
 class TestPackedMembershipStorage:

@@ -3,6 +3,11 @@
 import pytest
 
 from repro import cli
+from repro.graphs.array_adjacency import BACKENDS
+from repro.graphs.directed_generators import directed_family_names
+from repro.graphs.generators import family_names
+from repro.network.protocols import protocol_names
+from repro.simulation.engine import process_names
 
 
 class TestParser:
@@ -27,6 +32,50 @@ class TestParser:
         assert args.jitter == 1.5
         assert args.churn_rate == 0.02
         assert not args.compare_sync
+
+
+class TestParserMatchesRegistries:
+    """Every choices= list is exactly what the live registries offer."""
+
+    EXPECTED = {
+        ("run", "process"): set(process_names()),
+        ("scaling", "process"): set(process_names()),
+        ("group", "process"): set(process_names()),
+        # The exact-E[T] Markov computation exists for push and pull only.
+        ("nonmonotone", "process"): {"push", "pull"} & set(process_names()),
+        ("run", "family"): set(family_names()) | set(directed_family_names()),
+        ("scaling", "family"): set(family_names()) | set(directed_family_names()),
+        ("group", "host_family"): set(family_names()),
+        ("async", "family"): set(family_names()),
+        ("directed", "family"): set(directed_family_names()),
+        ("async", "protocol"): set(protocol_names()),
+        ("run", "backend"): set(BACKENDS),
+        ("scaling", "backend"): set(BACKENDS),
+        ("group", "backend"): set(BACKENDS),
+        ("directed", "backend"): set(BACKENDS),
+    }
+
+    @staticmethod
+    def options():
+        """(subcommand, dest) -> argparse action, over every subcommand."""
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+        return {
+            (name, action.dest): action
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+        }
+
+    @pytest.mark.parametrize("key", sorted(EXPECTED), ids="-".join)
+    def test_choices_equal_registries(self, key):
+        option = self.options()[key]
+        assert set(option.choices) == self.EXPECTED[key]
+        assert option.default in self.EXPECTED[key]
+
+    def test_every_registry_backed_option_is_covered(self):
+        dests = {"process", "family", "host_family", "protocol", "backend"}
+        covered = {key for key in self.options() if key[1] in dests}
+        assert covered == set(self.EXPECTED)
 
 
 class TestCommands:

@@ -10,10 +10,14 @@ coordinates, so each recovery path is exercised reproducibly:
   still finish correctly;
 * a deterministic in-worker exception is never retried: the runner
   records it per-trial (siblings intact), the sharded engine propagates
-  it after releasing every shared-memory segment.
+  it after releasing every shared-memory segment;
+* a raise while the runner is still submitting jobs shuts its pool down.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +82,32 @@ class TestRunnerFaults:
         assert "InjectedFault" in error.cause
         kept = [t for t in mixed if not t.failed]
         assert results_key(kept) == [k for k in results_key(serial) if k[0] != 2]
+
+    def test_raising_submission_shuts_the_pool_down(self):
+        """Submission sits inside the try whose finally shuts the pool down.
+
+        With submission outside it, a raise while jobs are being submitted
+        left the workers alive for as long as the traceback (which holds
+        the pool) was referenced.
+        """
+
+        class RaisingInjector(FaultInjector):
+            def take_trial(self, trial_index):
+                if trial_index == 2:
+                    raise RuntimeError("no directive for trial 2")
+                return super().take_trial(trial_index)
+
+        with pytest.raises(RuntimeError, match="trial 2") as excinfo:
+            run_trials(spec(), root_seed=11, processes=2, fault_injector=RaisingInjector())
+        # excinfo holds the traceback, and through it the runner's frame and
+        # pool: the workers must exit because the pool was shut down, not
+        # because it was garbage collected.
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, (
+                f"pool workers outlived {excinfo.value!r}: {multiprocessing.active_children()}"
+            )
+            time.sleep(0.01)
 
     def test_summarize_counts_failures_and_rejects_all_failed(self):
         injector = FaultInjector(mode="raise").kill_trial(0, times=1)

@@ -211,3 +211,36 @@ class TestFamilyRegistry:
     def test_unknown_family_raises(self):
         with pytest.raises(KeyError):
             gen.make_family("nope", 10)
+
+
+class TestExplicitSeedContract:
+    """Random constructions take their randomness from the caller, never from entropy."""
+
+    def test_generators_reject_none(self):
+        with pytest.raises(ValueError, match="explicit rng"):
+            gen.erdos_renyi_graph(10, 0.5)
+
+    def test_directed_generators_reject_none(self):
+        from repro.graphs import directed_generators as dgen
+
+        with pytest.raises(ValueError, match="explicit rng"):
+            dgen.random_digraph(10, 0.5)
+
+    def test_generators_accept_int_seed(self):
+        a = gen.erdos_renyi_graph(16, 0.3, rng=7)
+        b = gen.erdos_renyi_graph(16, 0.3, rng=np.random.default_rng(7))
+        assert sorted(a.edge_list()) == sorted(b.edge_list())
+
+    def test_lemma2_rejects_none_and_accepts_int(self):
+        from repro.analysis import theory
+
+        with pytest.raises(ValueError, match="explicit rng"):
+            theory.lemma2_empirical_quantile(m=20, trials=10)
+        f1, b1 = theory.lemma2_empirical_quantile(m=20, trials=10, rng=3)
+        f2, b2 = theory.lemma2_empirical_quantile(
+            m=20, trials=10, rng=np.random.default_rng(3)
+        )
+        assert (f1, b1) == (f2, b2)
+
+    def test_deterministic_families_still_work_without_rng(self):
+        assert gen.make_family("cycle", 8).n == 8

@@ -1,22 +1,18 @@
-"""Pinning the silent-no-op guard bug class shut (PR 5).
+"""Pinning the silent-no-op guard bug class shut.
 
 Two seed-era layers still gated on ``isinstance(graph, DynamicGraph)``:
 ``EvolutionTracker`` silently recorded zero snapshots on the array backend,
 and ``NetworkSimulator`` rejected ``ArrayGraph`` topologies outright —
-the same failure mode PR 3 removed from the baselines and PR 4 removed
-from the activation schedules.  These tests
-
-* run every recorder/callback (``EvolutionTracker``, the E8 degree-growth
-  watcher, ``MetricsRecorder``, ``TraceRecorder``) over **both** backends
-  and assert non-empty, matching output;
-* assert no ``isinstance(.., DynamicGraph)`` guard survives outside
-  ``repro/graphs/`` (a lint-style sweep over the source tree), so the bug
-  class cannot silently return.
+the same failure mode earlier fixes removed from the baselines and the
+activation schedules.  These tests run every recorder/callback
+(``EvolutionTracker``, the E8 degree-growth watcher, ``MetricsRecorder``,
+``TraceRecorder``) over **both** backends and assert non-empty, matching
+output.  The ``capability-guard`` rule of ``tests/test_source_rules.py``
+keeps any ``isinstance(.., DynamicGraph)`` guard from returning outside
+``repro/graphs/``, so the bug class cannot silently come back.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +26,6 @@ from repro.simulation.engine import make_process
 from repro.simulation.trace import TraceRecorder
 from repro.social.evolution import EvolutionTracker, simulate_social_evolution
 from repro.social.group_discovery import discover_group
-
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 BACKENDS = ["list", "array"]
 
@@ -135,23 +129,3 @@ class TestGroupDiscoveryBackends:
         assert results["list"].members == results["array"].members
         assert results["list"].rounds == results["array"].rounds
 
-
-class TestNoStaleBackendGuards:
-    """Thin shim: the guard sweep lives in repro-lint's capability-guard rule.
-
-    The one-off AST sweep this class used to carry was generalized into
-    ``repro.quality`` (see ``docs/linting.md``); this delegation keeps the
-    historical entry point (and the CI step name) meaningful.
-    """
-
-    def test_no_isinstance_dynamicgraph_outside_graphs_layer(self):
-        from repro.quality import run_lint
-
-        offenders = run_lint(
-            [SRC_ROOT], rules=["capability-guard"], include_project=False
-        )
-        assert not offenders, (
-            "stale isinstance(DynamicGraph) backend guards found (use the "
-            "capability checks from baselines/_packed.py instead): "
-            f"{[str(f) for f in offenders]}"
-        )

@@ -93,6 +93,12 @@ class TestEngineRegistry:
             process_names()
         )
 
+    def test_checkpoint_reverse_lookup_is_unambiguous(self):
+        """Checkpoints name a process by its (ctor, needs_directed) entry."""
+        keys = list(PROCESS_REGISTRY.values())
+        shared = {name for name, key in PROCESS_REGISTRY.items() if keys.count(key) > 1}
+        assert not shared, f"registry entries share (ctor, needs_directed): {sorted(shared)}"
+
     def test_make_process_push(self):
         proc = make_process("push", gen.cycle_graph(6), rng=0)
         assert isinstance(proc, PushDiscovery)
