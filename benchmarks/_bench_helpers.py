@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment from DESIGN.md §4 (E1…E12) and
-prints the rows/series the reproduction reports in EXPERIMENTS.md.  The
+Every ``bench_e*`` benchmark regenerates one of the experiments E1…E13
+and prints the rows/series it measures.  The
 ``benchmark`` fixture from pytest-benchmark times the measurement itself;
 each measurement runs exactly once per benchmark (``pedantic`` with one
 round) because the workloads are stochastic simulations, not microkernels.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-#: root seed shared by every benchmark so EXPERIMENTS.md is regenerable bit-for-bit.
+#: root seed shared by every benchmark so every printed table is regenerable bit-for-bit.
 BENCH_SEED = 20120614
 
 

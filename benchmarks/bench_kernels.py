@@ -18,11 +18,19 @@ against its pre-PR2 implementation, at n ∈ {256, 1024, 4096}:
 
 Results are printed and written to ``BENCH_PR2.json`` at the repo root
 (skipped under ``--smoke`` so CI never overwrites the recorded snapshot).
+
+A second test times **closure maintenance** under per-round edge batches:
+:class:`repro.graphs.closure.IncrementalClosure` (row-OR propagation per
+batch endpoint) against a full Warshall
+:func:`repro.graphs.bitset.transitive_closure_bits` recompute per batch —
+the machinery that makes the directed walk's closure-deficit tracking
+affordable at large n.  Its snapshot goes to ``BENCH_PR5.json``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -35,7 +43,7 @@ from repro.graphs.adjacency import DynamicDiGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.simulation.io import atomic_write_text
 
-from _bench_helpers import BENCH_SEED, print_table, run_once
+from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
 SIZES = [256, 1024, 4096]
 SMOKE_SIZES = [64, 128]
@@ -47,6 +55,14 @@ MEMBERSHIP_BATCH = 100_000
 PREDICATE_CALLS = 2_000
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
+
+CLOSURE_SIZES = [512, 1024]
+SMOKE_CLOSURE_SIZES = [128]
+#: edge batches per closure-maintenance run, and edges drawn per batch.
+CLOSURE_BATCHES = 8
+CLOSURE_BATCH_EDGES = 64
+
+CLOSURE_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 
 
 def _best_of(fn, reps: int = 3) -> float:
@@ -212,3 +228,78 @@ def test_membership_scaling_vs_bool(benchmark, smoke):
         f"vs bool-matrix {bool_bytes} B ({bool_bytes / g.membership_nbytes():.1f}x)"
     )
     assert g.membership_nbytes() * 8 == bool_bytes  # n²/8 bytes exactly when 64 | n
+
+
+def _random_digraph_bits(n: int, rng: np.random.Generator, density: float = 0.01):
+    mat = rng.random((n, n)) < density
+    np.fill_diagonal(mat, False)
+    return bitset.pack_bool_matrix(mat)
+
+
+def _closure_maintenance(n: int, reps: int) -> dict:
+    """Best-of-``reps`` maintenance seconds over CLOSURE_BATCHES edge batches.
+
+    Both strategies start from the same closed matrix; the timed region is
+    the per-batch maintenance only (the one-off seed Warshall is shared).
+    """
+    rng = np.random.default_rng(BENCH_SEED)
+    bits = _random_digraph_bits(n, rng)
+    batches = []
+    for _ in range(CLOSURE_BATCHES):
+        us = rng.integers(0, n, size=CLOSURE_BATCH_EDGES).astype(np.int64)
+        vs = rng.integers(0, n, size=CLOSURE_BATCH_EDGES).astype(np.int64)
+        keep = us != vs
+        batches.append((us[keep], vs[keep]))
+    best_inc = best_re = float("inf")
+    for _ in range(reps):
+        inc = closure.IncrementalClosure(bits.copy(), n)
+        start = time.perf_counter()
+        for us, vs in batches:
+            inc.add_edges(us, vs)
+        best_inc = min(best_inc, time.perf_counter() - start)
+
+        current = bits.copy()
+        recomputed = None
+        start = time.perf_counter()
+        for us, vs in batches:
+            bitset.set_bits(current, us, vs)
+            recomputed = bitset.transitive_closure_bits(current, n)
+        best_re = min(best_re, time.perf_counter() - start)
+        assert recomputed is not None and np.array_equal(inc.closure_bits(), recomputed)
+    return {
+        "n": n,
+        "batches": CLOSURE_BATCHES,
+        "batch_edges": CLOSURE_BATCH_EDGES,
+        "incremental_s": best_inc,
+        "recompute_s": best_re,
+        "speedup": best_re / best_inc,
+    }
+
+
+def test_incremental_closure_maintenance(benchmark, smoke):
+    """Incremental closure maintenance vs a Warshall recompute per edge batch."""
+    closure_sizes = SMOKE_CLOSURE_SIZES if smoke else CLOSURE_SIZES
+    reps = trial_count(smoke, 3)
+
+    results = run_once(benchmark, lambda: [_closure_maintenance(n, reps) for n in closure_sizes])
+    print_table(
+        "closure maintenance under edge batches (incremental vs recompute)",
+        results,
+        ["n", "batches", "batch_edges", "incremental_s", "recompute_s", "speedup"],
+    )
+
+    # Acceptance: incremental maintenance beats recompute at every size.
+    worst = min(r["speedup"] for r in results)
+    assert worst > 1.0, f"incremental closure slower than recompute ({worst:.3f}x)"
+
+    if smoke:
+        return
+    snapshot = {
+        "seed": BENCH_SEED,
+        "cpus": os.cpu_count(),
+        "closure_sizes": closure_sizes,
+        "best_closure_speedup": max(r["speedup"] for r in results),
+        "results": {"closure": results},
+    }
+    atomic_write_text(CLOSURE_RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
+    print(f"snapshot written to {CLOSURE_RESULTS_PATH}")

@@ -34,9 +34,7 @@ Both backends consume the same RNG stream through the shared bulk
 sampling rules in :mod:`repro.graphs.sampling`, so for a fixed seed they
 produce **identical traces** (per-round added edges, round counts,
 message/bit totals) under synchronous semantics —
-``tests/test_backend_equivalence.py`` pins this contract.  The array
-backend is also the substrate on which future sharded / multiprocess
-round execution will be built.
+``tests/test_backend_equivalence.py`` pins this contract.
 
 >>> fast = PushDiscovery(generators.cycle_graph(32), rng=0, backend="array")
 >>> fast.run_to_convergence().rounds == result.rounds

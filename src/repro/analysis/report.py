@@ -2,8 +2,8 @@
 
 Turns row tables (lists of flat dicts, as produced by the runner and the
 analysis functions) into GitHub-flavoured markdown tables and assembles
-multi-section reports.  EXPERIMENTS.md-style documents can therefore be
-regenerated programmatically from fresh measurements.
+multi-section reports, so a results write-up can be regenerated
+programmatically from fresh measurements.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ def measure_scaling(
     max_rounds: Optional[int] = None,
     process_kwargs: Optional[Dict] = None,
     backend: str = "list",
-    shards: int = 1,
 ) -> ScalingMeasurement:
     """Sweep ``process`` over ``family`` at the given sizes and fit growth laws.
 
@@ -108,9 +107,6 @@ def measure_scaling(
         Graph backend for every trial (``"list"`` or ``"array"``).  The
         measured rounds are backend-independent for a fixed seed; only the
         wall-clock cost changes.
-    shards:
-        Row-shard count for the round engine (requires ``backend="array"``
-        when > 1; see :mod:`repro.simulation.sharding`).
     """
     if len(sizes) < 2:
         raise ValueError("scaling measurement needs at least two sizes")
@@ -127,7 +123,6 @@ def measure_scaling(
             process_kwargs=dict(process_kwargs or {}),
             max_rounds=max_rounds,
             backend=backend,
-            shards=shards,
         )
         trials_out = run_trials(spec, root_seed=seed)
         summary = summarize_trials(trials_out)

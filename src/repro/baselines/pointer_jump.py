@@ -175,8 +175,7 @@ class RandomPointerJump(DiscoveryProcess):
     def _absorb_added(self, added: List[Tuple[int, int]]) -> None:
         """Keep the directed closure-deficit set current for a batch of new edges.
 
-        Shared by the packed round and the sharded merge (which applies the
-        round's edges itself and then hands the new ones here).
+        Called by the packed round with the edges it has just inserted.
         """
         if self._missing is not None and added:
             self._missing.difference_update(added)

@@ -88,7 +88,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         directed=args.directed,
         backend=args.backend,
-        shards=args.shards,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
     )
@@ -148,7 +147,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         directed=args.directed,
         poly_exponent=args.poly_exponent,
         backend=args.backend,
-        shards=args.shards,
     )
     _print_table(measurement.as_rows())
     _save_rows(measurement.as_rows(), args)
@@ -231,7 +229,6 @@ def _cmd_directed(args: argparse.Namespace) -> int:
         directed=True,
         poly_exponent=2.0,
         backend=args.backend,
-        shards=args.shards,
     )
     _print_table(measurement.as_rows())
     print()
@@ -343,13 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(supported by every process, baselines included)",
     )
     p_run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row-shard count for the round engine (>1 requires --backend array; "
-        "every registered process is shardable)",
-    )
-    p_run.add_argument(
         "--processes",
         type=int,
         default=1,
@@ -417,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph backend: list (default) or the vectorized array fast path "
         "(supported by every process, baselines included)",
     )
-    p_scaling.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row-shard count for the round engine (>1 requires --backend array; "
-        "every registered process is shardable)",
-    )
     p_scaling.add_argument("--save", default=None, help="write results to a .json or .csv file")
     p_scaling.set_defaults(func=_cmd_scaling)
 
@@ -459,13 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="list",
         help="graph backend: list (default) or the vectorized array fast path "
         "(supported by every process, baselines included)",
-    )
-    p_dir.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row-shard count for the directed walk's rounds "
-        "(>1 requires --backend array)",
     )
     p_dir.set_defaults(func=_cmd_directed)
 

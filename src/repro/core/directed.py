@@ -142,8 +142,8 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         One batched membership test against the packed target rows replaces
         the old per-edge set discards; the live closure's update is O(1)
         per edge already implied (the walk never proposes anything else).
-        Every insertion path — per-edge :meth:`apply_edge`, the batched
-        synchronous round, the sharded merge — funnels its new edges here.
+        Every insertion path — per-edge :meth:`apply_edge` and the batched
+        synchronous round — funnels its new edges here.
         """
         if not len(added):
             return

@@ -124,8 +124,8 @@ class ScheduledProcess:
     def __init__(self, process: DiscoveryProcess, schedule: ActivationSchedule) -> None:
         if not isinstance(process, DiscoveryProcess):
             # Only the base round machinery consults participating_nodes();
-            # patching it onto another wrapper (e.g. a ShardedProcess, whose
-            # multi-shard rounds assume full activation) would be a silent
+            # patching it onto another wrapper (e.g. a ScheduledProcess,
+            # whose rounds delegate to its inner process) would be a silent
             # no-op — the exact failure mode this module exists to prevent.
             raise TypeError(
                 f"ScheduledProcess wraps DiscoveryProcess instances, got "

@@ -22,10 +22,6 @@ below operates on 64 set elements per machine word:
   by destination, one ``reduceat`` per run of a destination) and new-edge
   extraction: the payload-merge primitives of the baseline processes,
   whose messages are whole neighbour sets;
-* :func:`or_into_range` / :class:`DeltaRows` — the shard-merge kernels of
-  the sharded round engine (:mod:`repro.simulation.sharding`): contiguous
-  row-range OR and a per-round delta accumulator that merges shard
-  contributions in a shard-count-invariant canonical order;
 * :func:`transitive_closure_bits` — all-pairs reachability by Warshall
   elimination on packed rows (n vectorized row-OR passes, O(n³ / 64) bit
   operations total);
@@ -60,8 +56,6 @@ __all__ = [
     "count_total",
     "or_rows",
     "rows_or_into",
-    "or_into_range",
-    "DeltaRows",
     "delta_edges",
     "indices_from_bits",
     "transitive_closure_bits",
@@ -273,77 +267,6 @@ def rows_or_into(
         runs = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
         payload = src_bits[src_sorted[start : start + chunk]]
         dst_bits[dst[runs]] |= np.bitwise_or.reduceat(payload, runs, axis=0)
-
-
-def or_into_range(dst_bits: np.ndarray, lo: int, src_block: np.ndarray) -> None:
-    """OR a contiguous block of packed rows into ``dst_bits[lo : lo + len(block)]``.
-
-    The row-range generalisation of :func:`rows_or_into` used by the
-    sharded round engine: a shard that computed the packed rows of its
-    contiguous row partition merges them into the full matrix with one
-    word-parallel OR — no scatter, no index arrays.
-    """
-    hi = lo + src_block.shape[0]
-    if lo < 0 or hi > dst_bits.shape[0]:
-        raise ValueError(
-            f"row range [{lo}, {hi}) outside the destination's {dst_bits.shape[0]} rows"
-        )
-    if src_block.shape[0] and src_block.shape[1] != dst_bits.shape[1]:
-        raise ValueError(
-            f"source block is {src_block.shape[1]} words wide, destination {dst_bits.shape[1]}"
-        )
-    np.bitwise_or(dst_bits[lo:hi], src_block, out=dst_bits[lo:hi])
-
-
-class DeltaRows:
-    """Accumulator for one round's packed membership delta across shards.
-
-    Shards report their contribution either as proposed edge endpoint
-    arrays (:meth:`add_edges` — the gossip processes) or as a packed block
-    of their own rows (:meth:`or_into_range` — the row-union baselines).
-    The accumulated delta is merged into a final edge list with
-    :meth:`new_edges`, which masks out already-present edges and reports
-    the genuinely new ones in canonical row-major order — an order that
-    does not depend on how many shards contributed, which is what makes
-    sharded trajectories shard-count invariant.
-    """
-
-    __slots__ = ("n_bits", "bits")
-
-    def __init__(self, n_rows: int, n_bits: int) -> None:
-        self.n_bits = n_bits
-        self.bits = zeros(n_rows, n_bits)
-
-    def add_edges(self, us: np.ndarray, vs: np.ndarray, directed: bool = False) -> None:
-        """Record proposed edges; undirected edges set both orientations."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape[0] == 0:
-            return
-        set_bits(self.bits, us, vs)
-        if not directed:
-            set_bits(self.bits, vs, us)
-
-    def or_into_range(self, lo: int, src_block: np.ndarray) -> None:
-        """Merge a shard's contiguous block of delta rows (see :func:`or_into_range`)."""
-        or_into_range(self.bits, lo, src_block)
-
-    def new_edges(
-        self, base_bits: np.ndarray, directed: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Endpoints of accumulated bits absent from ``base_bits``, canonical order.
-
-        Self loops are dropped; with ``directed=False`` each edge is
-        reported once, oriented ``u < v`` (the accumulated delta must be
-        symmetric, which :meth:`add_edges` guarantees).  One extraction
-        path for the whole module: this is :func:`delta_edges` of the
-        would-be merged matrix, plus the directed self-loop filter.
-        """
-        us, vs = delta_edges(base_bits, self.bits | base_bits, self.n_bits, directed=directed)
-        if directed:
-            keep = us != vs
-            return us[keep], vs[keep]
-        return us, vs
 
 
 def delta_edges(

@@ -8,19 +8,18 @@ level; :class:`DropBurst` is its correlated counterpart — a two-state
 Gilbert–Elliott channel whose bad state drops whole runs of consecutive
 messages, modelling the bursty losses a flaky link actually produces.
 
-:class:`FaultInjector` targets a different layer entirely: it kills
-*worker processes* (the trial pool in :mod:`repro.simulation.runner`, the
-shard pool in :mod:`repro.simulation.sharding`) at deterministic,
-pre-registered points so the crash-tolerance machinery — pool rebuild,
-retry with backoff, degradation to in-process execution, shared-memory
-cleanup — can be exercised reproducibly in tests.
+:class:`FaultInjector` targets a different layer entirely: it kills the
+*worker processes* of the trial pool in :mod:`repro.simulation.runner`
+at deterministic, pre-registered trials so the crash-tolerance machinery
+— pool rebuild, retry with backoff, degradation to in-process execution
+— can be exercised reproducibly in tests.
 """
 
 from __future__ import annotations
 
 import abc
 import os
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -93,17 +92,16 @@ class DropBurst(FailureModel):
 class FaultInjector:
     """Deterministic worker-death schedule for crash-tolerance tests.
 
-    An injector is handed to a pool-running entry point
-    (``run_trials(fault_injector=...)`` or
-    ``ShardedProcess(fault_injector=...)``).  The schedule is consumed in
-    the **parent** at submit time — :meth:`take_trial` /
-    :meth:`take_shard_round` return the fault *directive* (``"exit"`` /
-    ``"raise"``) exactly ``times`` times per scheduled coordinate, and
-    ``None`` thereafter — and only the directive travels in the task
-    payload.  (Consuming worker-side would re-fire on every retry: each
-    resubmission pickles a fresh copy of the parent's counters.)  The
-    worker executes its directive via :meth:`execute` before any real
-    work runs, so an injected death costs no partial state.
+    An injector is handed to the trial runner
+    (``run_trials(fault_injector=...)``).  The schedule is consumed in the
+    **parent** at submit time — :meth:`take_trial` returns the fault
+    *directive* (``"exit"`` / ``"raise"``) exactly ``times`` times per
+    scheduled trial, and ``None`` thereafter — and only the directive
+    travels in the task payload.  (Consuming worker-side would re-fire on
+    every retry: each resubmission pickles a fresh copy of the parent's
+    counters.)  The worker executes its directive via :meth:`execute`
+    before any real work runs, so an injected death costs no partial
+    state.
 
     ``mode="exit"`` (the default) has the worker call ``os._exit(1)`` so
     the pool sees genuine worker death (``BrokenProcessPool``), exactly
@@ -121,16 +119,10 @@ class FaultInjector:
             raise ValueError(f"mode must be 'exit' or 'raise', got {mode!r}")
         self.mode = mode
         self._trials: Dict[int, int] = {}
-        self._shard_rounds: Dict[Tuple[int, int], int] = {}
 
     def kill_trial(self, trial_index: int, times: int = 1) -> "FaultInjector":
         """Schedule death of the worker running ``trial_index`` (first ``times`` attempts)."""
         self._trials[int(trial_index)] = int(times)
-        return self
-
-    def kill_shard_round(self, round_index: int, shard: int = 0, times: int = 1) -> "FaultInjector":
-        """Schedule death of shard ``shard``'s worker in round ``round_index``."""
-        self._shard_rounds[(int(round_index), int(shard))] = int(times)
         return self
 
     def _consume(self, table: Dict, key) -> bool:
@@ -143,12 +135,6 @@ class FaultInjector:
     def take_trial(self, trial_index: int) -> "str | None":
         """Parent-side: consume one scheduled attempt for ``trial_index``."""
         if self._consume(self._trials, int(trial_index)):
-            return self.mode
-        return None
-
-    def take_shard_round(self, round_index: int, shard: int) -> "str | None":
-        """Parent-side: consume one scheduled attempt for ``(round, shard)``."""
-        if self._consume(self._shard_rounds, (int(round_index), int(shard))):
             return self.mode
         return None
 

@@ -16,7 +16,6 @@ from repro.simulation.runner import (
     run_sweep,
     summarize_trials,
 )
-from repro.simulation.sharding import ShardPlan, ShardedProcess
 from repro.simulation.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -30,8 +29,6 @@ from repro.simulation.checkpoint import (
 from repro.simulation import stats, bounds, io, plotting
 
 __all__ = [
-    "ShardPlan",
-    "ShardedProcess",
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "TrialCheckpoint",

@@ -6,7 +6,7 @@ the *complete* dynamic state of a trial — graph, process counters, and the
 RNG — and restores it so that a resumed run is **draw-for-draw identical**
 to the uninterrupted one: same contact graphs round by round, same final
 bit-generator state.  The property is pinned by ``tests/test_checkpoint.py``
-for every registered process, on both graph backends, sharded and not.
+for every registered process, on both graph backends.
 
 Checkpoint file format (version 1)
 ----------------------------------
@@ -26,20 +26,20 @@ in the target directory + ``os.replace``) and in order:
     ``format`` and ``version`` fields, a ``checksum`` block holding the
     SHA-256 of the ``.npz`` bytes, the ``meta`` block (process registry
     name, backend, semantics, round/message/bit counters, the directed
-    deficit counter, shard configuration), and the full ``rng_state`` —
-    the process generator's ``bit_generator.state`` dict.
+    deficit counter), and the full ``rng_state`` — the process
+    generator's ``bit_generator.state`` dict.
 
 Compatibility policy: the loader accepts exactly
 :data:`CHECKPOINT_VERSION`.  Any format evolution bumps the version and
 must ship an explicit migration; a mismatched version, a wrong checksum,
-or a truncated envelope all raise :class:`CheckpointError` rather than
-resuming from silently corrupt state.
+a truncated envelope, or a version-1 file that this build cannot replay
+draw-for-draw all raise :class:`CheckpointError` rather than resuming
+from silently corrupt state.
 
 What is checkpointable
 ----------------------
 Every process constructible through the registry
-(:data:`repro.simulation.engine.PROCESS_REGISTRY`), on either backend,
-plain or wrapped in :class:`~repro.simulation.sharding.ShardedProcess`.
+(:data:`repro.simulation.engine.PROCESS_REGISTRY`), on either backend.
 Instance-patched processes (a :class:`~repro.core.variants.ChurnModel`
 overlay's guarded ``propose``) and unregistered subclasses raise
 :class:`CheckpointError`: their extra state lives outside the format.
@@ -66,7 +66,6 @@ from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, _round_up_pow2
 from repro.simulation.engine import PROCESS_REGISTRY, make_process
 from repro.simulation.io import atomic_write_bytes
-from repro.simulation.sharding import ShardedProcess
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -170,15 +169,7 @@ def _graph_payload(graph) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
 
 
 def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
-    """Snapshot ``process`` (plain or :class:`ShardedProcess`) into memory."""
-    sharded_meta: Dict[str, object] = {"shards": 1}
-    if isinstance(process, ShardedProcess):
-        sharded_meta = {
-            "shards": process.shards,
-            "shard_entropy": int(process._entropy),
-            "shard_parallel": bool(process._parallel),
-        }
-        process = process.process
+    """Snapshot ``process`` into memory."""
     if "propose" in process.__dict__ or "participating_nodes" in process.__dict__:
         raise CheckpointError(
             "process has instance-patched hooks (e.g. a ChurnModel overlay); "
@@ -206,7 +197,6 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
         "total_bits": process.total_bits,
         "process_kwargs": kwargs,
         **graph_meta,
-        **sharded_meta,
     }
     if isinstance(process, DirectedTwoHopWalk):
         meta["deficit"] = int(process._deficit)
@@ -401,40 +391,43 @@ def _restore_list_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarr
 def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
     """Rebuild the checkpointed process, ready to continue draw-for-draw."""
     meta = checkpoint.meta
+    # Version-1 files from the removed row-sharded engine drew each round's
+    # uniforms from a per-round stream; resuming one here would silently
+    # follow a different trajectory.
+    shards = int(meta.get("shards", 1))
+    if shards > 1:
+        raise CheckpointError(
+            f"checkpoint was taken with shards={shards}; row-sharded rounds draw "
+            "a different stream, so it cannot be resumed draw-for-draw"
+        )
     rows = np.asarray(checkpoint.arrays["nbr"], dtype=np.int64)
     deg = np.asarray(checkpoint.arrays["deg"], dtype=np.int64)
     if str(meta["backend"]) == "array":
         graph = _restore_array_graph(meta, rows, deg)
     else:
         graph = _restore_list_graph(meta, rows, deg)
-    rng = _restore_rng(checkpoint.rng_state)
-    shards = int(meta.get("shards", 1))
     process = make_process(
         checkpoint.process_name,
         graph,
-        rng=rng,
+        rng=_restore_rng(checkpoint.rng_state),
         semantics=UpdateSemantics(meta["semantics"]),
-        shards=shards,
-        shard_seed=int(meta["shard_entropy"]) if shards > 1 else None,
-        shard_parallel=bool(meta["shard_parallel"]) if shards > 1 else None,
         **dict(meta.get("process_kwargs") or {}),
     )
-    inner = process.process if isinstance(process, ShardedProcess) else process
-    inner.round_index = int(meta["round_index"])
-    inner.total_edges_added = int(meta["total_edges_added"])
-    inner.total_messages = int(meta["total_messages"])
-    inner.total_bits = int(meta["total_bits"])
+    process.round_index = int(meta["round_index"])
+    process.total_edges_added = int(meta["total_edges_added"])
+    process.total_messages = int(meta["total_messages"])
+    process.total_bits = int(meta["total_bits"])
     # The constructors recompute the closure bookkeeping from the restored
     # graph (exact, because these processes only ever add closure-internal
     # edges); overwrite with the stored rows anyway so the restored state
     # is the checkpoint, not an invariant argument about it.
-    if isinstance(inner, DirectedTwoHopWalk):
-        inner._target_bits = np.asarray(checkpoint.arrays["target_bits"], dtype=np.uint64)
-        inner._closure.reach = np.asarray(checkpoint.arrays["closure_reach"], dtype=np.uint64)
-        inner._deficit = int(meta["deficit"])
-    if isinstance(inner, RandomPointerJump) and meta.get("has_missing"):
+    if isinstance(process, DirectedTwoHopWalk):
+        process._target_bits = np.asarray(checkpoint.arrays["target_bits"], dtype=np.uint64)
+        process._closure.reach = np.asarray(checkpoint.arrays["closure_reach"], dtype=np.uint64)
+        process._deficit = int(meta["deficit"])
+    if isinstance(process, RandomPointerJump) and meta.get("has_missing"):
         missing = np.asarray(checkpoint.arrays["missing"], dtype=np.int64).reshape(-1, 2)
-        inner._missing = {(int(u), int(v)) for u, v in missing}
+        process._missing = {(int(u), int(v)) for u, v in missing}
     return process
 
 
@@ -496,12 +489,7 @@ def resume_from_checkpoint(
         if checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
         callbacks = (periodic_checkpointer(checkpoint_dir, checkpoint_every),)
-    try:
-        result = process.run_to_convergence(
-            max_rounds=max_rounds, callbacks=callbacks, record_history=record_history
-        )
-        return replace(result, rounds=process.round_index)
-    finally:
-        close = getattr(process, "close", None)
-        if close is not None:
-            close()
+    result = process.run_to_convergence(
+        max_rounds=max_rounds, callbacks=callbacks, record_history=record_history
+    )
+    return replace(result, rounds=process.round_index)

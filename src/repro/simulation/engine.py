@@ -24,7 +24,7 @@ from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend, backend_name
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend
 
 __all__ = [
     "PROCESS_REGISTRY",
@@ -61,9 +61,6 @@ def make_process(
     rng: Union[np.random.Generator, int, None] = None,
     semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
     backend: Optional[str] = None,
-    shards: int = 1,
-    shard_seed: Union[int, np.random.SeedSequence, None] = None,
-    shard_parallel: Optional[bool] = None,
     **kwargs,
 ) -> DiscoveryProcess:
     """Build a process by registry name over ``graph``.
@@ -72,19 +69,6 @@ def make_process(
     or ``"array"`` (the vectorized fast path — supported by every
     registered process, baselines included).  The graph is converted as
     needed.
-
-    ``shards > 1`` wraps the process in
-    :class:`repro.simulation.sharding.ShardedProcess`, which runs each
-    round's propose phase over contiguous row shards and OR-merges the
-    packed deltas (requires ``backend="array"``; every registered process
-    is shardable — see
-    :data:`repro.simulation.sharding.SHARDABLE_PROCESSES`, which covers
-    the gossip processes, the directed two-hop walk and the payload
-    baselines).  ``shard_seed`` feeds the per-round shard
-    streams (e.g. the trial's ``SeedSequence``); ``shard_parallel``
-    selects the process-pool path (``None`` = auto by size).  ``shards=1``
-    returns the plain process — draw-for-draw identical to not passing
-    ``shards`` at all.
 
     Raises ``KeyError`` for unknown names and ``TypeError`` when the graph
     kind does not match the process (e.g. an undirected graph passed to
@@ -101,22 +85,9 @@ def make_process(
         # pointer_jump accepts both kinds; all other undirected processes do not.
         if name != "pointer_jump":
             raise TypeError(f"process {name!r} requires an undirected graph")
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
     if backend is not None:
         graph = as_backend(graph, backend)
-    process = ctor(graph, rng=rng, semantics=semantics, **kwargs)
-    if shards > 1:
-        if backend_name(process.graph) != "array":
-            raise ValueError(
-                f"shards={shards} requires backend='array' (the sharded engine "
-                "partitions the packed membership rows)"
-            )
-        # Imported here: sharding sits one layer above the engine registry.
-        from repro.simulation.sharding import ShardedProcess
-
-        return ShardedProcess(process, shards=shards, seed=shard_seed, parallel=shard_parallel)
-    return process
+    return ctor(graph, rng=rng, semantics=semantics, **kwargs)
 
 
 def run_process(
@@ -139,9 +110,6 @@ def measure_convergence_rounds(
     semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
     copy_graph: bool = True,
     backend: Optional[str] = None,
-    shards: int = 1,
-    shard_seed: Union[int, np.random.SeedSequence, None] = None,
-    shard_parallel: Optional[bool] = None,
     checkpoint_every: int = 0,
     checkpoint_dir: Union[str, "os.PathLike", None] = None,
     **kwargs,
@@ -151,9 +119,7 @@ def measure_convergence_rounds(
     This is the workhorse of every scaling experiment: one call, one
     :class:`RunResult` whose ``rounds`` field is the convergence time.
     ``backend="array"`` routes the run through the vectorized fast path;
-    the seeded result is identical to the list backend's.  ``shards > 1``
-    additionally routes each round through the sharded engine (see
-    :func:`make_process`).
+    the seeded result is identical to the list backend's.
 
     ``checkpoint_every=k`` with ``checkpoint_dir`` writes an exact
     checkpoint (``round_<index>`` stem) after every ``k``-th completed
@@ -162,15 +128,7 @@ def measure_convergence_rounds(
     """
     work_graph = graph.copy() if copy_graph else graph
     process = make_process(
-        name,
-        work_graph,
-        rng=rng,
-        semantics=semantics,
-        backend=backend,
-        shards=shards,
-        shard_seed=shard_seed,
-        shard_parallel=shard_parallel,
-        **kwargs,
+        name, work_graph, rng=rng, semantics=semantics, backend=backend, **kwargs
     )
     callbacks = ()
     if checkpoint_every:
@@ -180,9 +138,4 @@ def measure_convergence_rounds(
         from repro.simulation.checkpoint import periodic_checkpointer
 
         callbacks = (periodic_checkpointer(checkpoint_dir, checkpoint_every),)
-    try:
-        return process.run_to_convergence(max_rounds=max_rounds, callbacks=callbacks)
-    finally:
-        close = getattr(process, "close", None)
-        if close is not None:
-            close()
+    return process.run_to_convergence(max_rounds=max_rounds, callbacks=callbacks)

@@ -57,15 +57,6 @@ class ExperimentSpec:
         (the vectorized fast path; identical seeded results).  Every
         registered process supports both — the baselines included, since
         their payload rounds run on the packed bitset substrate.
-    shards:
-        Row-shard count for the round engine (default 1 = unsharded).
-        ``shards > 1`` requires ``backend="array"``; every registered
-        process is shardable (gossip, the directed walk and the payload
-        baselines alike).  Each trial's shard streams are spawned from the
-        trial's own ``SeedSequence`` (see :mod:`repro.simulation.sharding`).
-    shard_parallel:
-        ``True``/``False`` force the process-pool / in-process sharded
-        path; ``None`` (default) selects by graph size.
     checkpoint_every:
         When > 0 (and ``checkpoint_dir`` is set), each trial writes an
         exact checkpoint every this-many rounds under
@@ -86,8 +77,6 @@ class ExperimentSpec:
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
     backend: str = "list"
-    shards: int = 1
-    shard_parallel: Optional[bool] = field(default=None, compare=False)
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = field(default=None, compare=False)
     label: str = ""
@@ -108,16 +97,12 @@ class ExperimentSpec:
                 )
         if self.backend not in BACKENDS:
             raise ValueError(f"backend={self.backend!r} is not a backend; known: {list(BACKENDS)}")
-        for name, least in (("n", 1), ("trials", 1), ("shards", 1), ("checkpoint_every", 0)):
+        for name, least in (("n", 1), ("trials", 1), ("checkpoint_every", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name}={value!r} must be at least {least}")
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValueError(f"max_rounds={self.max_rounds!r} must be None or at least 0")
-        if self.shards > 1 and self.backend != "array":
-            raise ValueError(
-                f"shards={self.shards!r} requires backend='array', got {self.backend!r}"
-            )
 
     def build_graph(
         self, rng: Optional[np.random.Generator] = None
@@ -133,8 +118,7 @@ class ExperimentSpec:
         """Short human-readable description for logs and tables."""
         tag = f" [{self.label}]" if self.label else ""
         fast = f" backend={self.backend}" if self.backend != "list" else ""
-        sharded = f" shards={self.shards}" if self.shards != 1 else ""
-        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{fast}{sharded}{tag}"
+        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{fast}{tag}"
 
 
 @dataclass(frozen=True)
@@ -149,7 +133,6 @@ class SweepSpec:
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
     backend: str = "list"
-    shards: int = 1
     label: str = ""
 
     def expand(self) -> List[ExperimentSpec]:
@@ -168,7 +151,6 @@ class SweepSpec:
                             process_kwargs=dict(self.process_kwargs),
                             max_rounds=self.max_rounds,
                             backend=self.backend,
-                            shards=self.shards,
                             label=self.label,
                         )
                     )

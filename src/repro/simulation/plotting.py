@@ -3,7 +3,7 @@
 The experiment harness is deliberately free of plotting dependencies; these
 helpers render small ASCII/Unicode charts so the CLI and the examples can
 show trajectories (minimum degree over time, rounds vs n on log-log axes)
-directly in the terminal and in EXPERIMENTS.md code blocks.
+directly in the terminal and in markdown code blocks.
 """
 
 from __future__ import annotations

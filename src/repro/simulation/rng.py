@@ -51,14 +51,14 @@ class SeedSequenceFactory:
     def seed_for_index(self, index: int) -> np.random.SeedSequence:
         """The child :class:`~numpy.random.SeedSequence` for trial ``index``.
 
-        The trial's generator is built from this child; further streams a
-        trial needs (e.g. the sharded round engine's per-round shard
-        streams) are spawned from the same child, so they stay independent
-        of the trial's own draw stream *and* reproducible from the root.
+        The trial's generator is built from this child.  Children derive
+        from the root's entropy, which is fixed when the factory is built,
+        so an unseeded factory also returns the same child for the same
+        index on every call.
         """
         if index < 0:
             raise ValueError("index must be non-negative")
-        root = np.random.SeedSequence(self.root_seed)
+        root = np.random.SeedSequence(self._root.entropy)
         return root.spawn(index + 1)[index]
 
     def rng_for_index(self, index: int) -> np.random.Generator:

@@ -1,8 +1,10 @@
 """Trial runner: execute experiment specs, aggregate results into tables.
 
 The runner executes each trial with an independent RNG stream spawned
-from the experiment's root seed, so every table in EXPERIMENTS.md can be
-regenerated bit-for-bit from one integer.  A ``processes=`` argument
+from the experiment's root seed, so every result table can be
+regenerated bit-for-bit from one integer.  An unseeded run draws that
+integer once, up front, so its trials replay too and a failure reports
+the seed that reproduces it.  A ``processes=`` argument
 enables multiprocessing fan-out across trials for the larger sweeps;
 benchmarks use the default serial path for determinism.
 
@@ -105,9 +107,7 @@ def _run_single_trial(args) -> TrialResult:
     *before* the trial body, so an injected death costs no partial work.
     """
     spec, trial_index, root_seed = args[:3]
-    factory = SeedSequenceFactory(root_seed)
-    trial_seed = factory.seed_for_index(trial_index)
-    rng = np.random.default_rng(trial_seed)
+    rng = SeedSequenceFactory(root_seed).rng_for_index(trial_index)
     try:
         if len(args) > 3 and args[3] is not None:
             # "exit" kills the worker outright; "raise" lands in the except
@@ -116,10 +116,6 @@ def _run_single_trial(args) -> TrialResult:
 
             FaultInjector.execute(args[3], f"trial {trial_index}")
         graph = spec.build_graph(rng)
-        # The sharded engine's per-round shard streams are spawned from the
-        # trial's own SeedSequence (spawning does not perturb ``rng``'s stream,
-        # so shards=1 trials are byte-identical to pre-sharding runs).
-        shard_seed = trial_seed.spawn(1)[0] if spec.shards > 1 else None
         checkpoint_dir = None
         if spec.checkpoint_every and spec.checkpoint_dir is not None:
             checkpoint_dir = f"{spec.checkpoint_dir}/trial_{trial_index:04d}"
@@ -130,9 +126,6 @@ def _run_single_trial(args) -> TrialResult:
             max_rounds=spec.max_rounds,
             copy_graph=False,
             backend=spec.backend,
-            shards=spec.shards,
-            shard_seed=shard_seed,
-            shard_parallel=spec.shard_parallel,
             checkpoint_every=spec.checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             **spec.process_kwargs,
@@ -239,7 +232,8 @@ def run_trials(
     root_seed:
         Root seed from which each trial's independent stream is derived.
         Trial ``i`` always gets stream ``i``, so adding trials never
-        changes earlier ones.
+        changes earlier ones.  ``None`` draws a root seed from OS entropy
+        once per call; failed trials report it as their ``root_seed``.
     processes:
         Number of worker processes (1 = run serially in this process).
     retries:
@@ -251,6 +245,8 @@ def run_trials(
         scheduled trial faults fire inside pool workers.  Never consulted
         on the serial or degraded path.
     """
+    if root_seed is None:
+        root_seed = int(np.random.SeedSequence().entropy)
     jobs: List[tuple] = [(spec, i, root_seed) for i in range(spec.trials)]
     if processes <= 1 or spec.trials <= 1:
         return [_run_single_trial(job) for job in jobs]

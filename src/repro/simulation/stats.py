@@ -6,7 +6,7 @@ upper/lower-bound theorem predicts a growth law of the form
 exponents from measured convergence times by linear regression in
 log space.  Helper ratio checks (:func:`bounded_ratio`) test whether the
 measured times stay within a constant factor of a candidate bound — the
-"shape" criterion used in EXPERIMENTS.md.
+"shape" criterion the E1 and E2 benchmarks assert.
 """
 
 from __future__ import annotations

@@ -231,3 +231,32 @@ class TestDynamicDiGraph:
     def test_edge_list(self):
         g = DynamicDiGraph(3, [(2, 1), (0, 1)])
         assert g.edge_list() == [(0, 1), (2, 1)]
+
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DynamicDiGraph(-1)
+
+    def test_out_of_range_node_raises(self):
+        g = DynamicDiGraph(3)
+        with pytest.raises(IndexError):
+            g.add_edge(0, 3)
+        with pytest.raises(IndexError):
+            g.out_degree(-1)
+
+    def test_add_edges_from_counts_new_only(self):
+        g = DynamicDiGraph(3, [(0, 1)])
+        # (0, 1) is present, (1, 1) is a self loop, (1, 0) is the new direction
+        assert g.add_edges_from([(0, 1), (1, 1), (1, 0), (1, 2), (1, 2)]) == 2
+        assert g.edge_list() == [(0, 1), (1, 0), (1, 2)]
+
+    def test_from_adjacency_matrix_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DynamicDiGraph.from_adjacency_matrix(np.zeros((2, 3), dtype=bool))
+
+    def test_networkx_export_keeps_direction(self):
+        pytest.importorskip("networkx")
+        g = DynamicDiGraph(4, [(0, 1), (1, 2), (3, 0)])
+        nx_graph = g.to_networkx()
+        assert nx_graph.is_directed()
+        assert sorted(nx_graph.nodes()) == [0, 1, 2, 3]
+        assert sorted(nx_graph.edges()) == g.edge_list()

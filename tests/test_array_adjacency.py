@@ -253,6 +253,115 @@ class TestArrayDiGraphOracle:
         assert und.edge_list() == [(0, 1), (2, 3)]
 
 
+class TestArrayDiGraphBasics:
+    def test_copy_is_independent(self):
+        from repro.graphs import directed_generators as dgen
+
+        g = as_backend(dgen.directed_cycle(6), "array")
+        h = g.copy()
+        h.add_edge(0, 3)
+        assert not g.has_edge(0, 3)
+        assert g.number_of_edges() == 6
+        assert g.in_degree(3) == 1 and h.in_degree(3) == 2
+        assert h.out_neighbors(0).tolist() == [1, 3]
+        assert g.out_neighbors(0).tolist() == [1]
+
+    def test_roundtrip_conversions(self):
+        from repro.graphs import directed_generators as dgen
+
+        base = dgen.random_digraph(18, 0.2, rng=np.random.default_rng(5))
+        fast = as_backend(base, "array")
+        back = as_backend(fast, "list")
+        assert backend_name(back) == "list"
+        assert isinstance(back, DynamicDiGraph)
+        assert back == base
+        assert np.array_equal(back.in_degrees(), base.in_degrees())
+
+    def test_in_degree_counts_incoming_edges(self):
+        g = ArrayDiGraph(4, [(0, 2), (1, 2), (3, 2), (2, 0)])
+        assert [g.in_degree(u) for u in range(4)] == [1, 0, 3, 0]
+        assert g.in_degrees().tolist() == [1, 0, 3, 0]
+
+    def test_out_of_range_nodes_rejected(self):
+        g = ArrayDiGraph(4, [(0, 1)])
+        with pytest.raises(IndexError):
+            g.add_edge(0, 4)
+        with pytest.raises(IndexError):
+            g.add_edges_batch([(0, 9)])
+        with pytest.raises(IndexError):
+            g.in_degree(4)
+        with pytest.raises(ValueError, match="no out-neighbors"):
+            g.random_out_neighbor(1, np.random.default_rng(0))  # a sink
+
+    def test_random_out_neighbor_matches_list_backend_stream(self):
+        base = DynamicDiGraph(5, [(0, 1), (0, 3), (0, 4), (2, 0)])
+        fast = as_backend(base, "array")
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(30):
+            assert fast.random_out_neighbor(0, a) == base.random_out_neighbor(0, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_add_edges_from_counts_new_only(self):
+        g = ArrayDiGraph(3, [(0, 1)])
+        assert g.add_edges_from(iter([(0, 1), (1, 1), (1, 0), (1, 2), (1, 2)])) == 2
+        assert g.edge_list() == [(0, 1), (1, 0), (1, 2)]
+
+
+class TestArrayGraphScalarApi:
+    def test_random_neighbor_pair_matches_list_backend_stream(self):
+        base = gen.star_graph(6)
+        fast = as_backend(base, "array")
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        pairs = [fast.random_neighbor_pair(0, a) for _ in range(40)]
+        assert pairs == [base.random_neighbor_pair(0, b) for _ in range(40)]
+        assert a.bit_generator.state == b.bit_generator.state
+        with pytest.raises(ValueError, match="no neighbors"):
+            ArrayGraph(3).random_neighbor_pair(1, a)
+
+    def test_add_edges_from_counts_new_only(self):
+        g = ArrayGraph(4, [(0, 1)])
+        # (1, 0) repeats (0, 1) undirected; (2, 2) is a self loop
+        assert g.add_edges_from(iter([(1, 0), (2, 2), (2, 3), (3, 2), (0, 3)])) == 2
+        assert g.edge_list() == [(0, 1), (0, 3), (2, 3)]
+
+
+ALL_GRAPH_CLASSES = [DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
+
+
+class TestGraphClassContract:
+    """Behaviour every graph class shares, whatever its backend and kind."""
+
+    @pytest.mark.parametrize("cls", [DynamicDiGraph, ArrayGraph, ArrayDiGraph])
+    def test_negative_node_count_rejected(self, cls):
+        with pytest.raises(ValueError, match="non-negative"):
+            cls(-1)
+
+    @pytest.mark.parametrize("cls", ALL_GRAPH_CLASSES)
+    def test_zero_node_graph_is_empty(self, cls):
+        g = cls(0)
+        assert g.number_of_nodes() == 0
+        assert g.number_of_edges() == 0
+        assert g.edge_list() == []
+        if not cls.directed:
+            assert g.min_degree() == 0 and g.max_degree() == 0
+
+    @pytest.mark.parametrize("cls", [ArrayGraph, ArrayDiGraph])
+    def test_unhashable(self, cls):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cls(2))
+
+    @pytest.mark.parametrize("cls", [DynamicDiGraph, ArrayGraph, ArrayDiGraph])
+    def test_never_equal_to_a_non_graph(self, cls):
+        g = cls(2, [(0, 1)])
+        assert g != [(0, 1)]
+        assert not (g == "graph")
+
+    @pytest.mark.parametrize("cls", [ArrayGraph, ArrayDiGraph])
+    def test_repr_names_size(self, cls):
+        g = cls(3, [(0, 1), (1, 2)])
+        assert repr(g) == f"{cls.__name__}(n=3, m=2, cap={g.capacity})"
+
+
 class TestCompositeSort:
     """The insert's stable sort packs each key and its batch position into one ``int64``."""
 

@@ -242,6 +242,54 @@ class TestDirectedEquivalence:
             assert ref["edges"] == fast["edges"]
 
 
+class TestSequentialEquivalence:
+    """Sequential rounds take scalar draws per node; both backends consume the
+    same stream and apply the same edges, for the gossip processes too."""
+
+    @pytest.mark.parametrize(
+        "process_cls, graph_factory, kwargs",
+        [
+            pytest.param(PushDiscovery, lambda: gen.path_graph(18), {}, id="push"),
+            pytest.param(PullDiscovery, lambda: gen.path_graph(18), {}, id="pull"),
+            pytest.param(
+                PushDiscovery,
+                lambda: gen.path_graph(18),
+                {"without_replacement": True},
+                id="push-without-replacement",
+            ),
+            pytest.param(
+                FaultyPushDiscovery,
+                lambda: gen.path_graph(18),
+                {"failure_prob": 0.25, "participation_prob": 0.75},
+                id="faulty_push",
+            ),
+            pytest.param(
+                FaultyPullDiscovery,
+                lambda: gen.path_graph(18),
+                {"failure_prob": 0.25, "participation_prob": 0.75},
+                id="faulty_pull",
+            ),
+            pytest.param(
+                DirectedTwoHopWalk,
+                lambda: dgen.make_directed_family("thm14_weak", 16),
+                {},
+                id="directed_walk",
+            ),
+        ],
+    )
+    def test_sequential_trace_identical(self, process_cls, graph_factory, kwargs):
+        base = graph_factory()
+        for seed in SEEDS:
+            ref = run_trace(
+                process_cls, base, seed, "list", semantics=UpdateSemantics.SEQUENTIAL, **kwargs
+            )
+            fast = run_trace(
+                process_cls, base, seed, "array", semantics=UpdateSemantics.SEQUENTIAL, **kwargs
+            )
+            assert ref["converged"]
+            assert ref == fast
+
+
 class TestEngineBackendOption:
     def test_make_process_backend_equivalence(self):
         base = gen.cycle_graph(24)

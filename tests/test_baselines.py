@@ -270,20 +270,9 @@ class TestPayloadRoundsKeepEdgeArrays:
 
         monkeypatch.setattr(EdgeArrays, "tolist", refuse)
 
-    @pytest.mark.parametrize(
-        "name, shards",
-        [
-            ("name_dropper", 1),
-            ("pointer_jump", 1),
-            ("flooding", 1),
-            ("name_dropper", 2),
-            ("flooding", 2),
-        ],
-    )
-    def test_round_path_builds_no_edge_tuples(self, name, shards):
-        process = make_process(
-            name, gen.cycle_graph(40), rng=3, backend="array", shards=shards, shard_parallel=False
-        )
+    @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump", "flooding"])
+    def test_round_path_builds_no_edge_tuples(self, name):
+        process = make_process(name, gen.cycle_graph(40), rng=3, backend="array")
         process.degree_view()  # primed, so every round's new edges update it
         result = process.run_to_convergence()
         assert result.converged

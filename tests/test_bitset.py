@@ -258,13 +258,6 @@ def _batch(rng, n, size=12):
     return rng.integers(0, n, size), rng.integers(0, n, size)
 
 
-def _delta_rows(bits, n, rng):
-    delta = bitset.DeltaRows(n, n)
-    delta.add_edges(*_batch(rng, n))
-    delta.or_into_range(0, bits[: n // 2])
-    return delta.bits
-
-
 def _closure_plus_batch(bits, n, rng):
     reach = bitset.transitive_closure_bits(bits, n)
     bitset.closure_add_edges(reach, *_batch(rng, n))
@@ -285,10 +278,6 @@ ROW_KERNELS = {
     "rows_or_into": lambda bits, n, rng: _in_place(
         bits, bitset.rows_or_into, rng.integers(0, n, 12), bits, rng.integers(0, n, 12)
     ),
-    "or_into_range": lambda bits, n, rng: _in_place(
-        bits, bitset.or_into_range, n // 2, bits[: n - n // 2]
-    ),
-    "DeltaRows": _delta_rows,
     "transitive_closure_bits": lambda bits, n, rng: bitset.transitive_closure_bits(bits, n),
     "closure_add_edges": _closure_plus_batch,
     "reachable_bits": lambda bits, n, rng: bitset.reachable_bits(bits, int(rng.integers(n))),

@@ -4,8 +4,9 @@ The property pinned here is the crash-tolerance substrate's whole point:
 a run checkpointed at any round and resumed — in this process or a fresh
 one — reproduces the uninterrupted run exactly (same contact graphs, same
 counters, same bit-generator end state), for every registered process, on
-both graph backends, sharded and not.  The format tests pin the failure
-modes: truncated envelopes, checksum mismatches and foreign versions all
+both graph backends, and for every trial of a checkpointed sweep.  The
+format tests pin the failure modes: truncated envelopes, checksum
+mismatches, foreign versions and files this build cannot replay all
 refuse to resume instead of continuing from corrupt state.
 """
 
@@ -27,6 +28,7 @@ from repro.simulation.checkpoint import (
     capture_checkpoint,
     latest_checkpoint,
     load_checkpoint,
+    periodic_checkpointer,
     restore_process,
     resume_from_checkpoint,
     save_checkpoint,
@@ -36,14 +38,10 @@ from repro.simulation.engine import (
     make_process,
     measure_convergence_rounds,
 )
-from repro.simulation.sharding import SHARDABLE_PROCESSES, ShardedProcess
+from repro.simulation.experiment import ExperimentSpec
+from repro.simulation.runner import run_trials
 
 ALL_NAMES = sorted(PROCESS_REGISTRY)
-SHARDABLE_NAMES = sorted(
-    name
-    for name, (ctor, _) in PROCESS_REGISTRY.items()
-    if ctor in SHARDABLE_PROCESSES
-)
 BACKENDS = ("list", "array")
 N = 12
 SEED = 20120614
@@ -54,22 +52,14 @@ def canon(edges):
     return sorted((int(u), int(v)) for u, v in edges)
 
 
-def build(name: str, backend: str, shards: int = 1):
+def build(name: str, backend: str):
     rng = np.random.default_rng(SEED)
     _, needs_directed = PROCESS_REGISTRY[name]
     if needs_directed:
         graph = dgen.make_directed_family("random_strong", N, rng)
     else:
         graph = gen.make_family("cycle", N, rng)
-    return make_process(
-        name,
-        graph,
-        rng=rng,
-        backend=backend,
-        shards=shards,
-        shard_seed=777 if shards > 1 else None,
-        shard_parallel=False if shards > 1 else None,
-    )
+    return make_process(name, graph, rng=rng, backend=backend)
 
 
 def assert_same_end_state(a, b) -> None:
@@ -98,30 +88,6 @@ def test_resume_equivalence_every_process(name, backend, tmp_path):
     uninterrupted.run_to_convergence()
     resumed.run_to_convergence()
     assert_same_end_state(uninterrupted, resumed)
-
-
-@pytest.mark.parametrize("shards", [1, 3])
-@pytest.mark.parametrize("name", SHARDABLE_NAMES)
-def test_resume_equivalence_sharded(name, shards, tmp_path):
-    """The sharded wrapper checkpoints and resumes through the same format."""
-    uninterrupted = build(name, "array", shards=shards)
-    interrupted = build(name, "array", shards=shards)
-    interrupted.run(max_rounds=CHECKPOINT_AT)
-    k = interrupted.round_index
-    path = save_checkpoint(interrupted, tmp_path / f"round_{k:08d}")
-    resumed = restore_process(load_checkpoint(path))
-    try:
-        if shards > 1:
-            assert isinstance(resumed, ShardedProcess)
-            assert resumed.shards == interrupted.shards
-        uninterrupted.run_to_convergence()
-        resumed.run_to_convergence()
-        assert_same_end_state(uninterrupted, resumed)
-    finally:
-        for process in (uninterrupted, interrupted, resumed):
-            close = getattr(process, "close", None)
-            if close is not None:
-                close()
 
 
 def test_resume_from_checkpoint_reports_total_rounds(tmp_path):
@@ -193,6 +159,19 @@ def test_periodic_checkpoints_via_measure(tmp_path):
     assert result.total_edges_added == reference.total_edges_added
 
 
+def test_checkpointed_sweep_trial_resumes_to_its_result(tmp_path):
+    """A trial of a checkpointed run_trials sweep resumes to its own TrialResult."""
+    sweep = ExperimentSpec(
+        process="push", family="cycle", n=N, trials=2, backend="array",
+        checkpoint_every=3, checkpoint_dir=str(tmp_path),
+    )
+    trial = run_trials(sweep, root_seed=SEED)[1]
+    result = resume_from_checkpoint(latest_checkpoint(tmp_path / "trial_0001"))
+    assert (result.rounds, result.total_edges_added, result.total_messages, result.total_bits) == (
+        trial.rounds, trial.edges_added, trial.messages, trial.bits,
+    )
+
+
 def test_checkpoint_requires_dir():
     rng = np.random.default_rng(SEED)
     graph = gen.make_family("cycle", N, rng)
@@ -210,6 +189,19 @@ def test_envelope_format_and_checksum(tmp_path):
     assert envelope["checksum"]["algorithm"] == "sha256"
     assert envelope["meta"]["process"] == "push"
     assert envelope["meta"]["round_index"] == process.round_index
+
+
+def test_sharded_checkpoint_is_refused(tmp_path):
+    """Checkpoints carry no shard fields; a v1 file recording shards > 1 will not restore."""
+    process = build("push", "array")
+    process.run(max_rounds=2)
+    path = save_checkpoint(process, tmp_path / "snap")
+    envelope = json.loads(path.read_text())
+    assert "shards" not in envelope["meta"]
+    envelope["meta"]["shards"] = 3  # the checksum covers only the .npz payload
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CheckpointError, match="shards=3"):
+        restore_process(load_checkpoint(path))
 
 
 def test_load_rejects_truncated_envelope(tmp_path):
@@ -251,6 +243,88 @@ def test_load_rejects_missing_payload(tmp_path):
     path.with_suffix(".npz").unlink()
     with pytest.raises(CheckpointError, match="payload"):
         load_checkpoint(path)
+
+
+def test_load_rejects_missing_envelope(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint envelope"):
+        load_checkpoint(tmp_path / "absent")
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [pytest.param([1, 2], id="not-an-object"), pytest.param({"format": "other"}, id="foreign")],
+)
+def test_load_rejects_foreign_json(tmp_path, envelope):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CheckpointError, match="is not a repro-gossip-trial-checkpoint"):
+        load_checkpoint(path)
+
+
+def test_restore_rejects_unknown_bit_generator(tmp_path):
+    process = build("push", "list")
+    process.run(max_rounds=2)
+    path = save_checkpoint(process, tmp_path / "snap")
+    envelope = json.loads(path.read_text())
+    envelope["rng_state"]["bit_generator"] = "NoSuchBitGenerator"
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CheckpointError, match="unknown bit generator"):
+        restore_process(load_checkpoint(path))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["push", "directed_pull"])
+def test_restore_rejects_edge_count_that_disagrees_with_rows(tmp_path, name, backend):
+    """The envelope's edge count is checked against the rows it describes."""
+    process = build(name, backend)
+    process.run(max_rounds=2)
+    path = save_checkpoint(process, tmp_path / "snap")
+    envelope = json.loads(path.read_text())
+    envelope["meta"]["num_edges"] += 1  # the checksum covers only the .npz payload
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CheckpointError, match="inconsistent"):
+        restore_process(load_checkpoint(path))
+
+
+def test_periodic_checkpointer_rejects_nonpositive_period(tmp_path):
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        periodic_checkpointer(tmp_path, 0)
+
+
+def test_resume_with_checkpoint_every_requires_dir(tmp_path):
+    process = build("push", "list")
+    process.run(max_rounds=2)
+    path = save_checkpoint(process, tmp_path / "snap")
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        resume_from_checkpoint(path, checkpoint_every=2)
+
+
+def test_resumed_run_keeps_checkpointing(tmp_path):
+    """A resumed run writes later checkpoints, and resuming from those still
+    reproduces the uninterrupted run."""
+    reference = build("pull", "array").run_to_convergence()
+
+    interrupted = build("pull", "array")
+    interrupted.run(max_rounds=2)
+    first = save_checkpoint(interrupted, tmp_path / "snap")
+    later_dir = tmp_path / "later"
+    resumed = resume_from_checkpoint(first, checkpoint_every=2, checkpoint_dir=later_dir)
+    later = latest_checkpoint(later_dir)
+    assert int(later.stem.split("_")[1]) > 2
+    again = resume_from_checkpoint(later)
+    for result in (resumed, again):
+        assert (result.rounds, result.total_edges_added, result.total_messages) == (
+            reference.rounds, reference.total_edges_added, reference.total_messages,
+        )
+        assert result.total_bits == reference.total_bits
+
+
+def test_latest_checkpoint_skips_foreign_round_names(tmp_path):
+    process = build("push", "list")
+    process.run(max_rounds=2)
+    save_checkpoint(process, tmp_path / "round_00000002")
+    (tmp_path / "round_final.json").write_text("{}")
+    assert latest_checkpoint(tmp_path) == tmp_path / "round_00000002"
 
 
 def test_latest_checkpoint_empty_dir(tmp_path):

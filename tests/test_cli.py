@@ -166,6 +166,26 @@ class TestCommands:
         assert payload["rows"][0]["converged"] is True
         assert payload["metadata"]["command"] == "async"
 
+    def test_checkpointed_run_then_resume_matches_the_trial(self, capsys, tmp_path):
+        """`run --checkpoint-every/--checkpoint-dir` then `resume` gives the trial's result."""
+        import json
+
+        from repro.simulation.experiment import ExperimentSpec
+        from repro.simulation.runner import run_trials
+
+        ckpt = tmp_path / "ckpt"
+        assert cli.main(["run", "--process", "push", "--family", "cycle", "--n", "16",
+                         "--trials", "2", "--seed", "9", "--checkpoint-every", "4",
+                         "--checkpoint-dir", str(ckpt)]) == 0
+        target = tmp_path / "resumed.json"
+        assert cli.main(["resume", str(ckpt / "trial_0001"), "--save", str(target)]) == 0
+        row = json.loads(target.read_text())["rows"][0]
+        trial = run_trials(ExperimentSpec(process="push", family="cycle", n=16, trials=2),
+                           root_seed=9)[1]
+        assert (row["rounds"], row["edges_added"], row["messages"], row["bits"]) == (
+            trial.rounds, trial.edges_added, trial.messages, trial.bits,
+        )
+
     def test_directed_command(self, capsys):
         assert cli.main(["directed", "--family", "directed_cycle",
                          "--sizes", "6", "10", "--trials", "1", "--seed", "5"]) == 0

@@ -1,5 +1,6 @@
 """Unit tests for the directed graph generators and the paper's constructions."""
 
+import numpy as np
 import pytest
 
 from repro.graphs import directed_generators as dgen
@@ -44,6 +45,45 @@ class TestDeterministicDirectedFamilies:
         assert g.number_of_edges() == 2 * 4
         assert props.is_weakly_connected(g)
         assert not props.is_strongly_connected(g)
+
+
+class TestDirectedArgumentValidation:
+    """Every directed constructor refuses sizes that cannot describe its graph."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: dgen.directed_path(0), "at least 1 node", id="path-0"),
+            pytest.param(lambda: dgen.complete_digraph(0), "at least 1 node", id="complete-0"),
+            pytest.param(
+                lambda: dgen.bidirected_path(0), "at least 1 node", id="bidirected-path-0"
+            ),
+            pytest.param(
+                lambda: dgen.bidirected_cycle(2), "at least 3 nodes", id="bidirected-cycle-2"
+            ),
+            pytest.param(
+                lambda: dgen.bidirected_star(1), "at least 2 nodes", id="bidirected-star-1"
+            ),
+            pytest.param(lambda: dgen.layered_dag(0, 3), "must be positive", id="dag-layers-0"),
+            pytest.param(lambda: dgen.layered_dag(3, 0), "must be positive", id="dag-width-0"),
+            pytest.param(
+                lambda: dgen.random_strongly_connected_digraph(1, rng=0),
+                "at least 2 nodes",
+                id="strong-1",
+            ),
+            pytest.param(
+                lambda: dgen.thm14_missing_edges(10), "divisible by 4", id="thm14-missing-10"
+            ),
+        ],
+    )
+    def test_rejects_invalid_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_random_families_accept_int_seed(self):
+        a = dgen.random_strongly_connected_digraph(16, 0.2, rng=7)
+        b = dgen.random_strongly_connected_digraph(16, 0.2, rng=np.random.default_rng(7))
+        assert a.edge_list() == b.edge_list()
 
 
 class TestRandomDirectedFamilies:

@@ -1,16 +1,17 @@
-"""Crash-tolerant pools: injected worker death, retry/backoff, degradation, leaks.
+"""Crash-tolerant trial pool: injected worker death, retry/backoff, degradation.
 
 The deterministic :class:`~repro.network.failures.FaultInjector` kills
-pool workers (``os._exit``) or raises inside them at pre-registered
-coordinates, so each recovery path is exercised reproducibly:
+trial-pool workers (``os._exit``) or raises inside them at pre-registered
+trials, so each recovery path is exercised reproducibly:
 
 * the trial runner rebuilds its pool and retries — recovered results
-  equal an uninjected run's (trials replay their own seed streams);
-* past the retry budget both pools degrade to in-process execution and
-  still finish correctly;
+  equal an uninjected run's (trials replay their own seed streams, and
+  an unseeded run fixes its root seed once, so its trials replay too);
+* past the retry budget the runner degrades to in-process execution and
+  still finishes correctly;
 * a deterministic in-worker exception is never retried: the runner
-  records it per-trial (siblings intact), the sharded engine propagates
-  it after releasing every shared-memory segment;
+  records it per-trial with the root seed that reproduces it, siblings
+  intact;
 * a raise while the runner is still submitting jobs shuts its pool down.
 """
 
@@ -22,18 +23,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.graphs import generators as gen
-from repro.network.failures import DropBurst, FaultInjector, InjectedFault
-from repro.simulation.engine import make_process
+from repro.network.failures import DropBurst, FaultInjector
 from repro.simulation.experiment import ExperimentSpec
+from repro.simulation.rng import SeedSequenceFactory
 from repro.simulation.runner import run_trials, summarize_trials
-from repro.simulation.sharding import ShardedProcess, _SharedBlock
 
 SEED = 20120614
-
-
-def canon(edges):
-    return sorted((int(u), int(v)) for u, v in edges)
 
 
 def spec(n=24, trials=4):
@@ -109,6 +104,21 @@ class TestRunnerFaults:
             )
             time.sleep(0.01)
 
+    def test_unseeded_factory_replays_each_index(self):
+        """An unseeded factory fixes its entropy once; each index keeps its stream."""
+        factory = SeedSequenceFactory(None)
+        first = factory.rng_for_index(3).random()
+        assert factory.rng_for_index(3).random() == first
+
+    def test_unseeded_failure_reports_a_seed_that_replays_the_run(self):
+        injector = FaultInjector(mode="raise").kill_trial(3, times=1)
+        mixed = run_trials(spec(), root_seed=None, processes=2, fault_injector=injector)
+        assert [t.failed for t in mixed] == [False, False, False, True]
+        root_seed = mixed[3].error.root_seed
+        assert isinstance(root_seed, int)
+        replay = run_trials(spec(), root_seed=root_seed)
+        assert results_key(replay[:3]) == results_key(mixed[:3])
+
     def test_summarize_counts_failures_and_rejects_all_failed(self):
         injector = FaultInjector(mode="raise").kill_trial(0, times=1)
         mixed = run_trials(spec(trials=2), root_seed=11, processes=2, fault_injector=injector)
@@ -119,85 +129,6 @@ class TestRunnerFaults:
         all_failed = [t for t in mixed if t.failed] or mixed[:1]
         with pytest.raises(ValueError, match="failed"):
             summarize_trials([t for t in mixed if t.failed] * 2 or all_failed)
-
-
-# --------------------------------------------------------------------------- #
-# sharded pool
-# --------------------------------------------------------------------------- #
-def sharded(n=64, parallel=None, **kwargs):
-    rng = np.random.default_rng(3)
-    graph = gen.make_family("cycle", n, rng)
-    process = make_process("push", graph, rng=rng, backend="array")
-    return ShardedProcess(process, shards=3, seed=999, parallel=parallel, **kwargs)
-
-
-class TestShardedFaults:
-    def test_shard_worker_death_retried_draw_for_draw(self):
-        reference = sharded(parallel=False)
-        reference.run_to_convergence()
-        reference.close()
-
-        injector = FaultInjector().kill_shard_round(2, shard=0, times=1)
-        survivor = sharded(parallel=True, fault_injector=injector)
-        try:
-            survivor.run_to_convergence()
-            assert canon(survivor.graph.edges()) == canon(reference.graph.edges())
-            assert survivor.pool_failures == 1
-            assert survivor._parallel  # recovered, not degraded
-        finally:
-            survivor.close()
-
-    def test_shard_pool_degrades_after_budget(self):
-        reference = sharded(parallel=False)
-        reference.run_to_convergence()
-        reference.close()
-
-        injector = FaultInjector().kill_shard_round(2, shard=1, times=10)
-        degraded = sharded(parallel=True, retries=2, fault_injector=injector)
-        try:
-            degraded.run_to_convergence()
-            assert canon(degraded.graph.edges()) == canon(reference.graph.edges())
-            assert not degraded._parallel
-            assert degraded.pool_failures == 3  # retries + the final straw
-        finally:
-            degraded.close()
-
-    def test_worker_exception_propagates_with_zero_leaked_segments(self):
-        injector = FaultInjector(mode="raise").kill_shard_round(1, shard=0, times=1)
-        process = sharded(parallel=True, fault_injector=injector)
-        published: list = []
-        original_publish = _SharedBlock.publish
-
-        def tracking_publish(self, array):
-            spec = original_publish(self, array)
-            published.append(spec[0])
-            return spec
-
-        _SharedBlock.publish = tracking_publish
-        try:
-            with pytest.raises(InjectedFault):
-                process.run_to_convergence()
-        finally:
-            _SharedBlock.publish = original_publish
-            process.close()
-        assert published, "pool path never published shared memory"
-        assert process._blocks == {}
-        assert process._pool is None
-        from multiprocessing import shared_memory
-
-        for name in set(published):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_close_after_init_failure_is_silent(self):
-        """Partially-constructed wrappers (ctor raised) must not warn on gc."""
-        from repro.core.variants import FaultyPushDiscovery
-
-        rng = np.random.default_rng(3)
-        graph = gen.make_family("cycle", 8, rng)
-        process = FaultyPushDiscovery(graph, rng=rng)
-        with pytest.raises(ValueError, match="no sharded round kernel"):
-            ShardedProcess(process, shards=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -244,7 +175,3 @@ class TestDropBurst:
         assert injector.take_trial(3) == "exit"
         assert injector.take_trial(3) is None
         assert injector.take_trial(0) is None
-        injector.kill_shard_round(5, shard=1)
-        assert injector.take_shard_round(5, 1) == "exit"
-        assert injector.take_shard_round(5, 1) is None
-        assert injector.take_shard_round(5, 0) is None

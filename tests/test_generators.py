@@ -196,6 +196,45 @@ class TestRandomFamilies:
         assert props.is_connected(g)
 
 
+class TestArgumentValidation:
+    """Every constructor refuses sizes that cannot describe its graph."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: gen.complete_graph(0), "at least 1 node", id="complete-0"),
+            pytest.param(lambda: gen.grid_graph(0, 3), "grid dimensions", id="grid-rows-0"),
+            pytest.param(lambda: gen.grid_graph(3, 0), "grid dimensions", id="grid-cols-0"),
+            pytest.param(lambda: gen.hypercube_graph(-1), "non-negative", id="hypercube-neg"),
+            pytest.param(lambda: gen.binary_tree_graph(0), "at least 1 node", id="binary-tree-0"),
+            pytest.param(lambda: gen.caterpillar_graph(0, 2), "spine", id="caterpillar-spine-0"),
+            pytest.param(lambda: gen.caterpillar_graph(3, -1), "legs", id="caterpillar-legs-neg"),
+            pytest.param(lambda: gen.lollipop_graph(0, 2), "clique_size", id="lollipop-clique-0"),
+            pytest.param(lambda: gen.lollipop_graph(3, -1), "path_length", id="lollipop-path-neg"),
+            pytest.param(lambda: gen.barbell_graph(0, 1), "clique_size", id="barbell-clique-0"),
+            pytest.param(lambda: gen.barbell_graph(3, -1), "path_length", id="barbell-path-neg"),
+            pytest.param(lambda: gen.double_star_graph(-1, 2), "leaf counts", id="double-star-neg"),
+            pytest.param(lambda: gen.random_tree(0, rng=0), "at least 1 node", id="random-tree-0"),
+            pytest.param(
+                lambda: gen.watts_strogatz_graph(10, 4, 1.5, rng=0), "p must be", id="ws-p"
+            ),
+            pytest.param(
+                lambda: gen.random_regular_graph(4, 4, rng=0), "d must be < n", id="regular-d-n"
+            ),
+            pytest.param(
+                lambda: gen.random_regular_graph(4, 0, rng=0), "d must be >= 1", id="regular-d-0"
+            ),
+        ],
+    )
+    def test_rejects_invalid_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_random_regular_gives_up_after_max_tries(self):
+        with pytest.raises(RuntimeError, match="in 0 tries"):
+            gen.random_regular_graph(10, 3, rng=0, max_tries=0)
+
+
 class TestFamilyRegistry:
     def test_registry_names_nonempty(self):
         names = gen.family_names()

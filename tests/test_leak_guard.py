@@ -16,11 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 
-import numpy as np
-
 from conftest import _leaks, _open_fds, _resources, _still_open
 from repro.simulation import io
-from repro.simulation.sharding import _SharedBlock
 
 
 def test_untouched_resources_read_as_no_leak():
@@ -51,14 +48,13 @@ def test_closing_a_recorded_fd_is_not_a_leak():
 
 
 def test_segment_closed_but_not_unlinked_is_named():
-    block = _SharedBlock()
     before = _resources()
-    name, _, _ = block.publish(np.arange(8))
-    block.shm.close()  # release() without its unlink()
+    segment = shared_memory.SharedMemory(create=True, size=64)
+    segment.close()  # closed, but never unlinked
     try:
-        assert _leaks(before, _resources()) == [f"/dev/shm/{name.lstrip('/')}"]
+        assert _leaks(before, _resources()) == [f"/dev/shm/{segment.name.lstrip('/')}"]
     finally:
-        block.release()
+        segment.unlink()
     assert _still_open(before) == []
 
 

@@ -109,3 +109,10 @@ class TestScheduledProcess:
         assert not proc.is_converged()
         proc.step()
         assert proc.process.round_index == 1
+
+    def test_schedule_cannot_wrap_another_wrapper(self):
+        """Patching a schedule onto a wrapper would be a silent no-op: the
+        wrapper's rounds run on its inner process, which never sees it."""
+        inner = ScheduledProcess(PushDiscovery(gen.cycle_graph(8), rng=0), FullActivation())
+        with pytest.raises(TypeError, match="inner process"):
+            ScheduledProcess(inner, FixedSubsetActivation([0, 1]))

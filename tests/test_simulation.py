@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.push import PushDiscovery
+from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
+from repro.graphs.closure import transitive_closure_edges
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.simulation import bounds, experiment
 from repro.simulation.engine import (
@@ -131,6 +133,43 @@ class TestEngineRegistry:
         assert run_process(proc).converged
 
 
+FAULTY_KWARGS = {"failure_prob": 0.25, "participation_prob": 0.75}
+
+
+class TestRegistryRunAccounting:
+    """Every registered process, on both backends, accounts for its run round by round."""
+
+    @pytest.mark.parametrize("backend", ["list", "array"])
+    @pytest.mark.parametrize("name", sorted(PROCESS_REGISTRY))
+    def test_history_sums_to_totals_and_reaches_the_target(self, name, backend):
+        rng = np.random.default_rng(11)
+        if PROCESS_REGISTRY[name][1]:
+            start = dgen.make_directed_family("random_strong", 12, rng)
+            target = transitive_closure_edges(start)
+        else:
+            start = gen.make_family("cycle", 12, rng)
+            target = {(u, v) for u in range(12) for v in range(u + 1, 12)}
+        kwargs = FAULTY_KWARGS if name.startswith("faulty_") else {}
+        proc = make_process(name, start.copy(), rng=rng, backend=backend, **kwargs)
+        result = proc.run_to_convergence(record_history=True)
+
+        assert result.converged
+        assert result.rounds == len(result.history) == proc.round_index
+        assert [r.round_index for r in result.history] == list(range(result.rounds))
+        assert sum(r.num_added for r in result.history) == result.total_edges_added
+        assert sum(r.messages_sent for r in result.history) == result.total_messages
+        assert sum(r.bits_sent for r in result.history) == result.total_bits
+        # every reported edge is genuinely new, and together they close the graph
+        def canon(u, v):
+            u, v = int(u), int(v)
+            return (u, v) if start.directed or u < v else (v, u)
+
+        added = [canon(u, v) for r in result.history for u, v in r.added_edges]
+        assert len(set(added)) == len(added) == result.total_edges_added
+        assert not set(added) & set(start.edge_list())
+        assert set(proc.graph.edge_list()) == target
+
+
 class TestExperimentSpecs:
     def test_build_graph_from_family(self, rng):
         spec = ExperimentSpec(process="push", family="cycle", n=12)
@@ -164,7 +203,6 @@ class TestExperimentSpecs:
             ("family", "cycel"),
             ("n", -5),
             ("trials", -1),
-            ("shards", 0),
             ("checkpoint_every", -3),
             ("max_rounds", -1),
         ],
@@ -178,11 +216,9 @@ class TestExperimentSpecs:
             run_trials(ExperimentSpec(**{**good, field: value}), root_seed=0)
         assert built == []
 
-    def test_family_registry_follows_directed_and_shards_need_array(self):
+    def test_family_registry_follows_directed(self):
         with pytest.raises(ValueError, match="family='cycle' is not a registered directed"):
             ExperimentSpec(process="directed_pull", family="cycle", n=8, directed=True)
-        with pytest.raises(ValueError, match="shards=2 requires backend='array'"):
-            ExperimentSpec(process="push", family="cycle", n=8, shards=2)
 
     def test_sweep_expansion(self):
         sweep = SweepSpec(processes=["push", "pull"], families=["cycle"], sizes=[8, 16], trials=2)

@@ -11,10 +11,10 @@ rule flags and what it lets pass is pinned on snippets by :data:`CASES`.
     (``np.random.random(...)``), stdlib ``random.*`` draws and wall-clock
     reads (``time.time``, ``datetime.now``, ...).  Guards the contract that
     every trace, trial and benchmark replays draw for draw from a recorded
-    seed: golden traces, backend equivalence, shard-count invariance and
-    exact checkpoint resume all rest on it.  Its first run removed the
-    unseeded fallbacks of ``theory.lemma2_empirical_quantile`` and of both
-    graph generators' ``_ensure_rng``.  Constructors over explicit seed
+    seed: golden traces, backend equivalence and exact checkpoint resume
+    all rest on it.  Its first run removed the unseeded fallbacks of
+    ``theory.lemma2_empirical_quantile`` and of both graph generators'
+    ``_ensure_rng``.  Constructors over explicit seed
     material (``SeedSequence(seed)``, ``Generator(bitgen)``) are fine.
 
 ``atomic-write`` — ``src/repro`` except ``simulation/io.py``.  Bans
@@ -37,8 +37,9 @@ rule flags and what it lets pass is pinned on snippets by :data:`CASES`.
 ``exception-hygiene`` — ``src/repro``.  Flags bare, ``Exception`` and
     ``BaseException`` handlers that neither re-raise, log nor use the bound
     exception.  A swallowed failure is how shared-memory segments leak and
-    sweeps go silently wrong.  :data:`ALLOWED` holds the one exemption, with
-    its reason; an entry that no longer matches fails the test too.
+    sweeps go silently wrong.  No code is exempt: :data:`ALLOWED` is empty.
+    An exemption added there carries its reason, and one that no longer
+    matches fails the test too.
 
 Leaks of pools, shared-memory segments and file descriptors are checked at
 run time instead, by the autouse guard in ``tests/conftest.py``.
@@ -223,12 +224,7 @@ RULES = {
 }
 
 #: (rule, file, enclosing function) -> why that violation is accepted
-ALLOWED = {
-    ("exception-hygiene", "src/repro/simulation/sharding.py", "ShardedProcess.__del__"): (
-        "the finalizer's logging fallback: at interpreter exit the logging "
-        "machinery may be torn down, and raising from __del__ is worse"
-    ),
-}
+ALLOWED: Dict[Tuple[str, str, str], str] = {}
 
 
 def _enclosing(tree: ast.Module, line: int) -> str:

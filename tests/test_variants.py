@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.base import UpdateSemantics
 from repro.core.variants import ChurnModel, FaultyPullDiscovery, FaultyPushDiscovery
+from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import generators as gen
 
@@ -59,6 +61,33 @@ class TestFaultyProcesses:
         g = gen.cycle_graph(6)
         proc = FaultyPushDiscovery(g, rng=0, participation_prob=1.0)
         assert list(proc.participating_nodes()) == list(range(6))
+
+
+class TestSequentialFaultyProcesses:
+    """Sequential rounds go through the scalar ``propose`` of each variant."""
+
+    @pytest.mark.parametrize("faulty_cls", [FaultyPushDiscovery, FaultyPullDiscovery])
+    def test_sequential_faulty_process_converges(self, faulty_cls):
+        g = gen.cycle_graph(10)
+        proc = faulty_cls(
+            g, rng=6, semantics=UpdateSemantics.SEQUENTIAL, failure_prob=0.3,
+            participation_prob=0.8,
+        )
+        assert proc.run_to_convergence().converged
+        assert g.is_complete()
+
+    @pytest.mark.parametrize(
+        "faulty_cls, base_cls",
+        [(FaultyPushDiscovery, PushDiscovery), (FaultyPullDiscovery, PullDiscovery)],
+    )
+    def test_sequential_zero_failure_is_draw_for_draw_base(self, faulty_cls, base_cls):
+        seq = UpdateSemantics.SEQUENTIAL
+        base = base_cls(gen.path_graph(12), rng=9, semantics=seq)
+        faulty = faulty_cls(gen.path_graph(12), rng=9, semantics=seq, failure_prob=0.0)
+        a = base.run_to_convergence(record_history=True)
+        b = faulty.run_to_convergence(record_history=True)
+        assert [r.added_edges for r in a.history] == [r.added_edges for r in b.history]
+        assert base.rng.bit_generator.state == faulty.rng.bit_generator.state
 
 
 class TestChurnModel:
