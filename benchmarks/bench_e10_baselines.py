@@ -29,8 +29,8 @@ from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayGraph
+from repro.network import NetworkSimulator
 from repro.network.message import id_bits_for
-from repro.network.simulator import NetworkSimulator
 from repro.simulation.engine import measure_convergence_rounds
 from repro.simulation.io import atomic_write_text
 

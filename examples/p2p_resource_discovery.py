@@ -23,9 +23,9 @@ from __future__ import annotations
 import argparse
 
 from repro.graphs import generators
+from repro.network import NetworkSimulator
 from repro.network.failures import DropUniform, NoFailures
 from repro.network.message import id_bits_for
-from repro.network.simulator import NetworkSimulator
 
 
 def run_protocol(name: str, n: int, drop: float, seed: int) -> dict:

@@ -34,6 +34,7 @@ from repro.network.protocols import protocol_names
 from repro.simulation import io as sim_io
 from repro.simulation.engine import process_names
 from repro.simulation.experiment import ExperimentSpec
+from repro.simulation.rng import fresh_root_seed
 from repro.simulation.runner import run_trials, summarize_trials
 from repro.social.group_discovery import discover_group
 
@@ -491,6 +492,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        # Every subcommand but resume takes --seed; an unseeded run draws
+        # its root seed here and reports it, so the run can be replayed.
+        args.seed = fresh_root_seed()
+        print(f"seed: {args.seed}", file=sys.stderr)
     return args.func(args)
 
 

@@ -16,7 +16,9 @@ hash set.  Per-round work then becomes whole-array operations:
   genuinely new edges, which come back as :class:`EdgeArrays`.
 
 The classes share the paper's append-only contract with the list backend
-(:mod:`repro.graphs.adjacency`): edges are only ever added.
+(:mod:`repro.graphs.adjacency`): the discovery processes only ever add
+edges.  :meth:`ArrayDiGraph.remove_edge` serves the network engine's
+liveness eviction.
 
 Packed memory model
 -------------------
@@ -685,6 +687,27 @@ class ArrayDiGraph:
             bitset.set_bits(self._bits, add_u, add_v)
             self._num_edges += add_u.shape[0]
         return EdgeArrays(add_u, add_v)
+
+    def remove_edge(self, u: int, v: int) -> bool:
+        """Delete the directed edge ``u -> v``; True when it was present.
+
+        ``u``'s other out-neighbours keep their order.  The discovery
+        processes only add edges; the network engine's liveness eviction
+        is the one caller.
+        """
+        self._check_node(u)
+        self._check_node(v)
+        if not bitset.get_bit(self._bits, u, v):
+            return False
+        row, k = self._out[u], int(self._out_deg[u])
+        i = int(np.flatnonzero(row[:k] == v)[0])
+        row[i : k - 1] = row[i + 1 : k]
+        row[k - 1] = -1
+        self._out_deg[u] -= 1
+        self._in_deg[v] -= 1
+        bitset.clear_bits(self._bits, np.array([u]), np.array([v]))
+        self._num_edges -= 1
+        return True
 
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._cap:

@@ -3,39 +3,36 @@
 The graph-level processes in :mod:`repro.core` are the mathematical
 objects the paper analyses.  This subpackage re-implements them as
 *distributed protocols*: every node is an agent holding only its local
-neighbour table, and all information moves through explicit messages with
-bit-accounted payloads.  The per-message state transitions live in
-:mod:`repro.network.protocols` and are driven by two interchangeable
-engines:
+contact list, and all information moves through explicit messages with
+bit-accounted payloads.  The protocols (:mod:`repro.network.protocols`)
+originate and deliver whole :class:`MessageBatch` arrays, and one engine
+delivers them:
 
-* :class:`NetworkSimulator` — the paper's idealization: synchronous
-  lock-step rounds, optional message loss.
-* :class:`AsyncNetworkSimulator` — an event-queue engine with per-message
-  latency (:mod:`repro.network.events`), node churn, partitions, and
-  ping-based liveness eviction; in its degenerate configuration it
-  replays the synchronous engine draw for draw.
+* :class:`AsyncNetworkSimulator` — a virtual clock with per-message
+  latency (:mod:`repro.network.events`), message loss, node churn,
+  partitions, and ping-based liveness eviction.
+* :class:`NetworkSimulator` — the paper's idealization as a
+  configuration of the same engine: lock-step rounds (ticks with a fixed
+  latency that fits pull's three hops), optional message loss.
 
-Both engines enforce the model's locality (a node can only address IDs it
-was actually handed — :class:`LocalityError` otherwise) and report true
-per-``(node, round)`` bandwidth.  Tests cross-validate that the protocol
-implementations induce exactly the same random graph evolution as the
-graph-level processes; experiment E10 uses the message accounting for the
-bandwidth comparison against Name Dropper / flooding, and
-``benchmarks/bench_async.py`` measures how discovery degrades when the
-synchronous idealization is relaxed.
+The engine enforces the model's locality (a node can only address its
+contacts and IDs it was handed — :class:`LocalityError` otherwise) and
+reports true per-``(node, round)`` bandwidth.  Tests cross-validate that
+the protocol implementations induce exactly the same random graph
+evolution as the graph-level processes; experiment E10 uses the message
+accounting for the bandwidth comparison against Name Dropper / flooding,
+and ``benchmarks/bench_async.py`` measures how discovery degrades when
+the synchronous idealization is relaxed.
 """
 
-from repro.network.message import LocalityError, Message, MessageKind, id_bits_for
-from repro.network.node import NetworkNode
+from repro.network.message import LocalityError, Message, MessageBatch, MessageKind, id_bits_for
 from repro.network.protocols import (
     GossipProtocol,
-    ProtocolContext,
     PushProtocol,
     PullProtocol,
     NameDropperProtocol,
     resolve_protocol,
 )
-from repro.network.simulator import NetworkSimulator, SimulationStats
 from repro.network.failures import (
     DropBurst,
     DropUniform,
@@ -55,16 +52,19 @@ from repro.network.events import (
     PartitionSchedule,
     UniformLatency,
 )
-from repro.network.async_simulator import AsyncNetworkSimulator, AsyncSimulationStats
+from repro.network.async_simulator import (
+    AsyncNetworkSimulator,
+    NetworkSimulator,
+    SimulationStats,
+)
 
 __all__ = [
     "Message",
+    "MessageBatch",
     "MessageKind",
     "LocalityError",
     "id_bits_for",
-    "NetworkNode",
     "GossipProtocol",
-    "ProtocolContext",
     "PushProtocol",
     "PullProtocol",
     "NameDropperProtocol",
@@ -72,7 +72,6 @@ __all__ = [
     "NetworkSimulator",
     "SimulationStats",
     "AsyncNetworkSimulator",
-    "AsyncSimulationStats",
     "FailureModel",
     "NoFailures",
     "DropUniform",

@@ -1,12 +1,14 @@
-"""Event primitives for the asynchronous network simulator.
+"""Event primitives for the network engine.
 
-Everything the async engine schedules is an :class:`Event` on one
-:class:`EventQueue` — a binary heap ordered by ``(time, seq)``, where
-``seq`` is a monotonically increasing insertion counter.  The tie-break
-makes event processing *fully deterministic*: two runs with the same seed
-and the same schedules pop exactly the same events in exactly the same
-order, which is what lets the degenerate async configuration replay the
-synchronous simulator draw for draw.
+Everything the engine schedules lives on one :class:`EventQueue`, in one
+``(time, seq)`` order, where ``seq`` is a monotonically increasing
+insertion counter.  Ticks, churn, partitions and ping timers are
+:class:`Event` objects on a binary heap; messages in flight are arrays
+(:class:`~repro.network.message.MessageBatch` rows with their landing
+times), and every row takes its ``seq`` from the same counter.  The
+tie-break makes processing *fully deterministic*: two runs with the same
+seed and the same schedules deliver the same messages and handle the
+same events in the same order.
 
 The module also holds the pluggable ingredients of the failure story:
 
@@ -31,6 +33,8 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.network.message import MessageBatch
+
 __all__ = [
     "EventKind",
     "Event",
@@ -49,7 +53,7 @@ class EventKind(enum.Enum):
 
     #: cohort activation: all alive nodes originate their protocol messages.
     TICK = "tick"
-    #: a message arrives at its receiver.
+    #: a message arrives at its receiver (the event-log label of a delivered row).
     MESSAGE = "message"
     #: a node comes (back) up.
     JOIN = "join"
@@ -76,16 +80,22 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic timestamped event heap.
+    """Deterministic timestamped events and messages in flight.
 
-    Ties in ``time`` are broken by insertion order (``seq``), never by
-    payload comparison, so processing order is a pure function of the
-    push sequence.
+    Events sit on a heap; messages in flight are batch rows with landing
+    times.  Both draw ``seq`` from one counter, and ties in ``time`` are
+    broken by ``seq``, never by payload comparison, so processing order
+    is a pure function of the push sequence.  ``len`` and truth count
+    events only.
     """
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._next_seq = 0
+        # Messages posted since the last merge, each chunk in seq order,
+        # and the merged rows in (time, seq) order.
+        self._posted: List[Tuple[MessageBatch, np.ndarray, np.ndarray]] = []
+        self._flight: Optional[Tuple[MessageBatch, np.ndarray, np.ndarray]] = None
 
     def push(self, time: float, kind: EventKind, data: Any = None) -> Event:
         """Schedule ``kind`` at ``time``; returns the created event."""
@@ -104,6 +114,57 @@ class EventQueue:
         """The earliest event without removing it."""
         return self._heap[0]
 
+    def post(self, batch: MessageBatch, times: np.ndarray) -> None:
+        """Put every row of ``batch`` in flight, row ``i`` landing at ``times[i]``.
+
+        The rows take consecutive ``seq`` values in row order.
+        """
+        if not np.isfinite(times).all() or np.count_nonzero(times < 0.0):
+            raise ValueError(f"message times must be finite and non-negative, got {times}")
+        seqs = np.arange(self._next_seq, self._next_seq + len(batch))
+        self._next_seq += len(batch)
+        self._posted.append((batch, times, seqs))
+
+    def messages_before(self, event: Event) -> int:
+        """How many messages in flight come before ``event`` in ``(time, seq)`` order."""
+        if self._posted:
+            self._merge()
+        if self._flight is None:
+            return 0
+        _, times, seqs = self._flight
+        lo = int(times.searchsorted(event.time, "left"))
+        hi = int(times.searchsorted(event.time, "right"))
+        return lo + int(np.count_nonzero(seqs[lo:hi] < event.seq))
+
+    def in_flight(self) -> Tuple[MessageBatch, np.ndarray, np.ndarray]:
+        """The rows in flight, their landing times and seqs, in ``(time, seq)`` order.
+
+        Call after :meth:`messages_before` returned a positive count.
+        """
+        return self._flight
+
+    def pop_messages(self, count: int) -> Tuple[MessageBatch, np.ndarray, np.ndarray]:
+        """Remove and return the first ``count`` rows of :meth:`in_flight`."""
+        batch, times, seqs = self._flight
+        if count == len(batch):
+            self._flight = None
+            return batch, times, seqs
+        self._flight = (batch.section(count, len(batch)), times[count:], seqs[count:])
+        return batch.section(0, count), times[:count], seqs[:count]
+
+    def _merge(self) -> None:
+        # Rows in flight are older than every posted row, so the chunks
+        # run in seq order; they need a sort only when a time goes down.
+        chunks = ([self._flight] if self._flight is not None else []) + self._posted
+        self._posted = []
+        batch = MessageBatch.concat([c[0] for c in chunks])
+        times = np.concatenate([c[1] for c in chunks])
+        seqs = np.concatenate([c[2] for c in chunks])
+        if np.count_nonzero(times[1:] < times[:-1]):
+            order = np.lexsort((seqs, times))
+            batch, times, seqs = batch.take(order), times[order], seqs[order]
+        self._flight = (batch, times, seqs)
+
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -115,45 +176,64 @@ class EventQueue:
 # latency models
 # --------------------------------------------------------------------------- #
 class LatencyModel(abc.ABC):
-    """Per-message delivery delay (in simulated time units)."""
+    """Delivery delay of a message (in simulated time units)."""
+
+    #: the smallest delay the model returns.  A delivered batch that
+    #: sends follow-ups ends this long after its first landing time, so
+    #: no follow-up can fall due inside the batch that sent it.
+    min_delay: float = 0.0
 
     @abc.abstractmethod
-    def sample(self, message, rng: np.random.Generator) -> float:
-        """Delay between send and delivery of ``message``."""
+    def sample(self, rng: np.random.Generator) -> float:
+        """One delay between send and delivery."""
+
+    def delays(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` delays: the values ``count`` calls to :meth:`sample` return."""
+        return np.array([self.sample(rng) for _ in range(count)], dtype=np.float64)
 
 
 class FixedLatency(LatencyModel):
     """Constant delay; consumes no randomness.
 
     The zero-variance model: with ``FixedLatency(d)``, ``d`` below the
-    tick interval, and no failures, the async engine replays the
-    synchronous round semantics exactly (and, because nothing is drawn
-    from the RNG here, with the identical random stream).
+    tick interval, and no failures, the engine runs lock-step rounds
+    (and, because nothing is drawn from the RNG here, with the identical
+    random stream).
     """
 
     def __init__(self, delay: float = 0.5) -> None:
         if delay < 0.0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.delay = float(delay)
+        self.min_delay = self.delay
 
-    def sample(self, message, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return self.delay
+
+    def delays(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.full(count, self.delay)
 
     def __repr__(self) -> str:
         return f"FixedLatency({self.delay})"
 
 
 class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]``."""
+    """Delay drawn uniformly from ``[low, high]``.
+
+    A delay is ``low + (high - low) · u`` for one uniform ``u``, the value
+    ``rng.uniform(low, high)`` returns for the same draw.
+    """
 
     def __init__(self, low: float, high: float) -> None:
         if not (0.0 <= low <= high):
             raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
         self.low = float(low)
         self.high = float(high)
+        self.min_delay = self.low
+        self._span = self.high - self.low
 
-    def sample(self, message, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.low + self._span * rng.random()
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -167,8 +247,9 @@ class ExponentialLatency(LatencyModel):
             raise ValueError(f"need mean > 0 and base >= 0, got {mean}, {base}")
         self.mean = float(mean)
         self.base = float(base)
+        self.min_delay = self.base
 
-    def sample(self, message, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return self.base + float(rng.exponential(self.mean))
 
     def __repr__(self) -> str:

@@ -1,6 +1,6 @@
 """Message and worker failure models for robustness experiments.
 
-The simulator asks the failure model whether each message is delivered.
+The engine asks the failure model which messages of a batch survive.
 :class:`NoFailures` is the paper's (reliable, synchronous) model;
 :class:`DropUniform` drops each message independently with a fixed
 probability, supporting the robustness experiments (E11) at the protocol
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.network.message import Message
+from repro.network.message import Message, MessageBatch
 
 __all__ = [
     "FailureModel",
@@ -42,12 +42,32 @@ class FailureModel(abc.ABC):
     def delivered(self, message: Message, rng: np.random.Generator) -> bool:
         """Return True when ``message`` reaches its receiver."""
 
+    def survivors(
+        self, batch: MessageBatch, rng: np.random.Generator, latency
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of ``batch`` that survive, and a delivery delay for each.
+
+        Draws message by message in row order, as sending the rows one at
+        a time would: the loss decision, then a delay from ``latency``
+        for a survivor only.  The built-in models override this with
+        faster loops that consume the same stream.
+        """
+        rows, delays = [], []
+        for i, message in enumerate(batch.messages()):
+            if self.delivered(message, rng):
+                rows.append(i)
+                delays.append(latency.sample(rng))
+        return np.array(rows, dtype=np.int64), np.array(delays, dtype=np.float64)
+
 
 class NoFailures(FailureModel):
     """Reliable delivery — the paper's standing assumption."""
 
     def delivered(self, message: Message, rng: np.random.Generator) -> bool:
         return True
+
+    def survivors(self, batch, rng, latency):
+        return np.arange(len(batch)), latency.delays(len(batch), rng)
 
 
 class DropUniform(FailureModel):
@@ -60,6 +80,15 @@ class DropUniform(FailureModel):
 
     def delivered(self, message: Message, rng: np.random.Generator) -> bool:
         return float(rng.random()) >= self.drop_prob
+
+    def survivors(self, batch, rng, latency):
+        random, sample, drop_prob = rng.random, latency.sample, self.drop_prob
+        rows, delays = [], []
+        for i in range(len(batch)):
+            if random() >= drop_prob:
+                rows.append(i)
+                delays.append(sample(rng))
+        return np.array(rows, dtype=np.int64), np.array(delays, dtype=np.float64)
 
 
 class DropBurst(FailureModel):

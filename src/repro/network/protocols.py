@@ -1,60 +1,56 @@
-"""The discovery protocols expressed as per-message state transitions.
+"""The discovery protocols as transitions on message batches.
 
-Each protocol is split into two engine-agnostic pieces:
+Each protocol has two hooks, both written over whole batches:
 
-* :meth:`GossipProtocol.initiate_batch` — given the nodes that act in this
-  activation (a synchronous round or an async tick) and a
-  :class:`ProtocolContext`, sample the messages those nodes originate.
-* :meth:`GossipProtocol.on_deliver` — apply one delivered message's state
-  transition at the receiver and return any follow-up messages (e.g. the
-  ``PULL_REPLY`` answering a ``PULL_REQUEST``).
+* :meth:`GossipProtocol.initiate_batch` — given the nodes that act at a
+  tick (all alive nodes, in node order), sample the messages they
+  originate.  Sampling reads only tick-start state.
+* :meth:`GossipProtocol.deliver_batch` — apply a delivered batch's state
+  transitions in row order, and return any follow-up messages (the
+  ``PULL_REPLY`` answering a ``PULL_REQUEST``) with the row each answers.
 
-The synchronous :class:`~repro.network.simulator.NetworkSimulator` drives
-these through the default :meth:`GossipProtocol.run_round` (a FIFO
-breadth-first message loop, which reproduces the classic phase structure:
-all requests, then all replies, then all connects); the asynchronous
-:class:`~repro.network.async_simulator.AsyncNetworkSimulator` drives the
-very same transitions from timestamped delivery events.  The transitions
-are therefore written once and shared between both engines.
+The engine (:class:`~repro.network.async_simulator.AsyncNetworkSimulator`)
+calls both and owns delivery.  A protocol reaches engine state through
+three services: ``sim.rng`` for its draws, ``sim.contacts`` (an
+:class:`~repro.graphs.array_adjacency.ArrayDiGraph` whose row ``u`` is
+node ``u``'s contact list in insertion order) and ``sim.learn(us, vs)``,
+which stores ``vs[i]`` at ``us[i]`` in order and records discoveries.
 
 Per-protocol shapes:
 
 * **Push**: each acting node sends two ``INTRODUCE`` messages, one to each
-  chosen neighbour, carrying the other neighbour's ID.
+  chosen neighbour, carrying the other neighbour's ID.  The two sampling
+  stages draw one ``rng.random((2, m))`` block, the same values as two
+  ``rng.random(m)`` calls, mapped to neighbours by
+  :func:`repro.graphs.sampling.uniform_indices` — the convention of the
+  vectorized round engine.  So the protocol stays draw-for-draw identical
+  to :class:`repro.core.push.PushDiscovery` given the same seed and
+  starting graph, on either graph backend.
 * **Pull**: ``PULL_REQUEST`` to a random neighbour; the delivered request
   triggers a ``PULL_REPLY`` carrying a random ID from the replier's
-  reply snapshot; the delivered reply is *recorded at the requester* and
-  triggers a ``CONNECT`` that informs the discovered node.  (The requester
-  keeps the ID as soon as the reply arrives — an earlier implementation
-  only recorded it if the outgoing ``CONNECT`` was also delivered, which
-  silently discarded knowledge under message loss.)
+  current contacts; the delivered reply is *recorded at the requester*
+  and triggers a ``CONNECT`` that informs the discovered node.  (The
+  requester keeps the ID as soon as the reply arrives — an earlier
+  implementation only recorded it if the outgoing ``CONNECT`` was also
+  delivered, which silently discarded knowledge under message loss.)
 * **Name Dropper**: each acting node sends its entire contact list (plus
   its own ID) to one random neighbour.
 
-All sampling is done against activation-start snapshots so the protocols
-match the synchronous semantics of the graph-level processes; the push
-protocol draws through the same bulk convention as the vectorized round
-engine (one ``rng.random(n)`` block per sampling stage, indices mapped by
-:func:`repro.graphs.sampling.uniform_indices`), so it stays draw-for-draw
-identical to :class:`repro.core.push.PushDiscovery` when given the same
-seed and starting graph — on either graph backend, and under either
-simulation engine.
+Pull and Name Dropper draw one ``integers`` value per acting node in node
+order, and pull one per answered request in delivery order; an array
+``rng.integers(highs)`` call gives the values of those scalar calls.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import deque
-from typing import Dict, List, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graphs.sampling import uniform_indices
-from repro.network.message import Message, MessageKind
-from repro.network.node import NetworkNode
+from repro.network.message import MessageBatch, MessageKind, kind_code
 
 __all__ = [
-    "ProtocolContext",
     "GossipProtocol",
     "PushProtocol",
     "PullProtocol",
@@ -63,52 +59,7 @@ __all__ = [
     "resolve_protocol",
 ]
 
-
-class ProtocolContext:
-    """Engine services a protocol needs while generating/applying messages.
-
-    Parameters
-    ----------
-    rng:
-        The generator all protocol draws go through.
-    round_index:
-        The logical activation index stamped onto created messages (the
-        round number for the synchronous engine, the tick index for the
-        async one).
-    reply_snapshots:
-        Mapping of node id to the contact tuple replies are sampled from.
-        The synchronous engine passes round-start snapshots (so replies
-        are drawn from :math:`G_t` exactly like the graph-level two-hop
-        walk); the async engine passes nothing and replies sample the
-        replier's *current* contacts at delivery time.
-    record_discovery:
-        Callback ``(node_id, contact_id)`` invoked whenever a node stores
-        a previously unknown contact.
-    """
-
-    __slots__ = ("rng", "round_index", "_reply_snapshots", "_record")
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        round_index: int,
-        record_discovery,
-        reply_snapshots: Dict[int, Tuple[int, ...]] = None,
-    ) -> None:
-        self.rng = rng
-        self.round_index = round_index
-        self._record = record_discovery
-        self._reply_snapshots = reply_snapshots
-
-    def reply_contacts(self, node: NetworkNode) -> Sequence[int]:
-        """The contact list ``node`` answers pull requests from."""
-        if self._reply_snapshots is not None:
-            return self._reply_snapshots[node.node_id]
-        return node.contacts
-
-    def record_discovery(self, node_id: int, contact_id: int) -> None:
-        """Report a stored-for-the-first-time contact to the engine."""
-        self._record(node_id, contact_id)
+FollowUps = Optional[Tuple[MessageBatch, np.ndarray]]
 
 
 class GossipProtocol(abc.ABC):
@@ -116,65 +67,27 @@ class GossipProtocol(abc.ABC):
 
     #: short name used by the simulator factories and the experiments.
     name: str = "abstract"
+    #: message kinds whose delivery sends a follow-up message.
+    answered: FrozenSet[MessageKind] = frozenset()
 
     @abc.abstractmethod
-    def initiate_batch(
-        self, nodes: Sequence[NetworkNode], ctx: ProtocolContext
-    ) -> List[Message]:
-        """Messages originated by ``nodes`` at one activation.
+    def initiate_batch(self, nodes: np.ndarray, sim) -> MessageBatch:
+        """Messages originated by the acting ``nodes`` at one tick, in node order.
 
-        ``nodes`` is the list of currently acting nodes (all of them in the
-        synchronous engine; the alive subset under churn in the async one).
-        Sampling must read only activation-start state — implementations
-        never apply state changes here.
+        Sampling must read only tick-start state — implementations never
+        apply state changes here.
         """
 
-    @abc.abstractmethod
-    def on_deliver(
-        self, receiver: NetworkNode, message: Message, ctx: ProtocolContext
-    ) -> List[Message]:
-        """Apply ``message`` at ``receiver``; return follow-up messages.
+    def deliver_batch(self, batch: MessageBatch, sim) -> FollowUps:
+        """Apply ``batch`` at its receivers in row order.
 
-        This is the single definition of each message kind's state
-        transition, shared by both simulation engines.  Follow-ups are
-        returned (not sent) so the engine controls delivery.
+        Returns ``None`` or the follow-up messages and, for each, the row
+        of ``batch`` it answers (non-decreasing).  Follow-ups are returned,
+        not sent, so the engine controls delivery.  By default every
+        receiver stores the payload IDs, and nothing is answered.
         """
-
-    def run_round(self, simulator) -> None:
-        """Execute one synchronous round on ``simulator``.
-
-        A FIFO loop over the outbox: initiation messages first, then each
-        delivered message's follow-ups in delivery order.  Because
-        follow-ups append behind the remaining initiations, this replays
-        the classic phase structure (all requests, then all replies, then
-        all connects) and—under ``NoFailures``—consumes the RNG in exactly
-        the order the phase-structured implementation did.  All messages
-        go through ``simulator.send`` (failure model, locality check and
-        accounting); transitions run only for delivered messages.
-        """
-        ctx = ProtocolContext(
-            rng=simulator.rng,
-            round_index=simulator.round_index,
-            record_discovery=simulator.record_discovery,
-            reply_snapshots={
-                node.node_id: tuple(node.contacts) for node in simulator.nodes
-            },
-        )
-        outbox = deque(self.initiate_batch(simulator.nodes, ctx))
-        while outbox:
-            message = outbox.popleft()
-            if simulator.send(message):
-                receiver = simulator.nodes[message.receiver]
-                outbox.extend(self.on_deliver(receiver, message, ctx))
-
-
-def _absorb_payload(
-    receiver: NetworkNode, message: Message, ctx: ProtocolContext
-) -> None:
-    """Store every payload ID at ``receiver``, reporting new ones."""
-    for contact in message.payload:
-        if receiver.add_contact(contact):
-            ctx.record_discovery(receiver.node_id, contact)
+        sim.learn(*batch.payload_pairs())
+        return None
 
 
 class PushProtocol(GossipProtocol):
@@ -182,91 +95,84 @@ class PushProtocol(GossipProtocol):
 
     name = "push"
 
-    def initiate_batch(self, nodes, ctx):
-        # Bulk draw convention: one rng.random(len(nodes)) block per chosen
-        # endpoint, so this protocol consumes the same stream as
-        # PushDiscovery.propose_batch on the same seed.
-        rng = ctx.rng
-        degrees = np.array([node.degree() for node in nodes], dtype=np.int64)
-        first = uniform_indices(rng.random(len(nodes)), degrees)
-        second = uniform_indices(rng.random(len(nodes)), degrees)
-        messages: List[Message] = []
-        for node, i, j in zip(nodes, first.tolist(), second.tolist()):
-            if i < 0:
-                continue
-            v = node.contacts[i]
-            w = node.contacts[j]
-            if v == w:
-                continue
-            messages.append(
-                Message(MessageKind.INTRODUCE, node.node_id, v, (w,), ctx.round_index)
-            )
-            messages.append(
-                Message(MessageKind.INTRODUCE, node.node_id, w, (v,), ctx.round_index)
-            )
-        return messages
+    def initiate_batch(self, nodes, sim):
+        m = nodes.shape[0]
+        # Row s of the block is sampling stage s; both stages gather at once.
+        u = sim.rng.random((2, m))
+        both = np.concatenate((nodes, nodes))
+        vw = sim.contacts.sample_out_neighbors(both, u.ravel()).reshape(2, m)
+        keep = (vw[0] >= 0) & (vw[0] != vw[1])
+        pair = vw[:, keep].T  # row i: (v, w) of the i-th introducer
+        return MessageBatch.of_kind(
+            MessageKind.INTRODUCE, np.repeat(nodes[keep], 2), pair.ravel(), pair[:, ::-1].ravel()
+        )
 
-    def on_deliver(self, receiver, message, ctx):
-        _absorb_payload(receiver, message, ctx)
-        return []
+
+def _random_contacts(sim, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which of ``nodes`` have a contact, and one uniform contact of each that does.
+
+    One ``integers`` draw per node with a contact, in order.
+    """
+    rows, deg = sim.contacts.out_neighbor_rows()
+    has = deg[nodes] > 0
+    nodes = nodes[has]
+    return has, rows[nodes, sim.rng.integers(deg[nodes])]
+
+
+_REQUEST = kind_code(MessageKind.PULL_REQUEST)
+_REPLY = kind_code(MessageKind.PULL_REPLY)
+_CONNECT = kind_code(MessageKind.CONNECT)
 
 
 class PullProtocol(GossipProtocol):
     """Two-hop walk as messages: request / reply / connect."""
 
     name = "pull"
+    answered = frozenset({MessageKind.PULL_REQUEST, MessageKind.PULL_REPLY})
 
-    def initiate_batch(self, nodes, ctx):
-        messages: List[Message] = []
-        for node in nodes:
-            if node.degree() == 0:
-                continue
-            v = node.random_contact(ctx.rng)
-            messages.append(
-                Message(MessageKind.PULL_REQUEST, node.node_id, v, (), ctx.round_index)
+    def initiate_batch(self, nodes, sim):
+        has, targets = _random_contacts(sim, nodes)
+        return MessageBatch.of_kind(MessageKind.PULL_REQUEST, nodes[has], targets)
+
+    def deliver_batch(self, batch, sim):
+        kinds = batch.kinds
+        unknown = (kinds != _REQUEST) & (kinds != _REPLY) & (kinds != _CONNECT)
+        if unknown.any():
+            kind = batch.message(int(np.argmax(unknown))).kind
+            raise ValueError(f"pull protocol cannot handle {kind!r}")
+        requests = kinds == _REQUEST
+        # A request reads its replier's contacts as they stand when it
+        # lands, so the batch runs in segments: requests, then the replies
+        # and connects that change state.
+        cuts = (np.flatnonzero(requests[1:] & ~requests[:-1]) + 1).tolist()
+        out: List[MessageBatch] = []
+        parents: List[np.ndarray] = []
+        for lo, hi in zip([0] + cuts, cuts + [len(batch)]):
+            asked = lo + np.flatnonzero(requests[lo:hi])
+            has, handed = _random_contacts(sim, batch.receivers[asked])
+            asked = asked[has]
+            out.append(
+                MessageBatch.of_kind(
+                    MessageKind.PULL_REPLY, batch.receivers[asked], batch.senders[asked], handed
+                )
             )
-        return messages
-
-    def on_deliver(self, receiver, message, ctx):
-        if message.kind is MessageKind.PULL_REQUEST:
-            # Answer with a random contact from the reply snapshot.
-            contacts = ctx.reply_contacts(receiver)
-            if not contacts:
-                return []
-            w = contacts[int(ctx.rng.integers(len(contacts)))]
-            return [
-                Message(
-                    MessageKind.PULL_REPLY,
-                    receiver.node_id,
-                    message.sender,
-                    (w,),
-                    ctx.round_index,
-                )
-            ]
-        if message.kind is MessageKind.PULL_REPLY:
+            parents.append(asked)
             # The requester keeps the handed ID the moment the reply lands;
-            # the CONNECT below only *informs* the discovered node.  (Tying
-            # the requester's record to the CONNECT's delivery made a node
+            # the CONNECT only *informs* the discovered node.  (Tying the
+            # requester's record to the CONNECT's delivery made a node
             # forget an ID it had already received whenever the follow-up
-            # was dropped.)
-            (w,) = message.payload
-            if receiver.add_contact(w):
-                ctx.record_discovery(receiver.node_id, w)
-            if w == receiver.node_id:
-                return []
-            return [
-                Message(
-                    MessageKind.CONNECT,
-                    receiver.node_id,
-                    w,
-                    (receiver.node_id,),
-                    ctx.round_index,
+            # was dropped.)  A CONNECT hands its receiver the connector.
+            rest = lo + np.flatnonzero(~requests[lo:hi])
+            learners, ids = batch.receivers[rest], batch.ids[batch.offsets[rest]]
+            sim.learn(learners, ids)
+            replied = (kinds[rest] == _REPLY) & (ids != learners)
+            out.append(
+                MessageBatch.of_kind(
+                    MessageKind.CONNECT, learners[replied], ids[replied], learners[replied]
                 )
-            ]
-        if message.kind is MessageKind.CONNECT:
-            _absorb_payload(receiver, message, ctx)
-            return []
-        raise ValueError(f"pull protocol cannot handle {message.kind!r}")
+            )
+            parents.append(rest[replied])
+        return MessageBatch.concat(out), np.concatenate(parents)
 
 
 class NameDropperProtocol(GossipProtocol):
@@ -274,21 +180,19 @@ class NameDropperProtocol(GossipProtocol):
 
     name = "name_dropper"
 
-    def initiate_batch(self, nodes, ctx):
-        messages: List[Message] = []
-        for node in nodes:
-            if node.degree() == 0:
-                continue
-            v = node.random_contact(ctx.rng)
-            payload = tuple(node.contacts) + (node.node_id,)
-            messages.append(
-                Message(MessageKind.KNOWLEDGE, node.node_id, v, payload, ctx.round_index)
-            )
-        return messages
-
-    def on_deliver(self, receiver, message, ctx):
-        _absorb_payload(receiver, message, ctx)
-        return []
+    def initiate_batch(self, nodes, sim):
+        has, targets = _random_contacts(sim, nodes)
+        senders = nodes[has]
+        rows, deg = sim.contacts.out_neighbor_rows()
+        # Payload: the sender's contact row, then its own ID.
+        k = deg[senders]
+        block = np.empty((senders.shape[0], rows.shape[1] + 1), dtype=np.int64)
+        block[:, :-1] = rows[senders]
+        block[np.arange(senders.shape[0]), k] = senders
+        ids = block[np.arange(block.shape[1]) <= k[:, None]]
+        offsets = np.concatenate(([0], np.cumsum(k + 1)))
+        kinds = np.full(senders.shape[0], kind_code(MessageKind.KNOWLEDGE), dtype=np.int8)
+        return MessageBatch(kinds, senders, targets, offsets, ids)
 
 
 _PROTOCOLS = {

@@ -13,7 +13,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "spawn_rngs", "rng_from_seed"]
+__all__ = ["SeedSequenceFactory", "fresh_root_seed", "spawn_rngs", "rng_from_seed"]
+
+
+def fresh_root_seed() -> int:
+    """A root seed drawn from OS entropy, as an int a later run can pass back.
+
+    Unseeded runs draw their root seed here and report it, so every run
+    can be replayed with ``--seed`` (or ``root_seed=``).
+    """
+    return int(np.random.SeedSequence().entropy)
 
 
 def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
@@ -40,13 +49,6 @@ class SeedSequenceFactory:
     def __init__(self, root_seed: Optional[int] = None) -> None:
         self.root_seed = root_seed
         self._root = np.random.SeedSequence(root_seed)
-        self._spawned = 0
-
-    def next_rng(self) -> np.random.Generator:
-        """Return the next independent generator in spawn order."""
-        child = self._root.spawn(1)[0]
-        self._spawned += 1
-        return np.random.default_rng(child)
 
     def seed_for_index(self, index: int) -> np.random.SeedSequence:
         """The child :class:`~numpy.random.SeedSequence` for trial ``index``.
@@ -69,8 +71,3 @@ class SeedSequenceFactory:
         ``i``.
         """
         return np.random.default_rng(self.seed_for_index(index))
-
-    @property
-    def spawned(self) -> int:
-        """How many sequential streams have been handed out via :meth:`next_rng`."""
-        return self._spawned

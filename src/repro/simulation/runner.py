@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.simulation.engine import measure_convergence_rounds
 from repro.simulation.experiment import ExperimentSpec
-from repro.simulation.rng import SeedSequenceFactory
+from repro.simulation.rng import SeedSequenceFactory, fresh_root_seed
 from repro.simulation import stats
 
 __all__ = [
@@ -246,7 +246,7 @@ def run_trials(
         on the serial or degraded path.
     """
     if root_seed is None:
-        root_seed = int(np.random.SeedSequence().entropy)
+        root_seed = fresh_root_seed()
     jobs: List[tuple] = [(spec, i, root_seed) for i in range(spec.trials)]
     if processes <= 1 or spec.trials <= 1:
         return [_run_single_trial(job) for job in jobs]

@@ -307,6 +307,18 @@ class TestArrayDiGraphBasics:
         assert g.edge_list() == [(0, 1), (1, 0), (1, 2)]
 
 
+    def test_remove_edge_keeps_row_order(self):
+        g = ArrayDiGraph(4, [(0, 1), (0, 2), (0, 3), (2, 0)])
+        assert g.remove_edge(0, 2) is True
+        assert g.remove_edge(0, 2) is False  # already gone
+        assert g.out_neighbors(0).tolist() == [1, 3]
+        assert not g.has_edge(0, 2)
+        assert (g.number_of_edges(), g.in_degree(2)) == (3, 0)
+        assert g.has_edge(2, 0)  # the reverse edge is its own
+        g.add_edge(0, 2)  # a removed edge can come back, at the end
+        assert g.out_neighbors(0).tolist() == [1, 3, 2]
+
+
 class TestArrayGraphScalarApi:
     def test_random_neighbor_pair_matches_list_backend_stream(self):
         base = gen.star_graph(6)

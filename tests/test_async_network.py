@@ -22,6 +22,7 @@ from repro.network import (
     FixedLatency,
     LocalityError,
     Message,
+    MessageBatch,
     MessageKind,
     NetworkSimulator,
     PartitionSchedule,
@@ -57,24 +58,57 @@ class TestEventQueue:
             q.push(-1.0, EventKind.TICK)
         with pytest.raises(ValueError):
             q.push(float("nan"), EventKind.TICK)
+        batch = MessageBatch.of([Message(MessageKind.INTRODUCE, 0, 1, (2,))])
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                q.post(batch, np.array([bad]))
+        assert q.messages_before(q.push(5.0, EventKind.TICK)) == 0
+
+    def test_messages_interleave_with_events_by_time_then_seq(self):
+        q = EventQueue()
+        early = q.push(1.0, EventKind.TICK)
+        rows = MessageBatch.of([Message(MessageKind.INTRODUCE, 0, 1, (2,))] * 3)
+        q.post(rows, np.array([1.0, 0.5, 2.0]))
+        late = q.push(1.0, EventKind.TICK)
+        # 0.5 precedes both ticks; the 1.0 row was posted after the first tick.
+        assert (q.messages_before(early), q.messages_before(late)) == (1, 2)
+        batch, times, seqs = q.pop_messages(2)
+        assert times.tolist() == [0.5, 1.0] and seqs.tolist() == [2, 1]
+        assert q.in_flight()[1].tolist() == [2.0]
 
 
 class TestLatencyModels:
     def test_fixed_latency_draws_nothing(self):
         rng = np.random.default_rng(0)
         state_before = rng.bit_generator.state
-        assert FixedLatency(0.25).sample(None, rng) == 0.25
+        assert FixedLatency(0.25).sample(rng) == 0.25
         assert rng.bit_generator.state == state_before
 
     def test_uniform_latency_within_bounds(self, rng):
         model = UniformLatency(0.1, 0.9)
-        samples = [model.sample(None, rng) for _ in range(200)]
+        samples = [model.sample(rng) for _ in range(200)]
         assert all(0.1 <= s <= 0.9 for s in samples)
         assert len(set(samples)) > 1
 
+    def test_uniform_latency_replays_rng_uniform(self):
+        # The seeded message pins were recorded with rng.uniform(low, high) delays.
+        model = UniformLatency(0.05, 1.5)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        expected = [float(a.uniform(0.05, 1.5)) for _ in range(50)]
+        assert [model.sample(b) for _ in range(50)] == expected
+
+    @pytest.mark.parametrize(
+        "model", [FixedLatency(0.3), UniformLatency(0.1, 0.9), ExponentialLatency(0.5, base=0.2)]
+    )
+    def test_block_delays_equal_scalar_samples(self, model):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert model.delays(40, a).tolist() == [model.sample(b) for _ in range(40)]
+        assert a.bit_generator.state == b.bit_generator.state
+        assert model.min_delay <= model.delays(200, a).min()
+
     def test_exponential_latency_above_base(self, rng):
         model = ExponentialLatency(0.5, base=0.2)
-        assert all(model.sample(None, rng) >= 0.2 for _ in range(100))
+        assert all(model.sample(rng) >= 0.2 for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -215,7 +249,7 @@ class TestChurn:
         assert sim.stats.leaves == 1
         assert sim.stats.messages_lost_dead > 0
         # The dead node's own state froze at departure.
-        assert sim.nodes[3].degree() < sim.n - 1
+        assert sim.contacts.out_degree(3) < sim.n - 1
 
     def test_rejoin_resumes_participation(self):
         sim = AsyncNetworkSimulator(
@@ -267,8 +301,8 @@ class TestPartitions:
         interiors_a, interiors_b = range(2, 6), range(10, 14)
         for u in interiors_a:
             for v in interiors_b:
-                assert not sim.nodes[u].knows(v)
-                assert not sim.nodes[v].knows(u)
+                assert not sim.contacts.has_edge(u, v)
+                assert not sim.contacts.has_edge(v, u)
 
     def test_discovery_completes_after_heal(self):
         sim = AsyncNetworkSimulator(
@@ -295,7 +329,7 @@ class TestLivenessEviction:
             ping_misses=3,
         )
         sim.run_ticks(12)
-        assert not sim.nodes[0].knows(1)
+        assert not sim.contacts.has_edge(0, 1)
         assert sim.stats.evictions == 1
         assert sim.stats.pings_sent > 0
 
@@ -348,6 +382,23 @@ class TestAsyncLocality:
         sim.send(Message(MessageKind.INTRODUCE, 1, 0, (3,)))
         sim.run_ticks(1)
         assert sim.send(Message(MessageKind.INTRODUCE, 0, 3, (1,))) is True
+
+    def test_ping_ids_do_not_widen_locality(self):
+        # A PING or PONG payload is a ping counter, not a node ID.  Node 8
+        # handles pings and pongs whose counters include 6, but never gets
+        # a message from node 6 or one naming it, so it may not address 6.
+        sim = AsyncNetworkSimulator(
+            gen.path_graph(40),
+            protocol="push",
+            rng=0,
+            churn=ChurnSchedule([(0.5, "leave", 0)]),
+            ping_interval=1.0,
+            ping_timeout=2.0,
+        )
+        sim.run_ticks(2)
+        assert not sim.contacts.has_edge(8, 6)
+        with pytest.raises(LocalityError):
+            sim.send(Message(MessageKind.INTRODUCE, 8, 6, (7,)))
 
     def test_faulty_protocol_runs_never_violate_locality(self):
         for protocol in ("push", "pull", "name_dropper"):

@@ -133,6 +133,20 @@ class TestCommands:
         assert payload["rows"][0]["process"] == "push"
         assert payload["metadata"]["command"] == "run"
 
+    def test_unseeded_run_saves_a_replayable_seed(self, capsys, tmp_path):
+        import json
+
+        unseeded, replay = tmp_path / "x.json", tmp_path / "y.json"
+        assert cli.main(["run", "--process", "push", "--n", "12", "--trials", "2",
+                         "--save", str(unseeded)]) == 0
+        saved = json.loads(unseeded.read_text())
+        seed = saved["metadata"]["seed"]
+        assert isinstance(seed, int)
+        assert f"seed: {seed}" in capsys.readouterr().err
+        assert cli.main(["run", "--process", "push", "--n", "12", "--trials", "2",
+                         "--seed", str(seed), "--save", str(replay)]) == 0
+        assert json.loads(replay.read_text())["rows"] == saved["rows"]
+
     def test_scaling_command_save_csv(self, capsys, tmp_path):
         target = tmp_path / "scaling.csv"
         assert cli.main(["scaling", "--process", "push", "--family", "cycle",

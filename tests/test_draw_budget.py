@@ -11,7 +11,10 @@ diff; these tests name the two facts directly:
   generator and for a ``SeedSequence.spawn`` child (the runner's trial
   streams);
 * one synchronous round consumes exactly ``2m`` uniforms, with ``m`` the
-  number of participating nodes.
+  number of participating nodes;
+* one ``rng.integers(highs)`` call equals a scalar ``rng.integers(h)`` per
+  element, the per-node contact draws of the pull and Name Dropper
+  message protocols.
 """
 
 from __future__ import annotations
@@ -43,6 +46,19 @@ def test_block_equals_two_stage_draws(seed, m):
         first, second = rng.random(m), rng.random(m)
         assert np.array_equal(blocks[name][0], first), name
         assert np.array_equal(blocks[name][1], second), name
+
+
+@pytest.mark.parametrize("seed", [0, 20120614])
+def test_integers_array_equals_scalar_draws(seed):
+    # Pull and Name Dropper draw one contact index per node as one
+    # rng.integers(degrees) call; it must give the per-node scalar draws.
+    highs = np.array([1, 2, 3, 5, 7, 64, 2, 1, 1000, 3] * 20)
+    for name, rng in _generators(seed).items():
+        twin = copy.deepcopy(rng)
+        assert rng.integers(highs).tolist() == [int(twin.integers(h)) for h in highs], name
+        assert rng.bit_generator.state == twin.bit_generator.state, name
+        rng.integers(highs[:0])
+        assert rng.bit_generator.state == twin.bit_generator.state, name
 
 
 def _state_after_uniforms(rng, count):

@@ -21,7 +21,7 @@ from repro.analysis.degree_growth import _MinDegreeWatcher
 from repro.core.metrics import MetricsRecorder
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import as_backend
-from repro.network.simulator import NetworkSimulator
+from repro.network import NetworkSimulator
 from repro.simulation.engine import make_process
 from repro.simulation.trace import TraceRecorder
 from repro.social.evolution import EvolutionTracker, simulate_social_evolution

@@ -1,13 +1,19 @@
-"""Unit tests for the message-passing substrate (messages, nodes, protocols, simulator)."""
+"""Unit tests for the message-passing substrate (messages, protocols, lock-step simulator)."""
 
 import numpy as np
 import pytest
 
 from repro.core.push import PushDiscovery
-from repro.network.failures import DropUniform, FailureModel, NoFailures
-from repro.network.message import LocalityError, Message, MessageKind, id_bits_for
-from repro.network.node import NetworkNode
-from repro.network.simulator import NetworkSimulator
+from repro.network import (
+    DropUniform,
+    FailureModel,
+    LocalityError,
+    Message,
+    MessageKind,
+    NetworkSimulator,
+    NoFailures,
+    id_bits_for,
+)
 from repro.graphs import generators as gen
 
 
@@ -35,46 +41,6 @@ class TestMessage:
         assert bulk.bits(16) == 40
         req = Message(MessageKind.PULL_REQUEST, 0, 1, ())
         assert req.bits(16) == 4  # empty payload still costs one ID
-
-    def test_with_round(self):
-        msg = Message(MessageKind.CONNECT, 0, 1, (0,))
-        stamped = msg.with_round(7)
-        assert stamped.round_index == 7
-        assert stamped.kind is MessageKind.CONNECT
-
-
-class TestNetworkNode:
-    def test_initial_contacts(self):
-        node = NetworkNode(3, [1, 2])
-        assert node.degree() == 2
-        assert node.knows(1) and node.knows(2)
-        assert not node.knows(0)
-
-    def test_add_contact_rules(self):
-        node = NetworkNode(0)
-        assert node.add_contact(1) is True
-        assert node.add_contact(1) is False
-        assert node.add_contact(0) is False  # never stores itself
-        assert node.degree() == 1
-
-    def test_remove_contact(self):
-        node = NetworkNode(0, [1, 2, 3])
-        assert node.remove_contact(2) is True
-        assert node.remove_contact(2) is False  # already gone
-        assert list(node.contacts) == [1, 3]
-        assert not node.knows(2)
-
-    def test_random_contact(self, rng):
-        node = NetworkNode(0, [1, 2, 3])
-        seen = {node.random_contact(rng) for _ in range(100)}
-        assert seen == {1, 2, 3}
-        with pytest.raises(ValueError):
-            NetworkNode(0).random_contact(rng)
-
-    def test_random_contact_pair(self, rng):
-        node = NetworkNode(0, [1, 2])
-        v, w = node.random_contact_pair(rng)
-        assert v in (1, 2) and w in (1, 2)
 
 
 class TestFailureModels:
@@ -122,9 +88,8 @@ class TestSimulator:
             sim = NetworkSimulator(gen.path_graph(8), protocol=protocol, rng=2)
             for _ in range(30):
                 sim.step()
-            for node in sim.nodes:
-                for c in node.contacts:
-                    assert sim.nodes[c].knows(node.node_id)
+            for u, c in sim.contacts.edge_list():
+                assert sim.contacts.has_edge(c, u)
 
     def test_push_protocol_matches_graph_process_exactly(self):
         """Same seed + same start graph -> identical evolution, round for round."""
@@ -198,7 +163,7 @@ class TestPullReplyRetention:
         # even though every CONNECT was lost (before the fix: zero
         # discoveries, every contact list still the initial one).
         assert sim.stats.discoveries > 0
-        assert any(node.degree() > 2 for node in sim.nodes)
+        assert sim.contacts.out_degrees().max() > 2
 
     def test_discovered_node_only_learns_via_connect(self):
         """The CONNECT keeps its one job: informing the discovered node."""
@@ -213,7 +178,7 @@ class TestPullReplyRetention:
         # No reply ever arrives, so no requester learns anything and no
         # CONNECT is ever sent: the whole process stalls.
         assert sim.stats.discoveries == 0
-        assert all(node.degree() == 2 for node in sim.nodes)
+        assert (sim.contacts.out_degrees() == 2).all()
 
     def test_no_failures_trajectory_unchanged_by_fix(self):
         """Under NoFailures the fix is invisible: same per-round evolution."""
