@@ -3,7 +3,7 @@
 Prices the crash-tolerance substrate added in PR7:
 
 * **snapshot overhead** — one full Name Dropper convergence run on a
-  cycle (array backend, n = 1024) without checkpointing vs the same run
+  cycle (n = 1024) without checkpointing vs the same run
   with ``checkpoint_every=10``.  Name Dropper's payload-heavy rounds
   (neighbor-list gossip) are the realistic case for checkpointing long
   trials, and the overhead budget is < 10% at this cadence — the
@@ -70,7 +70,6 @@ def _time_run(n: int, reps: int, checkpoint_dir=None) -> dict:
             PROCESS,
             _fresh_graph(n),
             rng=np.random.default_rng(BENCH_SEED),
-            backend="array",
             copy_graph=False,
             checkpoint_every=CHECKPOINT_EVERY if checkpoint_dir else 0,
             checkpoint_dir=checkpoint_dir,
@@ -82,9 +81,7 @@ def _time_run(n: int, reps: int, checkpoint_dir=None) -> dict:
 
 def _time_single_snapshot(n: int, reps: int, out_dir: Path) -> float:
     """Best-of-``reps`` milliseconds for one mid-run ``save_checkpoint``."""
-    process = make_process(
-        PROCESS, _fresh_graph(n), rng=np.random.default_rng(BENCH_SEED), backend="array"
-    )
+    process = make_process(PROCESS, _fresh_graph(n), rng=np.random.default_rng(BENCH_SEED))
     process.run(max_rounds=SNAPSHOT_WARMUP_ROUNDS)
     best = float("inf")
     for rep in range(reps):
@@ -151,7 +148,7 @@ def test_checkpoint_overhead_and_recovery(benchmark, smoke, tmp_path):
 
     results = run_once(benchmark, measure)
     print_table(
-        f"PR7 checkpoint overhead ({PROCESS} on {FAMILY}, n={n}, array backend)",
+        f"PR7 checkpoint overhead ({PROCESS} on {FAMILY}, n={n})",
         results["runs"],
         ["mode", "seconds", "rounds", "edges", "snapshots", "overhead_fraction"],
     )

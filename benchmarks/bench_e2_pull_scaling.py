@@ -2,8 +2,7 @@
 
 Same sweep as E1 but for the pull process, plus a head-to-head push-vs-pull
 series on the cycle family (the paper proves the same bound for both).
-Both graph backends are exercised (seed-identical rounds, different
-wall-clock); ``--smoke`` shrinks the sweep for CI.
+``--smoke`` shrinks the sweep for CI.
 """
 
 from __future__ import annotations
@@ -18,12 +17,10 @@ from _bench_helpers import BENCH_SEED, print_table, run_once
 SIZES = [16, 32, 64, 96]
 SMOKE_SIZES = [8, 12]
 FAMILIES = ["cycle", "path", "star", "erdos_renyi", "barabasi_albert"]
-BACKENDS = ["list", "array"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_e2_pull_scaling(benchmark, family, backend, smoke):
+def test_e2_pull_scaling(benchmark, family, smoke):
     """Pull convergence rounds vs n for one family, with the Theorem-12 fit."""
     sizes = SMOKE_SIZES if smoke else SIZES
     trials = 1 if smoke else 3
@@ -36,9 +33,8 @@ def test_e2_pull_scaling(benchmark, family, backend, smoke):
         trials=trials,
         seed=BENCH_SEED,
         poly_exponent=1.0,
-        backend=backend,
     )
-    print_table(f"E2 pull scaling on {family} [{backend}]", measurement.as_rows())
+    print_table(f"E2 pull scaling on {family}", measurement.as_rows())
     fit = measurement.power_log_fit
     print(
         f"fit: rounds ~ {fit.coefficient:.3g} * n * (ln n)^{fit.log_exponent:.2f} "
@@ -60,12 +56,8 @@ def test_e2_push_vs_pull_same_bound(benchmark, smoke):
     trials = 1 if smoke else 3
 
     def measure_both():
-        push = measure_scaling(
-            "push", "cycle", sizes=sizes, trials=trials, seed=BENCH_SEED, backend="array"
-        )
-        pull = measure_scaling(
-            "pull", "cycle", sizes=sizes, trials=trials, seed=BENCH_SEED, backend="array"
-        )
+        push = measure_scaling("push", "cycle", sizes=sizes, trials=trials, seed=BENCH_SEED)
+        pull = measure_scaling("pull", "cycle", sizes=sizes, trials=trials, seed=BENCH_SEED)
         return push, pull
 
     push, pull = run_once(benchmark, measure_both)

@@ -1,9 +1,8 @@
 """E5 — Theorem 14 (upper bound): directed two-hop walk terminates in O(n² log n).
 
 Sweeps the directed two-hop walk over strongly connected digraph families
-and fits the growth law with the polynomial exponent fixed at 2.  Both
-graph backends are exercised (seed-identical rounds); ``--smoke`` shrinks
-the sweep for CI.
+and fits the growth law with the polynomial exponent fixed at 2.
+``--smoke`` shrinks the sweep for CI.
 """
 
 from __future__ import annotations
@@ -18,12 +17,10 @@ from _bench_helpers import BENCH_SEED, print_table, run_once
 SIZES = [8, 12, 16, 24]
 SMOKE_SIZES = [6, 8]
 FAMILIES = ["directed_cycle", "random_strong", "bidirected_path"]
-BACKENDS = ["list", "array"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_e5_directed_scaling(benchmark, family, backend, smoke):
+def test_e5_directed_scaling(benchmark, family, smoke):
     """Directed two-hop walk rounds vs n, checked against the n² log n envelope."""
     sizes = SMOKE_SIZES if smoke else SIZES
     trials = 1 if smoke else 3
@@ -37,7 +34,6 @@ def test_e5_directed_scaling(benchmark, family, backend, smoke):
         seed=BENCH_SEED,
         directed=True,
         poly_exponent=2.0,
-        backend=backend,
     )
     rows = [
         {
@@ -48,7 +44,7 @@ def test_e5_directed_scaling(benchmark, family, backend, smoke):
         }
         for n, mean in zip(sizes, measurement.mean_rounds)
     ]
-    print_table(f"E5 directed two-hop walk on {family} [{backend}]", rows)
+    print_table(f"E5 directed two-hop walk on {family}", rows)
     print(f"pure power-law exponent: {measurement.power_fit.exponent:.2f}")
     if smoke:
         return  # tiny sizes cannot support the asymptotic shape assertions

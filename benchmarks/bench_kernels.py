@@ -6,7 +6,7 @@ against its pre-PR2 implementation, at n ∈ {256, 1024, 4096}:
 * **membership batch ops** — batched edge membership get/set on the packed
   ``uint64`` rows vs the old n×n ``bool`` matrix (the bool gather is
   already a single fancy index, so the headline win here is the 8× memory
-  reduction, which is what lets the array backend scale);
+  reduction, which is what lets the array graphs scale);
 * **closure** — all-pairs reachability via the Warshall bitset kernel
   (:func:`repro.graphs.closure.reachability_bits`) vs the old per-node
   Python BFS (``reachability_matrix_bfs``), on random out-degree-4
@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.push import PushDiscovery
 from repro.graphs import bitset, closure
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicDiGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.simulation.io import atomic_write_text
 
@@ -75,14 +74,12 @@ def _best_of(fn, reps: int = 3) -> float:
     return best
 
 
-def _random_digraph(n: int, rng: np.random.Generator) -> DynamicDiGraph:
+def _random_digraph(n: int, rng: np.random.Generator) -> ArrayDiGraph:
     """A random digraph with out-degree ~4 (a cycle plus random chords)."""
-    g = DynamicDiGraph(n)
-    for u in range(n):
-        g.add_edge(u, (u + 1) % n)
+    g = ArrayDiGraph(n, [(u, (u + 1) % n) for u in range(n)])
     us = rng.integers(0, n, size=3 * n)
     vs = rng.integers(0, n, size=3 * n)
-    g.add_edges_batch(list(zip(us.tolist(), vs.tolist())))
+    g.add_edges_batch_arrays(us, vs)
     return g
 
 
@@ -114,8 +111,7 @@ def _measure_membership(n: int, rng: np.random.Generator) -> dict:
 def _measure_closure(n: int, rng: np.random.Generator) -> dict:
     """All-pairs closure: Warshall bitset kernel vs per-node Python BFS."""
     g = _random_digraph(n, rng)
-    ga = ArrayDiGraph.from_graph(g)
-    bits_s = _best_of(lambda: closure.reachability_bits(ga), reps=2)
+    bits_s = _best_of(lambda: closure.reachability_bits(g), reps=2)
     row = {"closure_bits_s": bits_s, "closure_bfs_s": None, "closure_speedup": None}
     if n <= MAX_NAIVE_CLOSURE_N:
         bfs_s = _best_of(lambda: closure.reachability_matrix_bfs(g), reps=1)
@@ -123,14 +119,14 @@ def _measure_closure(n: int, rng: np.random.Generator) -> dict:
         row["closure_speedup"] = bfs_s / bits_s
         # Both must agree, or the speedup is meaningless.
         assert np.array_equal(
-            closure.reachability_matrix(ga), closure.reachability_matrix_bfs(g)
+            closure.reachability_matrix(g), closure.reachability_matrix_bfs(g)
         )
     return row
 
 
 def _measure_convergence_check(n: int) -> dict:
     """Per-round min-degree predicate: recompute-style vs incremental cache."""
-    proc = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED, backend="array")
+    proc = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED)
     for _ in range(5):
         proc.step()
     graph = proc.graph

@@ -14,35 +14,23 @@ Quickstart
 >>> result.converged, graph.is_complete()
 (True, True)
 
-Backends
---------
-The round engine runs on one of two interchangeable graph substrates,
-selected with ``backend="list"`` (default) or ``backend="array"`` on any
-process constructor, :func:`make_process`, the experiment specs, and the
-CLI (``--backend array``):
+Graph substrate
+---------------
+The processes run on :class:`ArrayGraph` / :class:`ArrayDiGraph`, which
+every generator returns: preallocated NumPy neighbour rows (amortized
+doubling) plus word-packed membership bits, so a whole round executes as
+a handful of bulk array operations.  A round's uniforms are drawn as one
+block and mapped to neighbours by the rules in
+:mod:`repro.graphs.sampling`, so a seed fixes the whole trace (per-round
+added edges, round counts, message/bit totals).
 
-``list``
-    :class:`DynamicGraph` / :class:`DynamicDiGraph` — per-node Python
-    lists plus a hash set; O(1) scalar operations, minimal memory.
-``array``
-    :class:`ArrayGraph` / :class:`ArrayDiGraph` — preallocated NumPy
-    neighbour arrays (amortized doubling) plus a dense membership matrix;
-    whole rounds execute as a handful of bulk array operations, several
-    times faster at experiment scale.
-
-Both backends consume the same RNG stream through the shared bulk
-sampling rules in :mod:`repro.graphs.sampling`, so for a fixed seed they
-produce **identical traces** (per-round added edges, round counts,
-message/bit totals) under synchronous semantics —
-``tests/test_backend_equivalence.py`` pins this contract.
-
->>> fast = PushDiscovery(generators.cycle_graph(32), rng=0, backend="array")
->>> fast.run_to_convergence().rounds == result.rounds
+>>> again = PushDiscovery(generators.cycle_graph(32), rng=0)
+>>> again.run_to_convergence().rounds == result.rounds
 True
 
 Subpackages
 -----------
-``repro.graphs``      dynamic graph substrates (list + array) and generators
+``repro.graphs``      the array graph substrate and the generators
 ``repro.core``        the paper's processes (push, pull, directed)
 ``repro.baselines``   Name Dropper, Random Pointer Jump, flooding
 ``repro.network``     message-passing protocol implementations
@@ -63,8 +51,7 @@ from repro.core.base import (
     id_bits,
 )
 from repro.core.subset import SubsetDiscovery
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs import generators, directed_generators, properties
 from repro.baselines import NameDropper, RandomPointerJump, NeighborhoodFlooding
 from repro.simulation.engine import make_process, measure_convergence_rounds
@@ -83,11 +70,8 @@ __all__ = [
     "RunResult",
     "UpdateSemantics",
     "id_bits",
-    "DynamicGraph",
-    "DynamicDiGraph",
     "ArrayGraph",
     "ArrayDiGraph",
-    "as_backend",
     "generators",
     "directed_generators",
     "properties",

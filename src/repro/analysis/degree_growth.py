@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.base import DiscoveryProcess, RoundResult
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.simulation.engine import make_process
 
 __all__ = ["DegreePhase", "measure_degree_growth_phases"]
@@ -68,7 +68,7 @@ class _MinDegreeWatcher:
 
 
 def measure_degree_growth_phases(
-    graph: DynamicGraph,
+    graph: ArrayGraph,
     process: str = "push",
     growth_factor: float = 9.0 / 8.0,
     rng: Union[np.random.Generator, int, None] = None,

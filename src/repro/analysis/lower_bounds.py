@@ -13,9 +13,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.simulation.engine import measure_convergence_rounds
-from repro.simulation.rng import spawn_rngs
+from repro.simulation.rng import require_seed, spawn_rngs
 from repro.simulation import stats
 
 __all__ = ["LowerBoundCheck", "lower_bound_ratio_check"]
@@ -73,15 +72,19 @@ def lower_bound_ratio_check(
     bound:
         The theoretical lower-bound curve, e.g.
         :func:`repro.simulation.bounds.n_log_n`.
+    seed:
+        Root seed (size ``i`` uses ``seed + i``); required (``None`` raises
+        ``ValueError``).
     min_fraction_of_first:
         Tolerance for the non-vanishing check: the last ratio must be at
         least this fraction of the first ratio.
     """
+    require_seed(seed, "lower_bound_ratio_check")
     if len(sizes) < 2:
         raise ValueError("lower-bound check needs at least two sizes")
     mean_rounds: List[float] = []
     for idx, n in enumerate(sizes):
-        rngs = spawn_rngs(None if seed is None else seed + idx, trials)
+        rngs = spawn_rngs(seed + idx, trials)
         rounds = []
         for rng in rngs:
             graph = instance_factory(int(n))

@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
+from repro.simulation.rng import require_seed
 
 __all__ = [
     "exact_expected_convergence_time",
@@ -37,7 +38,7 @@ def _edge(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _state_of(graph: DynamicGraph) -> EdgeSet:
+def _state_of(graph: ArrayGraph) -> EdgeSet:
     return frozenset(graph.edges())
 
 
@@ -114,7 +115,7 @@ def _pull_round_distribution(n: int, state: EdgeSet) -> Dict[EdgeSet, float]:
     return dist
 
 
-def exact_expected_convergence_time(graph: DynamicGraph, process: str = "push") -> float:
+def exact_expected_convergence_time(graph: ArrayGraph, process: str = "push") -> float:
     """Exact expected rounds for the process to reach the complete graph.
 
     Builds the absorbing Markov chain over all supergraph states reachable
@@ -173,13 +174,17 @@ def exact_expected_convergence_time(graph: DynamicGraph, process: str = "push") 
 
 
 def monte_carlo_expected_convergence_time(
-    graph: DynamicGraph,
+    graph: ArrayGraph,
     process: str = "push",
     trials: int = 2000,
     seed: Optional[int] = None,
     max_rounds: int = 100000,
 ) -> Tuple[float, float]:
-    """Monte-Carlo estimate ``(mean, std_error)`` of the expected convergence rounds."""
+    """Monte-Carlo estimate ``(mean, std_error)`` of the expected convergence rounds.
+
+    ``seed`` is required: ``None`` raises ``ValueError``.
+    """
+    require_seed(seed, "monte_carlo_expected_convergence_time")
     if process not in ("push", "pull"):
         raise ValueError(f"process must be 'push' or 'pull', got {process!r}")
     root = np.random.SeedSequence(seed)

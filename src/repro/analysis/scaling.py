@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.simulation.experiment import ExperimentSpec
+from repro.simulation.rng import require_seed
 from repro.simulation.runner import run_trials, summarize_trials
 from repro.simulation import stats
 
@@ -82,7 +83,6 @@ def measure_scaling(
     poly_exponent: float = 1.0,
     max_rounds: Optional[int] = None,
     process_kwargs: Optional[Dict] = None,
-    backend: str = "list",
 ) -> ScalingMeasurement:
     """Sweep ``process`` over ``family`` at the given sizes and fit growth laws.
 
@@ -98,16 +98,14 @@ def measure_scaling(
     trials:
         Independent trials per size.
     seed:
-        Root seed for the whole sweep.
+        Root seed for the whole sweep; required (``None`` raises
+        ``ValueError``).
     directed:
         Whether ``family`` is in the directed registry.
     poly_exponent:
         Fixed polynomial exponent for the theorem-shaped fit.
-    backend:
-        Graph backend for every trial (``"list"`` or ``"array"``).  The
-        measured rounds are backend-independent for a fixed seed; only the
-        wall-clock cost changes.
     """
+    require_seed(seed, "measure_scaling")
     if len(sizes) < 2:
         raise ValueError("scaling measurement needs at least two sizes")
     mean_rounds: List[float] = []
@@ -122,7 +120,6 @@ def measure_scaling(
             directed=directed,
             process_kwargs=dict(process_kwargs or {}),
             max_rounds=max_rounds,
-            backend=backend,
         )
         trials_out = run_trials(spec, root_seed=seed)
         summary = summarize_trials(trials_out)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 __all__ = [
     "push_edge_probability",
@@ -31,7 +31,7 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # single-round, single-edge probabilities
 # --------------------------------------------------------------------------- #
-def push_edge_probability(graph: DynamicGraph, v: int, w: int) -> float:
+def push_edge_probability(graph: ArrayGraph, v: int, w: int) -> float:
     """Probability that the edge ``(v, w)`` is added in one push round.
 
     A node ``u`` adds ``(v, w)`` when it draws the ordered pair ``(v, w)``
@@ -52,7 +52,7 @@ def push_edge_probability(graph: DynamicGraph, v: int, w: int) -> float:
     return 1.0 - miss_prob
 
 
-def pull_edge_probability(graph: DynamicGraph, u: int, w: int) -> float:
+def pull_edge_probability(graph: ArrayGraph, u: int, w: int) -> float:
     """Probability that node ``u`` adds the edge ``(u, w)`` in one pull round.
 
     ``u`` reaches ``w`` by first choosing a common neighbour ``v`` (with
@@ -74,7 +74,7 @@ def pull_edge_probability(graph: DynamicGraph, u: int, w: int) -> float:
     return total
 
 
-def directed_edge_probability(graph: DynamicDiGraph, u: int, w: int) -> float:
+def directed_edge_probability(graph: ArrayDiGraph, u: int, w: int) -> float:
     """Probability that node ``u`` adds the directed edge ``(u, w)`` in one round
     of the directed two-hop walk."""
     if u == w or graph.has_edge(u, w):
@@ -92,7 +92,7 @@ def directed_edge_probability(graph: DynamicDiGraph, u: int, w: int) -> float:
     return total
 
 
-def expected_new_edges_push(graph: DynamicGraph) -> float:
+def expected_new_edges_push(graph: ArrayGraph) -> float:
     """Expected number of *new* edges created by one push round from this state."""
     total = 0.0
     for v in range(graph.n):
@@ -101,7 +101,7 @@ def expected_new_edges_push(graph: DynamicGraph) -> float:
     return total
 
 
-def expected_new_edges_pull(graph: DynamicGraph) -> float:
+def expected_new_edges_pull(graph: ArrayGraph) -> float:
     """Expected number of *new* edges created by one pull round from this state.
 
     For a missing pair ``{u, w}`` either endpoint's walk may create the

@@ -1,22 +1,19 @@
-"""Shared backend plumbing for the baseline processes.
+"""Shared round plumbing for the baseline processes.
 
 The baselines (Name Dropper, Random Pointer Jump, neighbourhood flooding)
 ship whole neighbour sets per message, so their rounds are set-union work
 rather than the single-edge proposals of the gossip processes.  This
 module holds what all three share:
 
-* :func:`require_undirected` — the capability check that replaced the old
-  ``isinstance(graph, DynamicGraph)`` guards, so any graph speaking the
-  undirected neighbour/membership protocol (list- or array-backed) is
-  accepted;
-* :func:`packed_rows` — the fast-path gate: graphs exposing padded
-  neighbour rows plus word-packed membership rows (``ArrayGraph`` /
-  ``ArrayDiGraph``) get the vectorized round kernels;
+* :func:`require_undirected` — the graph check of the undirected
+  baselines: an :class:`~repro.graphs.array_adjacency.ArrayGraph`;
+* :func:`packed_rows` — the live views a packed round reads: padded
+  (out-)neighbour rows, degrees and word-packed membership rows;
 * :func:`concat_rows` / :func:`rows_with_self` — vectorized payload
   expansion: flatten the first ``counts[i]`` entries of the neighbour
   rows of a selection of nodes into one index array, preserving per-row
   insertion order exactly, which is what keeps packed rounds
-  trace-identical to the per-node reference loops;
+  trace-identical to a per-node loop over the same payloads;
 * :func:`taught_edges` / :class:`PayloadProposals` — the synchronous
   round of Name Dropper and pointer jump, whose work grows with what each
   message *teaches* its learner, and the full proposal list, rebuilt from
@@ -25,15 +22,15 @@ module holds what all three share:
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.graphs import bitset
+from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = [
     "require_undirected",
-    "supports_undirected",
     "packed_rows",
     "concat_rows",
     "rows_with_self",
@@ -41,54 +38,21 @@ __all__ = [
     "PayloadProposals",
 ]
 
-#: the methods every undirected baseline substrate must provide.
-UNDIRECTED_PROTOCOL = ("neighbors", "random_neighbors", "add_edge", "has_edge", "is_complete")
-
-
-def supports_undirected(graph) -> bool:
-    """True when ``graph`` speaks the undirected neighbour/membership protocol.
-
-    Capability-based: both :class:`~repro.graphs.adjacency.DynamicGraph`
-    and :class:`~repro.graphs.array_adjacency.ArrayGraph` qualify; directed
-    graphs and arbitrary objects do not.  This predicate (not an
-    ``isinstance`` check against one backend class) is what recorders and
-    simulators must gate on — a stale ``isinstance(graph, DynamicGraph)``
-    guard silently no-ops on the array backend.
-    """
-    if getattr(graph, "directed", True):
-        return False
-    return all(callable(getattr(graph, name, None)) for name in UNDIRECTED_PROTOCOL)
-
 
 def require_undirected(graph, who: str) -> None:
-    """Raise ``TypeError`` unless ``graph`` is an undirected neighbour-protocol graph.
-
-    The raising form of :func:`supports_undirected`, with a message naming
-    the missing capabilities.
-    """
-    if getattr(graph, "directed", True):
+    """Raise ``TypeError`` unless ``graph`` is an undirected :class:`ArrayGraph`."""
+    if not isinstance(graph, ArrayGraph):
         raise TypeError(f"{who} requires an undirected graph, got {type(graph).__name__}")
-    missing = [name for name in UNDIRECTED_PROTOCOL if not callable(getattr(graph, name, None))]
-    if missing:
-        raise TypeError(
-            f"{who} requires the undirected neighbour/membership protocol; "
-            f"{type(graph).__name__} is missing {missing}"
-        )
 
 
-def packed_rows(graph) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Return ``(rows, degrees, bits)`` live views when ``graph`` supports them.
+def packed_rows(graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, degrees, bits)`` live views of ``graph``.
 
-    ``None`` means the graph has no packed substrate and the caller should
-    take its per-node reference path.  Works for both graph kinds: the
-    undirected neighbour block or the directed out-neighbour block.
+    Works for both graph kinds: the undirected neighbour block or the
+    directed out-neighbour block, plus the packed membership rows.
     """
-    rows_fn = getattr(graph, "neighbor_rows", None) or getattr(graph, "out_neighbor_rows", None)
-    bits_fn = getattr(graph, "adjacency_bits", None)
-    if rows_fn is None or bits_fn is None:
-        return None
-    rows, deg = rows_fn()
-    return rows, deg, bits_fn()
+    rows, deg = graph.out_neighbor_rows() if graph.directed else graph.neighbor_rows()
+    return rows, deg, graph.adjacency_bits()
 
 
 def concat_rows(rows: np.ndarray, sel: np.ndarray, counts: np.ndarray) -> np.ndarray:

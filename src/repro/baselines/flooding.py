@@ -7,19 +7,16 @@ squares the reachable radius every round, so the process completes in
 hope for — but the per-round traffic is Θ(n · m) IDs.  It anchors the
 "rounds vs bits" trade-off plot of experiment E10.
 
-Backend-agnostic: the list backend runs the per-node reference loop
-(snapshot every knowledge set, deliver payload by payload), while the
-array backend runs the whole round as **one pass of row unions** on the
-word-packed membership rows: node ``v``'s new row is the OR of its
-neighbours' round-start rows (:func:`repro.graphs.bitset.rows_or_into`,
-which sorts the deliveries by recipient and folds each recipient's run
-with one ``reduceat``), the genuinely new edges fall out of the popcount
-delta (:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
-``messages_sent``/``bits_sent``.  Flooding draws no randomness, so both
-paths add the identical per-round edge sets; the packed round discovers
-them in canonical rather than scan order and does not materialise the
-Θ(n · m) ``proposed_edges`` list (its ``added_edges`` and accounting are
-exact).
+A round is **one pass of row unions** on the word-packed membership
+rows: node ``v``'s new row is the OR of its neighbours' round-start rows
+(:func:`repro.graphs.bitset.rows_or_into`, which sorts the deliveries by
+recipient and folds each recipient's run with one ``reduceat``), the
+genuinely new edges fall out of the popcount delta
+(:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
+``messages_sent``/``bits_sent``.  Flooding draws no randomness; the round
+adds the edge set a per-node payload loop would add, but discovers it in
+canonical rather than scan order and does not materialise the Θ(n · m)
+``proposed_edges`` list (its ``added_edges`` and accounting are exact).
 
 Flooding is deterministic and purely synchronous: the round is computed
 against the round-start snapshot regardless of the ``semantics`` setting
@@ -28,14 +25,13 @@ against the round-start snapshot regardless of the ``semantics`` setting
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.baselines._packed import concat_rows, packed_rows, require_undirected
 from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics, node_array
 from repro.graphs import bitset
-from repro.graphs.array_adjacency import as_backend
 
 __all__ = ["NeighborhoodFlooding"]
 
@@ -50,10 +46,7 @@ class NeighborhoodFlooding(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         require_undirected(graph, "NeighborhoodFlooding")
         super().__init__(graph, rng, semantics)
 
@@ -64,38 +57,12 @@ class NeighborhoodFlooding(DiscoveryProcess):
         """One synchronous flooding round restricted to the participating nodes."""
         result = RoundResult(round_index=self.round_index)
         active = node_array(self.participating_nodes())
-        packed = packed_rows(self.graph)
-        if packed is not None:
-            self._packed_round(result, active, *packed)
-        else:
-            self._reference_round(result, active)
+        self._packed_round(result, active, *packed_rows(self.graph))
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
         self.total_bits += result.bits_sent
         return result
-
-    def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
-        """Per-node reference round: snapshot all knowledge, deliver payload by payload.
-
-        Only the participating nodes *send* this round; everybody can still
-        receive (passive nodes are listeners, as in the scheduler model).
-        """
-        graph = self.graph
-        senders = [int(u) for u in active]
-        knowledge: List[List[int]] = [list(graph.neighbors(u)) + [u] for u in senders]
-        recipients: List[List[int]] = [list(graph.neighbors(u)) for u in senders]
-        for payload, targets in zip(knowledge, recipients):
-            for v in targets:
-                result.messages_sent += 1
-                result.bits_sent += len(payload) * self._id_bits
-                for w in payload:
-                    if w == v:
-                        continue
-                    result.proposed_edges.append((v, w))
-                    if graph.add_edge(v, w):
-                        result.added_edges.append((v, w))
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(
         self,

@@ -6,28 +6,25 @@ merges the sender's whole neighbour set into its own.  Name Dropper
 converges in O(log² n) rounds but each message carries up to Θ(n) node IDs
 — exactly the bandwidth cost the gossip processes avoid.
 
-The implementation is backend-agnostic with the same round/metric
-interface as the gossip processes, so the baselines plug into the
-identical experiment harness (``make_process``/``ExperimentSpec``/CLI
-``--backend``):
+The process has the same round/metric interface as the gossip processes,
+so the baselines plug into the identical experiment harness
+(``make_process``/``ExperimentSpec``/CLI).  A synchronous round is packed:
+targets come from one bulk draw, and each message's *teach row* — the
+sender's packed row minus the recipient's row and the recipient — says
+which of the IDs it carries are new to the recipient
+(:func:`~repro.baselines._packed.taught_edges`).  Only messages that
+teach something are expanded, only the IDs they teach reach the graph's
+batched edge insert, and degree sums feed the
+``messages_sent``/``bits_sent`` accounting.  ``proposed_edges`` still
+lists every carried ID; it is rebuilt from the rows on first access.
 
-* **list backend** — the per-node reference loop: one payload list per
-  sender, one ``add_edge`` per delivered ID;
-* **array backend** — the packed round: targets come from one bulk draw,
-  and each message's *teach row* — the sender's packed row minus the
-  recipient's row and the recipient — says which of the IDs it carries
-  are new to the recipient (:func:`~repro.baselines._packed.taught_edges`).
-  Only messages that teach something are expanded, only the IDs they
-  teach reach the graph's batched edge insert, and degree sums feed the
-  ``messages_sent``/``bits_sent`` accounting.  ``proposed_edges`` still
-  lists every carried ID; it is rebuilt from the rows on first access.
-
-Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
-round (the shared backend draw convention of
+Trace contract: synchronous rounds draw one bulk ``rng.random(m)`` over
+the ``m`` participating nodes (the draw convention of
 :mod:`repro.graphs.sampling`), and sequential rounds draw exactly one
-``rng.integers`` per active node; both backends therefore produce
-identical seeded traces (``tests/test_backend_equivalence.py``, goldens
-under ``tests/data/``).
+``rng.integers`` per active node.  The synchronous round adds the edges a
+per-node payload loop would add, in the same order
+(``tests/test_backend_equivalence.py`` checks it against that loop;
+goldens under ``tests/data/``).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from repro.core.base import (
     UpdateSemantics,
     node_array,
 )
-from repro.graphs.array_adjacency import as_backend
 
 __all__ = ["NameDropper"]
 
@@ -69,10 +65,7 @@ class NameDropper(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         require_undirected(graph, "NameDropper")
         super().__init__(graph, rng, semantics)
 
@@ -88,11 +81,7 @@ class NameDropper(DiscoveryProcess):
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:
-            packed = packed_rows(self.graph)
-            if packed is not None:
-                self._packed_round(result, active, *packed)
-            else:
-                self._reference_round(result, active)
+            self._packed_round(result, active, *packed_rows(self.graph))
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
@@ -117,26 +106,6 @@ class NameDropper(DiscoveryProcess):
             self._apply_action(u, v, payload, result)
         self._note_added_edges(result.added_edges)
 
-    def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
-        """Synchronous reference round: per-node payload loop, bulk target draw.
-
-        One uniform per *participating* node — the packed round consumes the
-        identical stream, so subset schedules stay trace-equivalent across
-        backends.
-        """
-        graph = self.graph
-        targets = graph.random_neighbors(active, self.rng)
-        # Snapshot every payload against the round-start graph first.
-        actions: List[Tuple[int, int, List[int]]] = []
-        for k, u in enumerate(active.tolist()):
-            v = int(targets[k])
-            if v < 0:
-                continue
-            actions.append((u, v, list(graph.neighbors(u)) + [u]))
-        for u, v, payload in actions:
-            self._apply_action(u, v, payload, result)
-        self._note_added_edges(result.added_edges)
-
     def _packed_round(
         self,
         result: RoundResult,
@@ -145,17 +114,17 @@ class NameDropper(DiscoveryProcess):
         deg: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Synchronous packed round on the array backend: expand only what is taught.
+        """Synchronous packed round: expand only what is taught.
 
-        Same bulk target draw as the reference round.  Sender ``s`` sends
-        its round-start row plus itself to its target; the recipient
-        already has ``s`` in its row, so only the row can teach it
-        anything.  :func:`taught_edges` keeps exactly the IDs the
+        One uniform per participating node picks its target.  Sender
+        ``s`` sends its round-start row plus itself to its target; the
+        recipient already has ``s`` in its row, so only the row can teach
+        it anything.  :func:`taught_edges` keeps exactly the IDs the
         recipient lacks, in payload order, and the batched insert adds
-        them in the reference path's first-occurrence edge order (so
-        neighbour rows, and hence future draws, stay aligned across
-        backends).  ``proposed_edges`` lists every carried ID but
-        ``(v, v)``, as the reference round does, built on first access.
+        them in the first-occurrence edge order of a per-node payload loop,
+        so neighbour rows, and hence future draws, match that loop's.
+        ``proposed_edges`` lists every carried ID but ``(v, v)``, built on
+        first access.
         """
         graph = self.graph
         targets = graph.random_neighbors(active, self.rng)

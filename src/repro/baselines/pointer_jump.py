@@ -8,20 +8,20 @@ Harchol-Balter et al. example gives it an Ω(n) round lower bound.
 
 We provide both the directed form (the one discussed in the paper, used
 as a baseline for the directed two-hop walk experiments) and an undirected
-form for the undirected comparison sweep.  Both forms are
-backend-agnostic: the list backend runs the per-node reference loop; the
-array backend builds each pull's *teach row* — the chosen neighbour's
-packed (out-)row minus the puller's row and the puller — and expands only
-the pulled payloads that teach something, keeping only the IDs they
-teach (:func:`~repro.baselines._packed.taught_edges`), before one
-batched insert.  Degree sums feed the ``messages_sent``/``bits_sent``
+form for the undirected comparison sweep.  A synchronous round builds each
+pull's *teach row* — the chosen neighbour's packed (out-)row minus the
+puller's row and the puller — and expands only the pulled payloads that
+teach something, keeping only the IDs they teach
+(:func:`~repro.baselines._packed.taught_edges`), before one batched
+insert.  Degree sums feed the ``messages_sent``/``bits_sent``
 accounting, and ``proposed_edges`` is rebuilt from the rows on first
 access.
 
-Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
-round (the shared backend draw convention), sequential rounds one
-``rng.integers`` per active node; payloads are snapshotted against the
-round-start graph, so seeded traces are identical across backends.
+Trace contract: synchronous rounds draw one bulk ``rng.random(m)`` over
+the ``m`` participating nodes, sequential rounds one ``rng.integers`` per
+active node; payloads are snapshotted against the round-start graph, and
+the round adds the edges a per-node payload loop would add, in the same
+order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.core.base import (
     UpdateSemantics,
     node_array,
 )
-from repro.graphs.array_adjacency import as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.closure import transitive_closure_edges
 
 __all__ = ["RandomPointerJump"]
@@ -59,13 +59,13 @@ class RandomPointerJump(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
+        if not isinstance(graph, (ArrayGraph, ArrayDiGraph)):
+            raise TypeError(
+                f"RandomPointerJump requires an ArrayGraph or ArrayDiGraph, got {type(graph).__name__}"
+            )
         super().__init__(graph, rng, semantics)
-        # Flag-based so the array-backend graphs classify correctly too.
-        self._directed = bool(getattr(graph, "directed", False))
+        self._directed = graph.directed
         if self._directed:
             closure = transitive_closure_edges(graph)
             self._missing = {e for e in closure if not graph.has_edge(*e)}
@@ -93,11 +93,7 @@ class RandomPointerJump(DiscoveryProcess):
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:
-            packed = packed_rows(self.graph)
-            if packed is not None:
-                self._packed_round(result, active, *packed)
-            else:
-                self._reference_round(result, active)
+            self._packed_round(result, active, *packed_rows(self.graph))
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
@@ -120,24 +116,6 @@ class RandomPointerJump(DiscoveryProcess):
             self._apply_action(u, self._neighbors(v), result)
         self._note_added_edges(result.added_edges)
 
-    def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
-        """Synchronous reference round: snapshot payloads, then apply in node order.
-
-        One uniform per *participating* node, matching the packed round's
-        draw stream for any activation schedule.
-        """
-        graph = self.graph
-        targets = self._bulk_targets(active)
-        actions: List[Tuple[int, List[int]]] = []
-        for k, u in enumerate(active.tolist()):
-            v = int(targets[k])
-            if v < 0:
-                continue
-            actions.append((u, self._neighbors(v)))
-        for u, payload in actions:
-            self._apply_action(u, payload, result)
-        self._note_added_edges(result.added_edges)
-
     def _packed_round(
         self,
         result: RoundResult,
@@ -148,13 +126,13 @@ class RandomPointerJump(DiscoveryProcess):
     ) -> None:
         """Synchronous packed round: expand only the pulled IDs that are new.
 
-        Puller ``u`` pulls its chosen neighbour's round-start row;
+        One uniform per participating node picks its target.  Puller
+        ``u`` pulls its chosen neighbour's round-start row;
         :func:`taught_edges` keeps the IDs ``u`` lacks, in
         participating-node and row order, so the batched insert
-        reproduces the reference path's first-occurrence edge order
-        exactly and neighbour rows stay aligned across backends.
-        ``proposed_edges`` lists every pulled ID but ``(u, u)``, built on
-        first access.
+        reproduces a per-node payload loop's first-occurrence edge order
+        exactly.  ``proposed_edges`` lists every pulled ID but ``(u, u)``,
+        built on first access.
         """
         graph = self.graph
         targets = self._bulk_targets(active)

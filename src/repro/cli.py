@@ -88,7 +88,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n=args.n,
         trials=args.trials,
         directed=args.directed,
-        backend=args.backend,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
     )
@@ -147,7 +146,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         seed=args.seed,
         directed=args.directed,
         poly_exponent=args.poly_exponent,
-        backend=args.backend,
     )
     _print_table(measurement.as_rows())
     _save_rows(measurement.as_rows(), args)
@@ -198,14 +196,12 @@ def _cmd_group(args: argparse.Namespace) -> int:
     import numpy as np
 
     # The host graph draws from its own seeded generator so a fixed --seed
-    # reproduces the whole scenario (host, group and restricted run alike)
-    # on either backend; an unseeded host made --seed meaningless.
+    # reproduces the whole scenario (host, group and restricted run alike);
+    # an unseeded host made --seed meaningless.
     host = generators.make_family(
         args.host_family, args.host_n, np.random.default_rng(args.seed)
     )
-    result = discover_group(
-        host, k=args.k, process=args.process, seed=args.seed, backend=args.backend
-    )
+    result = discover_group(host, k=args.k, process=args.process, seed=args.seed)
     _print_table(
         [
             {
@@ -229,7 +225,6 @@ def _cmd_directed(args: argparse.Namespace) -> int:
         seed=args.seed,
         directed=True,
         poly_exponent=2.0,
-        backend=args.backend,
     )
     _print_table(measurement.as_rows())
     print()
@@ -334,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--directed", action="store_true")
     p_run.add_argument(
-        "--backend",
-        choices=["list", "array"],
-        default="list",
-        help="graph backend: list (default) or the vectorized array fast path "
-        "(supported by every process, baselines included)",
-    )
-    p_run.add_argument(
         "--processes",
         type=int,
         default=1,
@@ -401,13 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scaling.add_argument("--seed", type=int, default=None)
     p_scaling.add_argument("--directed", action="store_true")
     p_scaling.add_argument("--poly-exponent", type=float, default=1.0)
-    p_scaling.add_argument(
-        "--backend",
-        choices=["list", "array"],
-        default="list",
-        help="graph backend: list (default) or the vectorized array fast path "
-        "(supported by every process, baselines included)",
-    )
     p_scaling.add_argument("--save", default=None, help="write results to a .json or .csv file")
     p_scaling.set_defaults(func=_cmd_scaling)
 
@@ -424,12 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--k", type=int, default=24)
     p_group.add_argument("--process", default="push", choices=process_names())
     p_group.add_argument("--seed", type=int, default=None)
-    p_group.add_argument(
-        "--backend",
-        choices=["list", "array"],
-        default="list",
-        help="graph backend for the restricted group run (identical seeded result)",
-    )
     p_group.set_defaults(func=_cmd_group)
 
     p_dir = sub.add_parser("directed", help="directed two-hop walk scaling sweep")
@@ -437,13 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dir.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 24])
     p_dir.add_argument("--trials", type=int, default=3)
     p_dir.add_argument("--seed", type=int, default=None)
-    p_dir.add_argument(
-        "--backend",
-        choices=["list", "array"],
-        default="list",
-        help="graph backend: list (default) or the vectorized array fast path "
-        "(supported by every process, baselines included)",
-    )
     p_dir.set_defaults(func=_cmd_directed)
 
     p_async = sub.add_parser(

@@ -17,13 +17,15 @@ user subclasses — keep their exact per-node behaviour.
 The bulk draw convention: a round of ``m`` participating nodes that
 samples in two stages (push's two endpoints, the two hops of pull and of
 the directed walk) consumes ``2m`` uniforms, ``m`` per stage in stage
-order.  On the array backend a kernel draws them as one
-``rng.random((2, m))`` block and reads row ``s`` at stage ``s``; the list
-backend still draws stage by stage, one ``rng.random(m)`` per
-``random_neighbors`` call.  NumPy fills a block in order, so the two
-consume the same stream (see :mod:`repro.graphs.sampling`), which makes
-seeded traces identical across backends under
-``UpdateSemantics.SYNCHRONOUS``.
+order.  A kernel draws them as one ``rng.random((2, m))`` block and reads
+row ``s`` at stage ``s``.  NumPy fills a block in order, so this is the
+stream one ``rng.random(m)`` per stage would consume (see
+:mod:`repro.graphs.sampling`).
+
+The processes run on :class:`~repro.graphs.array_adjacency.ArrayGraph`
+and :class:`~repro.graphs.array_adjacency.ArrayDiGraph`, which every
+generator returns; a process handed another kind of graph raises
+``TypeError``.
 
 A ``sequential`` update mode is provided as an ablation (nodes act in index
 order and see edges added earlier in the same round) — the paper's proofs
@@ -40,14 +42,7 @@ from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import (
-    ArrayDiGraph,
-    ArrayGraph,
-    EdgeArrays,
-    as_backend,
-    backend_name,
-)
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, EdgeArrays
 
 __all__ = [
     "UpdateSemantics",
@@ -59,9 +54,9 @@ __all__ = [
     "node_array",
 ]
 
-GraphLike = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
+GraphLike = Union[ArrayGraph, ArrayDiGraph]
 Edge = Tuple[int, int]
-#: a round's new edges: tuples, or the array backend's endpoint arrays.
+#: a round's new edges: tuples, or the batched insert's endpoint arrays.
 AddedEdges = Union[List[Edge], EdgeArrays]
 
 
@@ -78,7 +73,7 @@ def id_bits(n: int) -> int:
     This is the paper's ``O(log n)``-bit message payload unit.  It is the
     single authority for bit accounting: the round engine (both the bulk
     and the per-node accounting paths) and the message-level network layer
-    all charge ``id_bits(n)`` per transmitted node ID, so the two backends
+    all charge ``id_bits(n)`` per transmitted node ID, so the two layers
     can never drift apart on ``bits_sent``.  Degenerate sizes are pinned by
     tests: a 1- or 2-node system still pays 1 bit per ID.
     """
@@ -133,8 +128,8 @@ class RoundResult:
         tuple conversion.
     added_edges:
         The subset of proposals that were genuinely new edges.  Like
-        ``proposed_edges``, built as tuples on first access when the array
-        backend's insert returned them as :class:`EdgeArrays`.
+        ``proposed_edges``, built as tuples on first access when the
+        batched insert returned them as :class:`EdgeArrays`.
     messages_sent:
         Number of protocol messages this round (for bit accounting).
     bits_sent:
@@ -271,13 +266,6 @@ class DiscoveryProcess(abc.ABC):
         choice of the process flows through this generator.
     semantics:
         Synchronous (paper model, default) or sequential updates.
-    backend:
-        Optional graph backend selector: ``"list"`` (per-node Python lists,
-        the default substrate) or ``"array"`` (preallocated NumPy arrays,
-        the vectorized fast path).  When given, the graph is converted with
-        :func:`repro.graphs.array_adjacency.as_backend`; when ``None`` the
-        graph is used as passed.  Both backends produce identical seeded
-        traces under synchronous semantics.
     """
 
     #: messages sent per participating node per round (overridden by subclasses).
@@ -288,12 +276,8 @@ class DiscoveryProcess(abc.ABC):
         graph: GraphLike,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         self.graph = graph
-        self.backend = backend_name(graph)
         if isinstance(rng, np.random.Generator):
             self.rng = rng
         else:

@@ -33,7 +33,7 @@ Predicate = Callable[[DiscoveryProcess], bool]
 def complete_graph_reached(process: DiscoveryProcess) -> bool:
     """True when the (undirected) graph has every possible edge.
 
-    O(1): both graph backends maintain the edge count as a counter, so no
+    O(1): the graph maintains its edge count as a counter, so no
     membership scan happens per round.
     """
     graph = process.graph

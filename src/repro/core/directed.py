@@ -26,7 +26,6 @@ from repro.core.base import (
     node_array,
 )
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, EdgeArrays
 from repro.graphs.closure import IncrementalClosure, adjacency_bits
 
@@ -58,9 +57,6 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         Seed or :class:`numpy.random.Generator`.
     semantics:
         Synchronous (default) or sequential updates.
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: request to v, reply with w's ID, introduction/edge creation toward w.
@@ -68,17 +64,15 @@ class DirectedTwoHopWalk(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicDiGraph,
+        graph: ArrayDiGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if not getattr(graph, "directed", False):
+        if not isinstance(graph, ArrayDiGraph):
             raise TypeError(
-                "DirectedTwoHopWalk requires a directed graph (DynamicDiGraph or ArrayDiGraph)"
+                f"DirectedTwoHopWalk requires an ArrayDiGraph, got {type(graph).__name__}"
             )
-        super().__init__(graph, rng, semantics, backend=backend)
-        graph = self.graph  # the backend conversion may have replaced it
+        super().__init__(graph, rng, semantics)
         # One full Warshall pass at construction; every later update is
         # incremental.  The target excludes the diagonal (cycles through u
         # are never edges), matching transitive_closure_edges().
@@ -109,29 +103,20 @@ class DirectedTwoHopWalk(DiscoveryProcess):
 
     def propose_batch(self, nodes: Iterable[int]):
         """Vectorized directed round: both hops of every walk from ``2m`` bulk uniforms."""
-        if (
-            not self._propose_is(DirectedTwoHopWalk)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_out_neighbors")
-        ):
+        if not self._propose_is(DirectedTwoHopWalk) or not self._default_accounting():
             return super().propose_batch(nodes)
         return self._propose_batch_kernel(nodes)
 
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
         """The raw kernel: ``-1`` sentinels chain dead ends through both hops.
 
-        The array backend draws both hops' uniforms as one ``(2, m)``
-        block; the list backend draws them hop by hop.
+        Both hops' uniforms come from one ``(2, m)`` block.
         """
         graph = self.graph
         nodes = node_array(nodes)
-        if isinstance(graph, ArrayDiGraph):
-            u = self.rng.random((2, nodes.shape[0]))
-            vs = graph.sample_out_neighbors(nodes, u[0])
-            ws = graph.sample_out_neighbors(vs, u[1])
-        else:
-            vs = graph.random_out_neighbors(nodes, self.rng)
-            ws = graph.random_out_neighbors(vs, self.rng)
+        u = self.rng.random((2, nodes.shape[0]))
+        vs = graph.sample_out_neighbors(nodes, u[0])
+        ws = graph.sample_out_neighbors(vs, u[1])
         valid = (ws >= 0) & (ws != nodes)
         pos = valid.nonzero()[0]
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)

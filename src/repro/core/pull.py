@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
-from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = ["PullDiscovery"]
@@ -37,9 +36,6 @@ class PullDiscovery(DiscoveryProcess):
         Seed or :class:`numpy.random.Generator`.
     semantics:
         Synchronous (default) or sequential updates.
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: request to v, reply with w's ID, introduction message to w.
@@ -47,14 +43,13 @@ class PullDiscovery(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if getattr(graph, "directed", True):
-            raise TypeError("PullDiscovery requires an undirected graph (DynamicGraph or ArrayGraph)")
-        super().__init__(graph, rng, semantics, backend=backend)
+        if not isinstance(graph, ArrayGraph):
+            raise TypeError(f"PullDiscovery requires an ArrayGraph, got {type(graph).__name__}")
+        super().__init__(graph, rng, semantics)
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:
         """Sample the endpoint of ``node``'s two-hop walk this round."""
@@ -70,32 +65,23 @@ class PullDiscovery(DiscoveryProcess):
 
     def propose_batch(self, nodes: Iterable[int]):
         """Vectorized pull round: both hops of every node's walk from ``2m`` bulk uniforms."""
-        if (
-            not self._propose_is(PullDiscovery)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(PullDiscovery) or not self._default_accounting():
             return super().propose_batch(nodes)
         return self._propose_batch_kernel(nodes)
 
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
         """The raw kernel: hop one over all nodes, hop two over the sampled ``v``s.
 
-        The array backend draws both hops' uniforms as one ``(2, m)``
-        block; the list backend draws them hop by hop.  The second hop
+        Both hops' uniforms come from one ``(2, m)`` block.  The second hop
         chains through the ``-1`` sentinel, so isolated nodes consume their
-        uniforms (keeping the draw stream aligned across backends) without
-        ever touching a neighbour row.
+        uniforms (keeping the draw stream aligned) without ever touching a
+        neighbour row.
         """
         graph = self.graph
         nodes = node_array(nodes)
-        if isinstance(graph, ArrayGraph):
-            u = self.rng.random((2, nodes.shape[0]))
-            vs = graph.sample_neighbors(nodes, u[0])
-            ws = graph.sample_neighbors(vs, u[1])
-        else:
-            vs = graph.random_neighbors(nodes, self.rng)
-            ws = graph.random_neighbors(vs, self.rng)
+        u = self.rng.random((2, nodes.shape[0]))
+        vs = graph.sample_neighbors(nodes, u[0])
+        ws = graph.sample_neighbors(vs, u[1])
         valid = (ws >= 0) & (ws != nodes)
         pos = valid.nonzero()[0]
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
-from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs.sampling import uniform_indices
 
@@ -42,9 +41,6 @@ class PushDiscovery(DiscoveryProcess):
         the two introduced neighbours are drawn *without* replacement, so a
         node never wastes a round introducing a neighbour to itself.  The
         paper's process uses with-replacement sampling (default False).
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: a push round sends each chosen neighbour the other's ID.
@@ -52,15 +48,14 @@ class PushDiscovery(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
         without_replacement: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
-        if getattr(graph, "directed", True):
-            raise TypeError("PushDiscovery requires an undirected graph (DynamicGraph or ArrayGraph)")
-        super().__init__(graph, rng, semantics, backend=backend)
+        if not isinstance(graph, ArrayGraph):
+            raise TypeError(f"PushDiscovery requires an ArrayGraph, got {type(graph).__name__}")
+        super().__init__(graph, rng, semantics)
         self.without_replacement = without_replacement
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:
@@ -84,24 +79,18 @@ class PushDiscovery(DiscoveryProcess):
 
     def propose_batch(self, nodes: Iterable[int]):
         """Vectorized push round: all nodes' neighbour pairs from ``2m`` bulk uniforms."""
-        if (
-            not self._propose_is(PushDiscovery)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(PushDiscovery) or not self._default_accounting():
             return super().propose_batch(nodes)
         return self._propose_batch_kernel(nodes)
 
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel, draw-stream-identical on every backend.
+        """The raw kernel: one ``(2, m)`` block of uniforms per round.
 
         With replacement (the paper's process): ``m`` uniforms per
-        introduced endpoint, mapped to indices by the shared sampling rule.
-        The array backend draws both rows as one ``(2, m)`` block and
-        gathers both endpoints in one call; the list backend draws them
-        endpoint by endpoint.  Without replacement: one ``(2, m)`` block
-        over ``k`` and ``k - 1`` slots with the collision-shift, so no draw
-        is wasted on ``v == w``.
+        introduced endpoint, mapped to indices by the shared sampling rule
+        and gathered in one call.  Without replacement: the same block over
+        ``k`` and ``k - 1`` slots with the collision-shift, so no draw is
+        wasted on ``v == w``.
         """
         graph = self.graph
         nodes = node_array(nodes)
@@ -116,11 +105,7 @@ class PushDiscovery(DiscoveryProcess):
             ws = graph.neighbors_at(nodes, np.where(deg >= 2, j, -1))
             valid = deg >= 2
         else:
-            if isinstance(graph, ArrayGraph):
-                vs, ws = graph.sample_neighbors(nodes, self.rng.random((2, m)))
-            else:
-                vs = graph.random_neighbors(nodes, self.rng)
-                ws = graph.random_neighbors(nodes, self.rng)
+            vs, ws = graph.sample_neighbors(nodes, self.rng.random((2, m)))
             # An isolated node samples -1 twice, so this also drops it.
             valid = vs != ws
         pos = valid.nonzero()[0]

@@ -197,11 +197,6 @@ class ScheduledProcess:
         return self.process.round_index
 
     @property
-    def backend(self) -> str:
-        """The wrapped process's graph backend name."""
-        return self.process.backend
-
-    @property
     def semantics(self):
         """The wrapped process's update semantics."""
         return self.process.semantics

@@ -21,8 +21,7 @@ import numpy as np
 from repro.core.base import RunResult, UpdateSemantics
 from repro.core.push import PushDiscovery
 from repro.core.pull import PullDiscovery
-from repro.graphs.adjacency import DynamicGraph
-from repro.graphs.array_adjacency import as_backend
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs import properties
 
 __all__ = ["SubsetDiscovery"]
@@ -44,20 +43,15 @@ class SubsetDiscovery:
         ``"push"`` (triangulation) or ``"pull"`` (two-hop walk).
     rng:
         Seed or :class:`numpy.random.Generator`.
-    backend:
-        Optional graph backend for the restricted run: ``"list"`` (default
-        behaviour) or ``"array"`` (the vectorized fast path).  Identical
-        seeded traces either way.
     """
 
     def __init__(
         self,
-        host: DynamicGraph,
+        host: ArrayGraph,
         members: Sequence[int],
         process: str = "push",
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
         if len(members) < 2:
             raise ValueError("a group needs at least 2 members")
@@ -65,30 +59,17 @@ class SubsetDiscovery:
             raise ValueError(f"process must be 'push' or 'pull', got {process!r}")
         self.host = host
         self.members: List[int] = list(members)
-        # Induced-subgraph extraction lives on the list backend; an
-        # array-backed host is converted for the (one-off) extraction.
-        # Subgraph edges are inserted in sorted order either way, so the
-        # restricted run is reproducible from a seed regardless of the
-        # host's backend.
-        extract = host if hasattr(host, "subgraph") else as_backend(host, "list")
-        self.subgraph, self._to_sub = extract.subgraph(self.members)
+        # Subgraph edges are inserted in sorted order, so the restricted
+        # run is reproducible from a seed whatever order the host's rows hold.
+        self.subgraph, self._to_sub = host.subgraph(self.members)
         self._to_host: Dict[int, int] = {sub: orig for orig, sub in self._to_sub.items()}
         if not properties.is_connected(self.subgraph):
             raise ValueError(
                 "the group must induce a connected subgraph for the paper's "
                 "O(k log^2 k) guarantee to apply"
             )
-        if process == "push":
-            self.process = PushDiscovery(
-                self.subgraph, rng=rng, semantics=semantics, backend=backend
-            )
-        else:
-            self.process = PullDiscovery(
-                self.subgraph, rng=rng, semantics=semantics, backend=backend
-            )
-        # The process may have converted the subgraph; keep the evolving
-        # graph (the one the rounds mutate) as the single source of truth.
-        self.subgraph = self.process.graph
+        cls = PushDiscovery if process == "push" else PullDiscovery
+        self.process = cls(self.subgraph, rng=rng, semantics=semantics)
 
     @property
     def k(self) -> int:

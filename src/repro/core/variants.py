@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.core.push import PushDiscovery
 from repro.core.pull import PullDiscovery
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = ["FaultyPushDiscovery", "FaultyPullDiscovery", "ChurnModel"]
 
@@ -62,15 +62,11 @@ class _FaultyMixin:
 
         With ``failure_prob == 0`` this is draw-for-draw identical to the
         fault-free process, preserving the "zero faults behaves like the
-        base process" contract on every backend.  ``owner`` is the concrete
+        base process" contract.  ``owner`` is the concrete
         faulty class whose ``propose`` pairs with this batch rule; any
         further customisation falls back to the per-node path.
         """
-        if (
-            not self._propose_is(owner)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(owner) or not self._default_accounting():
             return DiscoveryProcess.propose_batch(self, nodes)
         batch = self._propose_batch_kernel(nodes)
         if self.failure_prob > 0.0 and batch.count:
@@ -87,7 +83,7 @@ class FaultyPushDiscovery(_FaultyMixin, PushDiscovery):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
         failure_prob: float = 0.0,
@@ -112,7 +108,7 @@ class FaultyPullDiscovery(_FaultyMixin, PullDiscovery):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
         failure_prob: float = 0.0,

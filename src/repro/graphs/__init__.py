@@ -1,7 +1,8 @@
 """Graph substrate for the gossip discovery processes.
 
-This subpackage provides the dynamic graph data structures the processes
-mutate (:mod:`repro.graphs.adjacency`), generators for every graph family
+This subpackage provides the graph substrate the processes mutate
+(:mod:`repro.graphs.array_adjacency`: NumPy neighbour rows plus packed
+membership bits), generators for every graph family
 used in the paper's arguments and in our experiments
 (:mod:`repro.graphs.generators`, :mod:`repro.graphs.directed_generators`),
 structural property computations matching the paper's notation
@@ -12,8 +13,7 @@ transitive-closure utilities for the directed termination condition
 (:mod:`repro.graphs.validation`).
 """
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, BACKENDS, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs import (
     bitset,
     generators,
@@ -25,12 +25,8 @@ from repro.graphs import (
 )
 
 __all__ = [
-    "DynamicGraph",
-    "DynamicDiGraph",
     "ArrayGraph",
     "ArrayDiGraph",
-    "BACKENDS",
-    "as_backend",
     "bitset",
     "generators",
     "directed_generators",

@@ -1,10 +1,9 @@
-"""NumPy-array-backed graph backend for the vectorized round engine.
+"""The graph substrate of the discovery processes: NumPy rows plus packed bits.
 
-:class:`ArrayGraph` and :class:`ArrayDiGraph` are drop-in substrates for
-the discovery processes that store neighbour lists in one preallocated
-2-D ``int64`` array (one row per node, amortized column doubling) plus a
-word-packed membership matrix, instead of per-node Python lists and a
-hash set.  Per-round work then becomes whole-array operations:
+:class:`ArrayGraph` and :class:`ArrayDiGraph` store the neighbour lists
+in one preallocated 2-D ``int64`` array (one row per node, amortized
+column doubling) plus a word-packed membership matrix.  Per-round work
+is then whole-array operations:
 
 * ``sample_neighbors(nodes, u)`` — one neighbour per node for uniforms
   the caller already drew, gathered by flat index from the row block;
@@ -15,54 +14,46 @@ hash set.  Per-round work then becomes whole-array operations:
   first-occurrence order preserved and O(1) slot writes for the (few)
   genuinely new edges, which come back as :class:`EdgeArrays`.
 
-The classes share the paper's append-only contract with the list backend
-(:mod:`repro.graphs.adjacency`): the discovery processes only ever add
-edges.  :meth:`ArrayDiGraph.remove_edge` serves the network engine's
-liveness eviction.
+The paper's processes only ever add edges among a fixed set of ``n``
+nodes, and the rows are append-only.  :meth:`ArrayDiGraph.remove_edge`
+serves the network engine's liveness eviction.
 
 Packed memory model
 -------------------
 Membership lives in ``uint64`` bitset rows (:mod:`repro.graphs.bitset`):
 bit ``v`` of row ``u`` is the edge ``(u, v)``, so the matrix costs
-``n² / 8`` bytes — 8× less than the previous ``bool`` matrix — and batch
-membership tests, completeness predicates and the closure/reachability
-kernels all run word-parallel (64 pairs per machine-word operation).
-``adjacency_bits()`` exposes the packed rows directly (read-only) so
-:mod:`repro.graphs.closure` and :mod:`repro.graphs.properties` can run
-their kernels with zero conversion cost.
+``n² / 8`` bytes, and batch membership tests, completeness predicates
+and the closure/reachability kernels all run word-parallel (64 pairs per
+machine-word operation).  ``adjacency_bits()`` exposes the packed rows
+directly (read-only) so :mod:`repro.graphs.closure` and
+:mod:`repro.graphs.properties` run their kernels with zero conversion
+cost.  A graph whose membership rows and first neighbour block exceed
+the memory the OS reports available is refused with a ``MemoryError``
+before anything is allocated.
 
-Draw-stream equivalence
------------------------
-Both backends map uniforms to neighbour indices through
-:mod:`repro.graphs.sampling` and keep neighbour rows in the same
-insertion order.  The gossip kernels draw a round's uniforms as one block
-and hand each row to :meth:`ArrayGraph.sample_neighbors`; on the list
-backend they call ``random_neighbors`` once per stage instead, which
-consumes the same stream.  So a process run on ``ArrayGraph`` reproduces
-the exact seeded trace of the same run on ``DynamicGraph`` under
-synchronous semantics.  ``tests/test_backend_equivalence.py`` pins this
-contract.
-Membership storage is invisible to the RNG draw convention: repacking the
-``bool`` matrix into bitset rows changed no trace byte (pinned by the
-golden traces under ``tests/data/``).
-
-Use :func:`as_backend` to convert a graph to the requested backend.
+Draw convention
+---------------
+Every sampled node costs one uniform float, turned into a neighbour
+index by :func:`repro.graphs.sampling.uniform_indices`.  The gossip
+kernels draw a round's uniforms as one block and hand each row to
+:meth:`ArrayGraph.sample_neighbors`; that consumes the same stream as
+one ``rng.random(m)`` per sampling stage.  Neighbour rows keep insertion
+order, and a batched insert appends exactly where sequential
+:meth:`~ArrayGraph.add_edge` calls would, so a run's trace does not
+depend on how its edges were inserted.  ``tests/test_backend_equivalence.py``
+pins both against a list-of-lists oracle that samples stage by stage.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.sampling import masked_counts, uniform_indices
 
-__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays", "as_backend", "backend_name", "BACKENDS"]
-
-#: the selectable graph-backend names.
-BACKENDS = ("list", "array")
+__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays"]
 
 _MIN_CAPACITY = 4
 
@@ -73,6 +64,33 @@ def _round_up_pow2(value: int) -> int:
     while cap < value:
         cap *= 2
     return cap
+
+
+def _available_memory() -> Optional[int]:
+    """Bytes the OS reports available (``MemAvailable``), or None where unknown."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        return None
+    return None
+
+
+def _refuse_oversized(n: int) -> None:
+    """Raise ``MemoryError`` before allocating a graph that cannot fit in memory.
+
+    Counts the packed membership rows (``n · ⌈n/64⌉`` words) and the first
+    neighbour block (``n · 4`` slots), both eight bytes an entry.
+    """
+    nbytes = 8 * n * (bitset.words_for(n) + _MIN_CAPACITY)
+    available = _available_memory()
+    if available is not None and nbytes > available:
+        raise MemoryError(
+            f"a graph on n={n} nodes needs {nbytes} bytes of membership rows and "
+            f"neighbour block, but only {available} bytes are available"
+        )
 
 
 class EdgeArrays:
@@ -107,6 +125,14 @@ class EdgeArrays:
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return zip(self.us.tolist(), self.vs.tolist())
+
+
+def _endpoints(edges: Sequence[Tuple[int, int]], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``edges`` as two ``int64`` endpoint arrays; ``IndexError`` if one is outside ``[0, n)``."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise IndexError(f"edge endpoint out of range [0, {n})")
+    return arr[:, 0], arr[:, 1]
 
 
 def _sample_rows(rows: np.ndarray, deg: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -208,33 +234,32 @@ class ArrayGraph:
     n:
         Number of nodes (``0 .. n-1``).
     edges:
-        Optional initial edges; duplicates and self loops are ignored.
+        Optional initial edges, inserted as one batch in which the first
+        occurrence wins; duplicates and self loops are ignored.
 
     Notes
     -----
-    API-compatible with :class:`~repro.graphs.adjacency.DynamicGraph` for
-    everything the processes, metrics and tests touch.  Neighbour rows
-    keep insertion order; :meth:`neighbors` returns a live array slice
-    that callers must not mutate.
+    Neighbour rows keep insertion order; :meth:`neighbors` returns a live
+    array slice that callers must not mutate.
     """
 
     __slots__ = ("_n", "_nbr", "_deg", "_bits", "_num_edges", "_cap")
 
-    #: backend dispatch flag: undirected graphs expose degree()/neighbors().
+    #: dispatch flag: undirected graphs expose degree()/neighbors().
     directed = False
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         if n < 0:
             raise ValueError(f"number of nodes must be non-negative, got {n}")
         self._n = int(n)
+        _refuse_oversized(self._n)
         self._cap = _MIN_CAPACITY
         self._nbr = np.full((self._n, self._cap), -1, dtype=np.int64)
         self._deg = np.zeros(self._n, dtype=np.int64)
         self._bits = bitset.zeros(self._n, self._n)
         self._num_edges = 0
         if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+            self.add_edges_batch_arrays(*_endpoints(list(edges), self._n))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -299,6 +324,8 @@ class ArrayGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return True if the undirected edge ``(u, v)`` is present."""
+        self._check_node(u)
+        self._check_node(v)
         if u == v:
             return False
         return bitset.get_bit(self._bits, u, v)
@@ -330,22 +357,19 @@ class ArrayGraph:
 
     def add_edges_from(self, edges: Iterable[Tuple[int, int]]) -> int:
         """Add many edges; return how many were actually new."""
-        return len(self.add_edges_batch(list(edges)))
+        return len(self.add_edges_batch_arrays(*_endpoints(list(edges), self._n)))
 
     def add_edges_batch(self, edges: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
         """Vectorized batch insert; returns the new edges in first-occurrence order.
 
-        Matches :meth:`DynamicGraph.add_edges_batch` exactly: self loops and
-        duplicates (within the batch or against the graph) are rejected, the
-        first occurrence of each new edge wins, and the returned tuples keep
-        the proposal's original orientation.
+        Equivalent to calling :meth:`add_edge` on each edge in order: self
+        loops and duplicates (within the batch or against the graph) are
+        rejected, the first occurrence of each new edge wins, and the
+        returned tuples keep the proposal's original orientation.
         """
         if len(edges) == 0:
             return []
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= self._n):
-            raise IndexError(f"edge endpoint out of range [0, {self._n})")
-        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1]).tolist()
+        return self.add_edges_batch_arrays(*_endpoints(edges, self._n)).tolist()
 
     def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
         """Array form of :meth:`add_edges_batch`: same contract, no tuples.
@@ -366,8 +390,7 @@ class ArrayGraph:
 
         Interleaving the endpoints (u-entry before v-entry, in batch order)
         makes :func:`_append_slots` reproduce the exact append order of
-        sequential :meth:`add_edge` calls, which keeps neighbour rows
-        identical to the list backend's.  The interleaved pairs hold both
+        sequential :meth:`add_edge` calls.  The interleaved pairs hold both
         orientations, so one scatter sets both bits of every edge.
         """
         k = add_u.shape[0]
@@ -407,14 +430,11 @@ class ArrayGraph:
     def random_neighbors(self, nodes: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Vectorized uniform neighbour sample for a whole batch of nodes.
 
-        Same draw-stream contract as :meth:`DynamicGraph.random_neighbors`:
-        exactly ``rng.random(len(nodes))`` is consumed and turned into
-        neighbours by :meth:`sample_neighbors`, so both backends map the
-        same seed to the same choices.  ``-1`` marks invalid entries.  The
-        gossip kernels do not call this per stage on this backend: they
-        draw a round's uniforms as one ``(2, m)`` block and pass its rows
-        to :meth:`sample_neighbors`, which consumes the same stream as the
-        list backend's one ``rng.random(m)`` per stage.
+        Consumes exactly ``rng.random(len(nodes))`` and turns it into
+        neighbours with :meth:`sample_neighbors`; ``-1`` marks invalid
+        entries.  The gossip kernels do not call this per stage: they draw
+        a round's uniforms as one ``(2, m)`` block and pass its rows to
+        :meth:`sample_neighbors`, which consumes the same stream.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         return self.sample_neighbors(nodes, rng.random(nodes.shape[0]))
@@ -492,42 +512,25 @@ class ArrayGraph:
         g._num_edges = self._num_edges
         return g
 
-    @classmethod
-    def from_graph(cls, graph: DynamicGraph) -> "ArrayGraph":
-        """Build an :class:`ArrayGraph` preserving per-node neighbour order.
+    def subgraph(self, nodes: Sequence[int]) -> Tuple["ArrayGraph", Dict[int, int]]:
+        """The induced subgraph on ``nodes`` plus the relabelling map.
 
-        Preserving insertion order (not just the edge set) is what makes the
-        seeded traces of the two backends identical.
+        The subgraph's nodes are relabelled ``0 .. k-1`` in the order
+        given; the dict maps original labels to new ones.  Edges are
+        inserted in sorted canonical order, so the subgraph's rows, and a
+        seeded run restricted to it, depend only on the host's edge set.
         """
-        g = cls(graph.n)
-        if graph.n == 0:
-            return g
-        g._ensure_capacity(graph.max_degree())
-        for u in graph.nodes():
-            row = graph.neighbors(u)
-            g._nbr[u, : len(row)] = row
-        g._deg = graph.degrees()
-        edge_arr = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
-        if edge_arr.size:
-            bitset.set_bits(g._bits, edge_arr[:, 0], edge_arr[:, 1])
-            bitset.set_bits(g._bits, edge_arr[:, 1], edge_arr[:, 0])
-        g._num_edges = graph.number_of_edges()
-        return g
-
-    def to_dynamic(self) -> DynamicGraph:
-        """Convert back to a list-backed :class:`DynamicGraph`.
-
-        The result has the same edge set; per-node insertion order follows
-        the canonical edge order (the original global insertion interleaving
-        is not recoverable from per-node rows).
-        """
-        return DynamicGraph(self._n, self.edge_list())
+        mapping = {orig: new for new, orig in enumerate(nodes)}
+        if len(mapping) != len(nodes):
+            raise ValueError("duplicate nodes in subgraph selection")
+        inside = ((mapping[u], mapping[v]) for u, v in self.edges() if u in mapping and v in mapping)
+        return ArrayGraph(len(mapping), inside), mapping
 
     # ------------------------------------------------------------------ #
     # dunder / misc
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ArrayGraph, DynamicGraph)):
+        if isinstance(other, ArrayGraph):
             return self._n == other.n and self.edge_list() == other.edge_list()
         return NotImplemented
 
@@ -545,21 +548,22 @@ class ArrayGraph:
 class ArrayDiGraph:
     """Directed simple graph with preallocated NumPy out-neighbour storage.
 
-    Mirrors :class:`~repro.graphs.adjacency.DynamicDiGraph` the way
-    :class:`ArrayGraph` mirrors :class:`DynamicGraph`: out-neighbour rows in
+    The directed counterpart of :class:`ArrayGraph`: out-neighbour rows in
     a 2-D array with amortized doubling, membership in word-packed
-    ``uint64`` bitset rows (n²/8 bytes), in-degrees as counters for metrics.
+    ``uint64`` bitset rows (n²/8 bytes), in-degrees as counters for
+    metrics.  The directed two-hop walk only follows and adds out-edges.
     """
 
     __slots__ = ("_n", "_out", "_out_deg", "_in_deg", "_bits", "_num_edges", "_cap")
 
-    #: backend dispatch flag: directed graphs expose out_degree()/out_neighbors().
+    #: dispatch flag: directed graphs expose out_degree()/out_neighbors().
     directed = True
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         if n < 0:
             raise ValueError(f"number of nodes must be non-negative, got {n}")
         self._n = int(n)
+        _refuse_oversized(self._n)
         self._cap = _MIN_CAPACITY
         self._out = np.full((self._n, self._cap), -1, dtype=np.int64)
         self._out_deg = np.zeros(self._n, dtype=np.int64)
@@ -567,8 +571,7 @@ class ArrayDiGraph:
         self._bits = bitset.zeros(self._n, self._n)
         self._num_edges = 0
         if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+            self.add_edges_batch_arrays(*_endpoints(list(edges), self._n))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -628,6 +631,8 @@ class ArrayDiGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return True if the directed edge ``u -> v`` is present."""
+        self._check_node(u)
+        self._check_node(v)
         return bitset.get_bit(self._bits, u, v)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
@@ -658,16 +663,13 @@ class ArrayDiGraph:
 
     def add_edges_from(self, edges: Iterable[Tuple[int, int]]) -> int:
         """Add many directed edges; return how many were actually new."""
-        return len(self.add_edges_batch(list(edges)))
+        return len(self.add_edges_batch_arrays(*_endpoints(list(edges), self._n)))
 
     def add_edges_batch(self, edges: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
         """Vectorized batch insert; returns the new edges in first-occurrence order."""
         if len(edges) == 0:
             return []
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= self._n):
-            raise IndexError(f"edge endpoint out of range [0, {self._n})")
-        return self.add_edges_batch_arrays(arr[:, 0], arr[:, 1]).tolist()
+        return self.add_edges_batch_arrays(*_endpoints(edges, self._n)).tolist()
 
     def add_edges_batch_arrays(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
         """Array form of :meth:`add_edges_batch`: same contract, no tuples.
@@ -724,7 +726,7 @@ class ArrayDiGraph:
     def random_out_neighbors(self, nodes: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Vectorized uniform out-neighbour sample (``-1`` sentinel, bulk draws).
 
-        Draw-stream identical to :meth:`DynamicDiGraph.random_out_neighbors`.
+        Same draw contract as :meth:`ArrayGraph.random_neighbors`.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         return self.sample_out_neighbors(nodes, rng.random(nodes.shape[0]))
@@ -778,40 +780,15 @@ class ArrayDiGraph:
         g._num_edges = self._num_edges
         return g
 
-    @classmethod
-    def from_graph(cls, graph: DynamicDiGraph) -> "ArrayDiGraph":
-        """Build an :class:`ArrayDiGraph` preserving per-node out-neighbour order."""
-        g = cls(graph.n)
-        if graph.n == 0:
-            return g
-        out_deg = graph.out_degrees()
-        g._ensure_capacity(int(out_deg.max()) if out_deg.size else 0)
-        for u in graph.nodes():
-            row = graph.out_neighbors(u)
-            g._out[u, : len(row)] = row
-        g._out_deg = out_deg
-        g._in_deg = graph.in_degrees()
-        edge_arr = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
-        if edge_arr.size:
-            bitset.set_bits(g._bits, edge_arr[:, 0], edge_arr[:, 1])
-        g._num_edges = graph.number_of_edges()
-        return g
-
-    def to_dynamic(self) -> DynamicDiGraph:
-        """Convert back to a list-backed :class:`DynamicDiGraph` (canonical order)."""
-        return DynamicDiGraph(self._n, self.edge_list())
-
     def to_undirected(self) -> ArrayGraph:
         """Return the undirected graph obtained by forgetting edge direction."""
-        g = ArrayGraph(self._n)
-        g.add_edges_batch(self.edge_list())
-        return g
+        return ArrayGraph(self._n, self.edge_list())
 
     # ------------------------------------------------------------------ #
     # dunder / misc
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ArrayDiGraph, DynamicDiGraph)):
+        if isinstance(other, ArrayDiGraph):
             return self._n == other.n and self.edge_list() == other.edge_list()
         return NotImplemented
 
@@ -824,29 +801,3 @@ class ArrayDiGraph:
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self._n):
             raise IndexError(f"node {u} out of range [0, {self._n})")
-
-
-GraphAny = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
-
-
-def backend_name(graph: GraphAny) -> str:
-    """Return ``"array"`` or ``"list"`` for a graph instance."""
-    return "array" if isinstance(graph, (ArrayGraph, ArrayDiGraph)) else "list"
-
-
-def as_backend(graph: GraphAny, backend: str) -> GraphAny:
-    """Convert ``graph`` to the requested backend (no-op when it already matches).
-
-    ``"array"`` conversion preserves per-node neighbour insertion order, so
-    seeded runs are trace-identical across backends; ``"list"`` conversion
-    rebuilds from the canonical edge list.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-    if backend == backend_name(graph):
-        return graph
-    if backend == "array":
-        if graph.directed:
-            return ArrayDiGraph.from_graph(graph)
-        return ArrayGraph.from_graph(graph)
-    return graph.to_dynamic()

@@ -128,7 +128,13 @@ def unpack_bool_matrix(bits: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def get_bit(bits: np.ndarray, row: int, col: int) -> bool:
-    """Scalar membership test: is bit ``col`` of ``row`` set?"""
+    """Scalar membership test: is bit ``col`` of ``row`` set?
+
+    Both indices are coerced to ``int`` first: with a NumPy-integer
+    ``col``, ``col & 63`` stays a NumPy integer, and shifting the Python
+    int of a word with bit 63 set by it overflows a C long.
+    """
+    row, col = int(row), int(col)
     return bool((int(bits[row, col >> 6]) >> (col & 63)) & 1)
 
 

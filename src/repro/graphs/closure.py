@@ -7,9 +7,9 @@ closure of ``G_0``; these helpers compute it once so the simulation engine
 can track "missing closure edges" with an O(1)-per-added-edge counter.
 
 All closure/reachability computations run on the word-packed bitset
-kernels of :mod:`repro.graphs.bitset`: adjacency rows are ``uint64``
-bitsets (zero-copy for the array backend, packed once for the list
-backend), all-pairs reachability is Warshall elimination on packed rows,
+kernels of :mod:`repro.graphs.bitset`: adjacency rows are the graph's
+own ``uint64`` membership rows (zero-copy), all-pairs reachability is
+Warshall elimination on packed rows,
 and single-source reachability is a frontier BFS that ORs whole adjacency
 rows — 64 pairs per machine-word operation instead of one queue pop per
 node.  The original per-node Python BFS survives as
@@ -20,12 +20,12 @@ the property tests check the kernels against.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Set, Tuple, Union
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph
 
 __all__ = [
     "adjacency_bits",
@@ -41,27 +41,16 @@ __all__ = [
     "IncrementalClosure",
 ]
 
-DiGraphLike = Union[DynamicDiGraph, "ArrayDiGraph"]  # noqa: F821 - doc only
+DiGraphLike = ArrayDiGraph
 
 
 def adjacency_bits(graph) -> np.ndarray:
     """Packed ``uint64`` adjacency rows of ``graph`` (bit ``v`` of row ``u``).
 
-    Zero-copy when the graph already stores packed membership (the array
-    backend's ``adjacency_bits()``); otherwise packed once from the edge
-    list without materialising an n×n ``bool`` intermediate.  Callers must
-    treat the result as read-only — it may alias live graph state.
+    The graph's own ``adjacency_bits()``, zero-copy.  Callers must treat
+    the result as read-only: it aliases live graph state.
     """
-    native = getattr(graph, "adjacency_bits", None)
-    if native is not None:
-        return native()
-    bits = bitset.zeros(graph.n, graph.n)
-    edges = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        bitset.set_bits(bits, edges[:, 0], edges[:, 1])
-        if not getattr(graph, "directed", False):
-            bitset.set_bits(bits, edges[:, 1], edges[:, 0])
-    return bits
+    return graph.adjacency_bits()
 
 
 def reachable_from(graph: DiGraphLike, source: int) -> Set[int]:
@@ -131,9 +120,14 @@ def transitive_closure_edges(graph: DiGraphLike) -> Set[Tuple[int, int]]:
     return set(zip(us.tolist(), vs.tolist()))
 
 
-def transitive_closure_graph(graph: DiGraphLike) -> DynamicDiGraph:
-    """The transitive closure of ``graph`` as a new :class:`DynamicDiGraph`."""
-    return DynamicDiGraph(graph.n, transitive_closure_edges(graph))
+def transitive_closure_graph(graph: DiGraphLike) -> ArrayDiGraph:
+    """The transitive closure of ``graph`` as a new :class:`ArrayDiGraph`, rows in canonical order."""
+    mat = reachability_matrix(graph)
+    if mat.size:
+        np.fill_diagonal(mat, False)
+    closed = ArrayDiGraph(graph.n)
+    closed.add_edges_batch_arrays(*np.nonzero(mat))
+    return closed
 
 
 def closure_deficit(graph: DiGraphLike, closure: Set[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -174,7 +168,7 @@ class IncrementalClosure:
 
     @classmethod
     def from_graph(cls, graph: DiGraphLike) -> "IncrementalClosure":
-        """Seed the closure from a graph (packed zero-copy on the array backend)."""
+        """Seed the closure from a graph's packed rows (zero-copy)."""
         return cls(adjacency_bits(graph), graph.n)
 
     def add_edges(self, us: np.ndarray, vs: np.ndarray) -> int:

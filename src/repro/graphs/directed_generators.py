@@ -9,6 +9,9 @@ Two constructions are lifted directly from the paper:
 
 The remaining families (directed cycles/paths, random digraphs, layered
 DAGs, complete digraphs) support the O(n² log n) upper-bound sweeps.
+Every family is an :class:`repro.graphs.array_adjacency.ArrayDiGraph`
+built with one batched insert in which the first occurrence of an edge
+wins, so each out-neighbour row lists its edges in construction order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph
 
 __all__ = [
     "directed_path",
@@ -63,28 +66,28 @@ def _ensure_rng(
 # --------------------------------------------------------------------------- #
 # deterministic families
 # --------------------------------------------------------------------------- #
-def directed_path(n: int) -> DynamicDiGraph:
+def directed_path(n: int) -> ArrayDiGraph:
     """Directed path ``0 -> 1 -> ... -> n-1`` (weakly connected)."""
     if n < 1:
         raise ValueError("directed path needs at least 1 node")
-    return DynamicDiGraph(n, ((i, i + 1) for i in range(n - 1)))
+    return ArrayDiGraph(n, ((i, i + 1) for i in range(n - 1)))
 
 
-def directed_cycle(n: int) -> DynamicDiGraph:
+def directed_cycle(n: int) -> ArrayDiGraph:
     """Directed cycle on ``n >= 2`` nodes (strongly connected, out-degree 1)."""
     if n < 2:
         raise ValueError("directed cycle needs at least 2 nodes")
-    return DynamicDiGraph(n, ((i, (i + 1) % n) for i in range(n)))
+    return ArrayDiGraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-def complete_digraph(n: int) -> DynamicDiGraph:
+def complete_digraph(n: int) -> ArrayDiGraph:
     """Complete digraph: every ordered pair of distinct nodes is an edge."""
     if n < 1:
         raise ValueError("complete digraph needs at least 1 node")
-    return DynamicDiGraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))
+    return ArrayDiGraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))
 
 
-def bidirected_path(n: int) -> DynamicDiGraph:
+def bidirected_path(n: int) -> ArrayDiGraph:
     """Path with both edge directions present (directed analogue of an undirected path)."""
     if n < 1:
         raise ValueError("bidirected path needs at least 1 node")
@@ -92,10 +95,10 @@ def bidirected_path(n: int) -> DynamicDiGraph:
     for i in range(n - 1):
         edges.append((i, i + 1))
         edges.append((i + 1, i))
-    return DynamicDiGraph(n, edges)
+    return ArrayDiGraph(n, edges)
 
 
-def bidirected_cycle(n: int) -> DynamicDiGraph:
+def bidirected_cycle(n: int) -> ArrayDiGraph:
     """Cycle with both edge directions present."""
     if n < 3:
         raise ValueError("bidirected cycle needs at least 3 nodes")
@@ -104,10 +107,10 @@ def bidirected_cycle(n: int) -> DynamicDiGraph:
         j = (i + 1) % n
         edges.append((i, j))
         edges.append((j, i))
-    return DynamicDiGraph(n, edges)
+    return ArrayDiGraph(n, edges)
 
 
-def bidirected_star(n: int) -> DynamicDiGraph:
+def bidirected_star(n: int) -> ArrayDiGraph:
     """Star with both edge directions between the centre 0 and each leaf."""
     if n < 2:
         raise ValueError("bidirected star needs at least 2 nodes")
@@ -115,10 +118,10 @@ def bidirected_star(n: int) -> DynamicDiGraph:
     for i in range(1, n):
         edges.append((0, i))
         edges.append((i, 0))
-    return DynamicDiGraph(n, edges)
+    return ArrayDiGraph(n, edges)
 
 
-def layered_dag(layers: int, width: int) -> DynamicDiGraph:
+def layered_dag(layers: int, width: int) -> ArrayDiGraph:
     """Layered DAG: ``layers`` layers of ``width`` nodes, complete bipartite between
     consecutive layers, all edges pointing forward.  Weakly connected; its
     transitive closure connects every node to every node in later layers."""
@@ -130,7 +133,7 @@ def layered_dag(layers: int, width: int) -> DynamicDiGraph:
         for a in range(width):
             for b in range(width):
                 edges.append((layer * width + a, (layer + 1) * width + b))
-    return DynamicDiGraph(n, edges)
+    return ArrayDiGraph(n, edges)
 
 
 # --------------------------------------------------------------------------- #
@@ -138,24 +141,22 @@ def layered_dag(layers: int, width: int) -> DynamicDiGraph:
 # --------------------------------------------------------------------------- #
 def random_digraph(
     n: int, p: float, rng: Optional[np.random.Generator] = None
-) -> DynamicDiGraph:
+) -> ArrayDiGraph:
     """Directed G(n, p): every ordered pair is an edge independently with probability ``p``."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = _ensure_rng(rng)
-    g = DynamicDiGraph(n)
+    g = ArrayDiGraph(n)
     if n > 1 and p > 0:
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
-        us, vs = np.nonzero(mask)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            g.add_edge(u, v)
+        g.add_edges_batch_arrays(*np.nonzero(mask))
     return g
 
 
 def random_strongly_connected_digraph(
     n: int, extra_edge_prob: float = 0.05, rng: Optional[np.random.Generator] = None
-) -> DynamicDiGraph:
+) -> ArrayDiGraph:
     """A directed cycle through a random permutation plus independent extra edges.
 
     The embedded Hamiltonian cycle guarantees strong connectivity; the
@@ -164,36 +165,33 @@ def random_strongly_connected_digraph(
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = _ensure_rng(rng)
-    g = DynamicDiGraph(n)
     perm = rng.permutation(n)
-    for i in range(n):
-        g.add_edge(int(perm[i]), int(perm[(i + 1) % n]))
+    us, vs = perm, np.roll(perm, -1)
     if extra_edge_prob > 0:
         mask = rng.random((n, n)) < extra_edge_prob
         np.fill_diagonal(mask, False)
-        us, vs = np.nonzero(mask)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            g.add_edge(u, v)
+        extra_us, extra_vs = np.nonzero(mask)
+        us, vs = np.concatenate((us, extra_us)), np.concatenate((vs, extra_vs))
+    g = ArrayDiGraph(n)
+    g.add_edges_batch_arrays(us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False))
     return g
 
 
-def random_tournament(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def random_tournament(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     """Random tournament: each unordered pair gets exactly one direction, chosen uniformly."""
     rng = _ensure_rng(rng)
-    g = DynamicDiGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                g.add_edge(u, v)
-            else:
-                g.add_edge(v, u)
+    # One uniform per pair in (u, v) row-major order, as a scalar loop draws them.
+    iu, ju = np.triu_indices(n, k=1)
+    forward = rng.random(iu.shape[0]) < 0.5
+    g = ArrayDiGraph(n)
+    g.add_edges_batch_arrays(np.where(forward, iu, ju), np.where(forward, ju, iu))
     return g
 
 
 # --------------------------------------------------------------------------- #
 # paper constructions
 # --------------------------------------------------------------------------- #
-def thm14_weak_lower_bound(n: int) -> DynamicDiGraph:
+def thm14_weak_lower_bound(n: int) -> ArrayDiGraph:
     """The weakly connected Ω(n² log n) lower-bound digraph of Theorem 14.
 
     The paper's construction (0-indexed here, ``n`` divisible by 4): for
@@ -211,15 +209,13 @@ def thm14_weak_lower_bound(n: int) -> DynamicDiGraph:
         raise ValueError("n must be divisible by 4")
     quarter = n // 4
     sink_start = 3 * n // 4
-    g = DynamicDiGraph(n)
+    edges = []
     for i in range(quarter):
         a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        g.add_edge(a, b)
-        g.add_edge(b, c)
+        edges += [(a, b), (b, c)]
         for j in range(sink_start, n):
-            g.add_edge(a, j)
-            g.add_edge(b, j)
-    return g
+            edges += [(a, j), (b, j)]
+    return ArrayDiGraph(n, edges)
 
 
 def thm14_missing_edges(n: int) -> List[tuple]:
@@ -230,7 +226,7 @@ def thm14_missing_edges(n: int) -> List[tuple]:
     return [(3 * i, 3 * i + 2) for i in range(n // 4)]
 
 
-def thm15_strong_lower_bound(n: int) -> DynamicDiGraph:
+def thm15_strong_lower_bound(n: int) -> ArrayDiGraph:
     """The strongly connected Ω(n²) lower-bound digraph of Theorem 15 (Figures 3/4).
 
     With ``n`` even and 0-indexed nodes:
@@ -251,50 +247,43 @@ def thm15_strong_lower_bound(n: int) -> DynamicDiGraph:
     if n % 2 != 0:
         raise ValueError("n must be even")
     half = n // 2
-    g = DynamicDiGraph(n)
     # Complete digraph on the first half.
-    for i in range(half):
-        for j in range(half):
-            if i != j:
-                g.add_edge(i, j)
+    edges = [(i, j) for i in range(half) for j in range(half) if i != j]
     # Forward path through the second half (starting at the last node of the first half).
-    for i in range(half - 1, n - 1):
-        g.add_edge(i, i + 1)
+    edges += [(i, i + 1) for i in range(half - 1, n - 1)]
     # Backward edges from every second-half node to all lower-indexed nodes.
-    for i in range(half, n):
-        for j in range(i):
-            g.add_edge(i, j)
-    return g
+    edges += [(i, j) for i in range(half, n) for j in range(i)]
+    return ArrayDiGraph(n, edges)
 
 
 # --------------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------------- #
-def _dir_cycle(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def _dir_cycle(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     return directed_cycle(n)
 
 
-def _bidir_path(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def _bidir_path(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     return bidirected_path(n)
 
 
-def _rand_strong(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def _rand_strong(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     p = min(1.0, 2.0 * math.log(max(n, 2)) / max(n, 2))
     return random_strongly_connected_digraph(n, extra_edge_prob=p, rng=rng)
 
 
-def _thm15(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def _thm15(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     return thm15_strong_lower_bound(n if n % 2 == 0 else n + 1)
 
 
-def _thm14(n: int, rng: Optional[np.random.Generator] = None) -> DynamicDiGraph:
+def _thm14(n: int, rng: Optional[np.random.Generator] = None) -> ArrayDiGraph:
     rounded = max(8, (n // 4) * 4)
     return thm14_weak_lower_bound(rounded)
 
 
-#: Mapping from directed family name to a ``(n, rng) -> DynamicDiGraph`` factory.
+#: Mapping from directed family name to a ``(n, rng) -> ArrayDiGraph`` factory.
 DIRECTED_FAMILY_REGISTRY: Dict[
-    str, Callable[[int, Optional[np.random.Generator]], DynamicDiGraph]
+    str, Callable[[int, Optional[np.random.Generator]], ArrayDiGraph]
 ] = {
     "directed_cycle": _dir_cycle,
     "bidirected_path": _bidir_path,
@@ -311,7 +300,7 @@ def directed_family_names() -> List[str]:
 
 def make_directed_family(
     name: str, n: int, rng: Optional[np.random.Generator] = None
-) -> DynamicDiGraph:
+) -> ArrayDiGraph:
     """Instantiate the registered directed family ``name`` at (approximately) ``n`` nodes."""
     try:
         factory = DIRECTED_FAMILY_REGISTRY[name]

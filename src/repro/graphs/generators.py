@@ -1,9 +1,11 @@
 """Undirected graph family generators.
 
 Every family used by the paper's arguments or by our experiments is built
-here, on top of :class:`repro.graphs.adjacency.DynamicGraph`.  All random
+here as an :class:`repro.graphs.array_adjacency.ArrayGraph`.  All random
 generators take an explicit :class:`numpy.random.Generator` so every
-experiment is reproducible from a seed.
+experiment is reproducible from a seed.  Each graph is built with one
+batched insert in which the first occurrence of an edge wins, so every
+neighbour row holds its edges in the order the construction lists them.
 
 The paper-specific constructions are:
 
@@ -22,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = [
     "empty_graph",
@@ -61,49 +63,49 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # deterministic families
 # --------------------------------------------------------------------------- #
-def empty_graph(n: int) -> DynamicGraph:
+def empty_graph(n: int) -> ArrayGraph:
     """Graph with ``n`` nodes and no edges."""
-    return DynamicGraph(n)
+    return ArrayGraph(n)
 
 
-def path_graph(n: int) -> DynamicGraph:
+def path_graph(n: int) -> ArrayGraph:
     """Path ``0 - 1 - ... - (n-1)``; the canonical sparse, high-diameter start."""
     if n < 1:
         raise ValueError("path graph needs at least 1 node")
-    return DynamicGraph(n, ((i, i + 1) for i in range(n - 1)))
+    return ArrayGraph(n, ((i, i + 1) for i in range(n - 1)))
 
 
-def cycle_graph(n: int) -> DynamicGraph:
+def cycle_graph(n: int) -> ArrayGraph:
     """Cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise ValueError("cycle graph needs at least 3 nodes")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def star_graph(n: int) -> DynamicGraph:
+def star_graph(n: int) -> ArrayGraph:
     """Star with centre 0 and ``n - 1`` leaves (minimum degree 1, diameter 2)."""
     if n < 2:
         raise ValueError("star graph needs at least 2 nodes")
-    return DynamicGraph(n, ((0, i) for i in range(1, n)))
+    return ArrayGraph(n, ((0, i) for i in range(1, n)))
 
 
-def complete_graph(n: int) -> DynamicGraph:
+def complete_graph(n: int) -> ArrayGraph:
     """Complete graph K_n — the absorbing state of the undirected processes."""
     if n < 1:
         raise ValueError("complete graph needs at least 1 node")
-    return DynamicGraph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return ArrayGraph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def complete_bipartite_graph(a: int, b: int) -> DynamicGraph:
+def complete_bipartite_graph(a: int, b: int) -> ArrayGraph:
     """Complete bipartite graph K_{a,b} with parts ``0..a-1`` and ``a..a+b-1``."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be non-empty")
     n = a + b
-    return DynamicGraph(n, ((u, a + v) for u in range(a) for v in range(b)))
+    return ArrayGraph(n, ((u, a + v) for u in range(a) for v in range(b)))
 
 
-def grid_graph(rows: int, cols: int) -> DynamicGraph:
+def grid_graph(rows: int, cols: int) -> ArrayGraph:
     """2D grid with ``rows * cols`` nodes, 4-neighbour connectivity."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
@@ -119,10 +121,10 @@ def grid_graph(rows: int, cols: int) -> DynamicGraph:
                 edges.append((node(r, c), node(r, c + 1)))
             if r + 1 < rows:
                 edges.append((node(r, c), node(r + 1, c)))
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def hypercube_graph(dim: int) -> DynamicGraph:
+def hypercube_graph(dim: int) -> ArrayGraph:
     """Boolean hypercube of dimension ``dim`` (``2**dim`` nodes)."""
     if dim < 0:
         raise ValueError("dimension must be non-negative")
@@ -133,17 +135,17 @@ def hypercube_graph(dim: int) -> DynamicGraph:
             v = u ^ (1 << bit)
             if u < v:
                 edges.append((u, v))
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def binary_tree_graph(n: int) -> DynamicGraph:
+def binary_tree_graph(n: int) -> ArrayGraph:
     """Complete-ish binary tree on ``n`` nodes (node i's parent is (i-1)//2)."""
     if n < 1:
         raise ValueError("binary tree needs at least 1 node")
-    return DynamicGraph(n, ((i, (i - 1) // 2) for i in range(1, n)))
+    return ArrayGraph(n, ((i, (i - 1) // 2) for i in range(1, n)))
 
 
-def caterpillar_graph(spine: int, legs_per_node: int) -> DynamicGraph:
+def caterpillar_graph(spine: int, legs_per_node: int) -> ArrayGraph:
     """Caterpillar: a spine path with ``legs_per_node`` pendant leaves per spine node."""
     if spine < 1 or legs_per_node < 0:
         raise ValueError("spine must be positive and legs_per_node non-negative")
@@ -154,10 +156,10 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> DynamicGraph:
         for _ in range(legs_per_node):
             edges.append((s, next_leaf))
             next_leaf += 1
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def lollipop_graph(clique_size: int, path_length: int) -> DynamicGraph:
+def lollipop_graph(clique_size: int, path_length: int) -> ArrayGraph:
     """Lollipop: K_{clique_size} with a path of ``path_length`` extra nodes attached."""
     if clique_size < 1 or path_length < 0:
         raise ValueError("clique_size must be >= 1 and path_length >= 0")
@@ -167,10 +169,10 @@ def lollipop_graph(clique_size: int, path_length: int) -> DynamicGraph:
     for i in range(clique_size, n):
         edges.append((prev, i))
         prev = i
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def barbell_graph(clique_size: int, path_length: int) -> DynamicGraph:
+def barbell_graph(clique_size: int, path_length: int) -> ArrayGraph:
     """Two cliques of ``clique_size`` joined by a path of ``path_length`` nodes."""
     if clique_size < 1 or path_length < 0:
         raise ValueError("clique_size must be >= 1 and path_length >= 0")
@@ -180,20 +182,20 @@ def barbell_graph(clique_size: int, path_length: int) -> DynamicGraph:
     edges.extend((u, v) for i, u in enumerate(second) for v in second[i + 1:])
     chain = [clique_size - 1] + list(range(clique_size, clique_size + path_length)) + [second[0]]
     edges.extend(zip(chain[:-1], chain[1:]))
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def wheel_graph(n: int) -> DynamicGraph:
+def wheel_graph(n: int) -> ArrayGraph:
     """Wheel: a cycle on nodes ``1..n-1`` all connected to hub 0 (``n >= 4``)."""
     if n < 4:
         raise ValueError("wheel graph needs at least 4 nodes")
     edges = [(0, i) for i in range(1, n)]
     rim = list(range(1, n))
     edges.extend((rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim)))
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
-def double_star_graph(a: int, b: int) -> DynamicGraph:
+def double_star_graph(a: int, b: int) -> ArrayGraph:
     """Two star centres joined by an edge, with ``a`` and ``b`` leaves respectively."""
     if a < 0 or b < 0:
         raise ValueError("leaf counts must be non-negative")
@@ -201,13 +203,13 @@ def double_star_graph(a: int, b: int) -> DynamicGraph:
     edges = [(0, 1)]
     edges.extend((0, 2 + i) for i in range(a))
     edges.extend((1, 2 + a + i) for i in range(b))
-    return DynamicGraph(n, edges)
+    return ArrayGraph(n, edges)
 
 
 # --------------------------------------------------------------------------- #
 # paper Figure 1(c): the non-monotone example
 # --------------------------------------------------------------------------- #
-def fig1c_nonmonotone() -> DynamicGraph:
+def fig1c_nonmonotone() -> ArrayGraph:
     """The 4-edge graph of Figure 1(c): a triangle with a pendant edge (the "paw").
 
     The figure's caption states that the expected convergence time for the
@@ -218,15 +220,15 @@ def fig1c_nonmonotone() -> DynamicGraph:
     adding an edge (and a node it brings along) *increased* the convergence
     time.  Nodes: triangle {1, 2, 3} plus pendant node 0 attached to 1.
     """
-    return DynamicGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    return ArrayGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
 
 
-def fig1c_triangle_subgraph() -> DynamicGraph:
+def fig1c_triangle_subgraph() -> ArrayGraph:
     """The 3-edge triangle subgraph of :func:`fig1c_nonmonotone` (already complete)."""
-    return DynamicGraph(3, [(0, 1), (1, 2), (0, 2)])
+    return ArrayGraph(3, [(0, 1), (1, 2), (0, 2)])
 
 
-def fig1c_path_subgraph() -> DynamicGraph:
+def fig1c_path_subgraph() -> ArrayGraph:
     """The 3-edge spanning path subgraph of :func:`fig1c_nonmonotone`.
 
     Kept for completeness: the path 0-1-2-3 (relabelled from the paw's
@@ -235,10 +237,10 @@ def fig1c_path_subgraph() -> DynamicGraph:
     direction of the same phenomenon (removing an edge can also slow the
     process down).
     """
-    return DynamicGraph(4, [(0, 1), (1, 2), (2, 3)])
+    return ArrayGraph(4, [(0, 1), (1, 2), (2, 3)])
 
 
-def nonmonotone_supergraph_pair() -> Tuple[DynamicGraph, DynamicGraph]:
+def nonmonotone_supergraph_pair() -> Tuple[ArrayGraph, ArrayGraph]:
     """A strict same-node-set non-monotone pair: the 4-cycle and the diamond.
 
     Returns ``(sparser, denser)`` where ``denser`` is the sparser graph plus
@@ -248,8 +250,8 @@ def nonmonotone_supergraph_pair() -> Tuple[DynamicGraph, DynamicGraph]:
     non-monotonicity that Figure 1(c) illustrates: adding an edge to a
     graph on the same node set slows the process down.
     """
-    sparser = DynamicGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    denser = DynamicGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    sparser = ArrayGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    denser = ArrayGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     return sparser, denser
 
 
@@ -278,12 +280,21 @@ def _ensure_rng(
     return np.random.default_rng(rng)
 
 
+def _from_arrays(g: ArrayGraph, parts: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ArrayGraph:
+    """Insert the edges ``zip(us, vs)`` of every part into ``g``, in order, as one batch."""
+    if parts:
+        us = np.concatenate([us for us, _ in parts]).astype(np.int64, copy=False)
+        vs = np.concatenate([vs for _, vs in parts]).astype(np.int64, copy=False)
+        g.add_edges_batch_arrays(us, vs)
+    return g
+
+
 def erdos_renyi_graph(
     n: int,
     p: float,
     rng: Optional[np.random.Generator] = None,
     ensure_connected: bool = False,
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Erdős–Rényi G(n, p).
 
     With ``ensure_connected=True`` a uniform spanning-path over a random
@@ -294,18 +305,16 @@ def erdos_renyi_graph(
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = _ensure_rng(rng)
-    g = DynamicGraph(n)
+    parts = []
     if ensure_connected and n > 1:
         perm = rng.permutation(n)
-        for i in range(n - 1):
-            g.add_edge(int(perm[i]), int(perm[i + 1]))
+        parts.append((perm[:-1], perm[1:]))
     if p > 0.0 and n > 1:
         # Vectorised upper-triangle Bernoulli sampling.
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.shape[0]) < p
-        for u, v in zip(iu[mask].tolist(), ju[mask].tolist()):
-            g.add_edge(u, v)
-    return g
+        parts.append((iu[mask], ju[mask]))
+    return _from_arrays(ArrayGraph(n), parts)
 
 
 def gnm_random_graph(
@@ -313,13 +322,13 @@ def gnm_random_graph(
     m: int,
     rng: Optional[np.random.Generator] = None,
     ensure_connected: bool = False,
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Uniform random graph with exactly ``m`` edges (plus a spanning tree if requested)."""
     max_edges = n * (n - 1) // 2
     if m > max_edges:
         raise ValueError(f"m={m} exceeds the maximum {max_edges} for n={n}")
     rng = _ensure_rng(rng)
-    g = DynamicGraph(n)
+    g = ArrayGraph(n)
     if ensure_connected and n > 1:
         g = random_tree(n, rng)
     while g.number_of_edges() < max(m, g.number_of_edges()):
@@ -332,21 +341,19 @@ def gnm_random_graph(
     return g
 
 
-def random_tree(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def random_tree(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     """Uniform-ish random labelled tree via random attachment (random recursive tree)."""
     if n < 1:
         raise ValueError("tree needs at least 1 node")
     rng = _ensure_rng(rng)
-    g = DynamicGraph(n)
-    for v in range(1, n):
-        parent = int(rng.integers(v))
-        g.add_edge(parent, v)
-    return g
+    # One array draw: the same stream as rng.integers(v) for v = 1 .. n-1.
+    children = np.arange(1, n, dtype=np.int64)
+    return _from_arrays(ArrayGraph(n), [(rng.integers(children), children)])
 
 
 def barabasi_albert_graph(
     n: int, m: int, rng: Optional[np.random.Generator] = None
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Barabási–Albert preferential attachment with ``m`` edges per new node.
 
     Used as the synthetic "social network" family in the evolution
@@ -355,12 +362,9 @@ def barabasi_albert_graph(
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = _ensure_rng(rng)
-    g = DynamicGraph(n)
     # Start from a star on the first m + 1 nodes so every node has degree >= 1.
-    targets: List[int] = []
-    for v in range(1, m + 1):
-        g.add_edge(0, v)
-        targets.extend([0, v])
+    edges = [(0, v) for v in range(1, m + 1)]
+    targets: List[int] = [end for edge in edges for end in edge]
     for v in range(m + 1, n):
         chosen: set = set()
         while len(chosen) < m:
@@ -368,14 +372,14 @@ def barabasi_albert_graph(
             pick = targets[int(rng.integers(len(targets)))]
             chosen.add(pick)
         for t in chosen:
-            g.add_edge(v, t)
+            edges.append((v, t))
             targets.extend([v, t])
-    return g
+    return ArrayGraph(n, edges)
 
 
 def watts_strogatz_graph(
     n: int, k: int, p: float, rng: Optional[np.random.Generator] = None
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Watts–Strogatz small-world graph (ring lattice with rewiring probability ``p``).
 
     Rewiring never disconnects the original lattice here: instead of
@@ -390,23 +394,18 @@ def watts_strogatz_graph(
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be in [0, 1]")
     rng = _ensure_rng(rng)
-    g = DynamicGraph(n)
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            g.add_edge(u, (u + offset) % n)
+    edges = [(u, (u + offset) % n) for u in range(n) for offset in range(1, k // 2 + 1)]
     if p > 0:
         for u in range(n):
             for offset in range(1, k // 2 + 1):
                 if rng.random() < p:
-                    w = int(rng.integers(n))
-                    if w != u:
-                        g.add_edge(u, w)
-    return g
+                    edges.append((u, int(rng.integers(n))))
+    return ArrayGraph(n, edges)
 
 
 def random_regular_graph(
     n: int, d: int, rng: Optional[np.random.Generator] = None, max_tries: int = 100
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Random ``d``-regular graph via the configuration model with retries.
 
     Falls back to raising ``RuntimeError`` if a simple ``d``-regular graph
@@ -424,7 +423,7 @@ def random_regular_graph(
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
-        g = DynamicGraph(n)
+        g = ArrayGraph(n)
         ok = True
         for u, v in pairs.tolist():
             if u == v or g.has_edge(u, v):
@@ -438,19 +437,18 @@ def random_regular_graph(
 
 def random_connected_graph(
     n: int, extra_edge_prob: float = 0.05, rng: Optional[np.random.Generator] = None
-) -> DynamicGraph:
+) -> ArrayGraph:
     """A random tree plus independent extra edges — a generic connected test graph."""
     rng = _ensure_rng(rng)
     g = random_tree(n, rng)
     if extra_edge_prob > 0 and n > 2:
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.shape[0]) < extra_edge_prob
-        for u, v in zip(iu[mask].tolist(), ju[mask].tolist()):
-            g.add_edge(u, v)
+        _from_arrays(g, [(iu[mask], ju[mask])])
     return g
 
 
-def complete_minus_matching(n: int, k: int) -> DynamicGraph:
+def complete_minus_matching(n: int, k: int) -> ArrayGraph:
     """Complete graph with a matching of ``k`` disjoint edges removed.
 
     This is the dense starting point of the lower-bound experiments
@@ -458,18 +456,13 @@ def complete_minus_matching(n: int, k: int) -> DynamicGraph:
     """
     if k > n // 2:
         raise ValueError(f"a matching of size {k} does not fit in {n} nodes")
-    g = complete_graph(n)
     removed = {(2 * i, 2 * i + 1) for i in range(k)}
-    out = DynamicGraph(n)
-    for u, v in g.edges():
-        if (u, v) not in removed:
-            out.add_edge(u, v)
-    return out
+    return ArrayGraph(n, (edge for edge in complete_graph(n).edges() if edge not in removed))
 
 
 def complete_minus_random_edges(
     n: int, k: int, rng: Optional[np.random.Generator] = None
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Complete graph with ``k`` uniformly random edges removed (kept connected by construction
     for ``k <= n(n-1)/2 - (n-1)`` with overwhelming probability; validated by callers)."""
     max_edges = n * (n - 1) // 2
@@ -478,65 +471,61 @@ def complete_minus_random_edges(
     rng = _ensure_rng(rng)
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     remove_idx = set(rng.choice(len(all_edges), size=k, replace=False).tolist())
-    g = DynamicGraph(n)
-    for i, (u, v) in enumerate(all_edges):
-        if i not in remove_idx:
-            g.add_edge(u, v)
-    return g
+    return ArrayGraph(n, (edge for i, edge in enumerate(all_edges) if i not in remove_idx))
 
 
 # --------------------------------------------------------------------------- #
 # family registry — used by the experiment sweeps and the CLI
 # --------------------------------------------------------------------------- #
-def _er_connected(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _er_connected(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     # Density 2 ln n / n keeps G(n, p) connected w.h.p.; the spanning path
     # backstop guarantees it for the small n used in tests.
     p = min(1.0, 2.0 * math.log(max(n, 2)) / max(n, 2))
     return erdos_renyi_graph(n, p, rng=rng, ensure_connected=True)
 
 
-def _ba(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _ba(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return barabasi_albert_graph(n, m=min(3, max(1, n - 1)), rng=rng)
 
 
-def _ws(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _ws(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     k = 4 if n > 4 else 2
     return watts_strogatz_graph(n, k=k, p=0.1, rng=rng)
 
 
-def _tree(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _tree(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return random_tree(n, rng)
 
 
-def _path(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _path(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return path_graph(n)
 
 
-def _cycle(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _cycle(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return cycle_graph(n)
 
 
-def _star(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _star(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return star_graph(n)
 
 
-def _lollipop(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _lollipop(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     clique = max(3, n // 2)
     return lollipop_graph(clique, n - clique)
 
 
-def _grid(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _grid(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     side = max(2, int(round(math.sqrt(n))))
     return grid_graph(side, side)
 
 
-def _binary_tree(n: int, rng: Optional[np.random.Generator] = None) -> DynamicGraph:
+def _binary_tree(n: int, rng: Optional[np.random.Generator] = None) -> ArrayGraph:
     return binary_tree_graph(n)
 
 
-#: Mapping from family name to a ``(n, rng) -> DynamicGraph`` factory.
+#: Mapping from family name to a ``(n, rng) -> ArrayGraph`` factory.
 #: ``grid`` rounds ``n`` to the nearest square.
-FAMILY_REGISTRY: Dict[str, Callable[[int, Optional[np.random.Generator]], DynamicGraph]] = {
+FAMILY_REGISTRY: Dict[str, Callable[[int, Optional[np.random.Generator]], ArrayGraph]] = {
     "path": _path,
     "cycle": _cycle,
     "star": _star,
@@ -557,7 +546,7 @@ def family_names() -> List[str]:
 
 def make_family(
     name: str, n: int, rng: Optional[np.random.Generator] = None
-) -> DynamicGraph:
+) -> ArrayGraph:
     """Instantiate the registered family ``name`` at (approximately) ``n`` nodes."""
     try:
         factory = FAMILY_REGISTRY[name]

@@ -18,13 +18,12 @@ coefficient for the social-evolution experiments.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence, Set, Union
+from typing import Dict, List, Set, Union
 
 import numpy as np
 
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 __all__ = [
     "bfs_distances",
@@ -47,13 +46,7 @@ __all__ = [
     "verify_lemma1",
 ]
 
-GraphLike = Union[DynamicGraph, DynamicDiGraph]
-
-
-def _out_adjacency(graph: GraphLike, u: int) -> Sequence[int]:
-    if getattr(graph, "directed", False):
-        return graph.out_neighbors(u)
-    return graph.neighbors(u)
+GraphLike = Union[ArrayGraph, ArrayDiGraph]
 
 
 # --------------------------------------------------------------------------- #
@@ -62,26 +55,12 @@ def _out_adjacency(graph: GraphLike, u: int) -> Sequence[int]:
 def bfs_distances(graph: GraphLike, source: int) -> np.ndarray:
     """Return the array of BFS distances from ``source`` (unreachable = -1).
 
-    For directed graphs the distances follow out-edges only.  Graphs that
-    store packed membership rows (the array backend) take the word-parallel
-    level-synchronous path of :func:`repro.graphs.bitset.bfs_distances_bits`;
-    list-backed graphs keep the per-node queue BFS.
+    For directed graphs the distances follow out-edges only.  The BFS is
+    the word-parallel level-synchronous search of
+    :func:`repro.graphs.bitset.bfs_distances_bits` over the packed
+    membership rows.
     """
-    native_bits = getattr(graph, "adjacency_bits", None)
-    if native_bits is not None:
-        return bitset.bfs_distances_bits(native_bits(), source)
-    n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in _out_adjacency(graph, u):
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bitset.bfs_distances_bits(graph.adjacency_bits(), source)
 
 
 def neighborhood_at_distance(graph: GraphLike, u: int, i: int) -> Set[int]:
@@ -100,17 +79,17 @@ def neighborhood_within_distance(graph: GraphLike, u: int, i: int) -> Set[int]:
     return set(np.flatnonzero((dist >= 1) & (dist <= i)).tolist())
 
 
-def degree_into_set(graph: DynamicGraph, v: int, target: Set[int]) -> int:
+def degree_into_set(graph: ArrayGraph, v: int, target: Set[int]) -> int:
     """The paper's ``d(v, S)``: number of edges from ``v`` into the node set ``S``."""
     return sum(1 for w in graph.neighbors(v) if w in target)
 
 
-def is_strongly_tied(graph: DynamicGraph, v: int, target: Set[int], delta0: int) -> bool:
+def is_strongly_tied(graph: ArrayGraph, v: int, target: Set[int], delta0: int) -> bool:
     """True when ``v`` has at least ``δ_0 / 2`` edges into ``target`` (paper §3.1)."""
     return degree_into_set(graph, v, target) >= delta0 / 2
 
 
-def is_weakly_tied(graph: DynamicGraph, v: int, target: Set[int], delta0: int) -> bool:
+def is_weakly_tied(graph: ArrayGraph, v: int, target: Set[int], delta0: int) -> bool:
     """True when ``v`` has fewer than ``δ_0 / 2`` edges into ``target`` (paper §3.1)."""
     return not is_strongly_tied(graph, v, target, delta0)
 
@@ -118,7 +97,7 @@ def is_weakly_tied(graph: DynamicGraph, v: int, target: Set[int], delta0: int) -
 # --------------------------------------------------------------------------- #
 # connectivity
 # --------------------------------------------------------------------------- #
-def is_connected(graph: DynamicGraph) -> bool:
+def is_connected(graph: ArrayGraph) -> bool:
     """True when the undirected graph is connected (vacuously true for n <= 1)."""
     n = graph.n
     if n <= 1:
@@ -127,49 +106,33 @@ def is_connected(graph: DynamicGraph) -> bool:
     return bool((dist >= 0).all())
 
 
-def connected_components(graph: DynamicGraph) -> List[List[int]]:
+def connected_components(graph: ArrayGraph) -> List[List[int]]:
     """Connected components of an undirected graph as sorted node lists."""
-    n = graph.n
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(graph.n, dtype=bool)
     components: List[List[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        components.append(sorted(comp))
+    for start in range(graph.n):
+        if not seen[start]:
+            comp = np.flatnonzero(bfs_distances(graph, start) >= 0)
+            seen[comp] = True
+            components.append(comp.tolist())
     return components
 
 
-def is_weakly_connected(graph: DynamicDiGraph) -> bool:
+def is_weakly_connected(graph: ArrayDiGraph) -> bool:
     """True when the digraph is connected after forgetting edge directions."""
     return is_connected(graph.to_undirected())
 
 
-def is_strongly_connected(graph: DynamicDiGraph) -> bool:
+def is_strongly_connected(graph: ArrayDiGraph) -> bool:
     """True when every node reaches every other node along directed edges."""
     n = graph.n
     if n <= 1:
         return True
     if not bool((bfs_distances(graph, 0) >= 0).all()):
         return False
-    # Reverse reachability: BFS from 0 over the reversed edges.
-    native_bits = getattr(graph, "adjacency_bits", None)
-    if native_bits is not None:
-        reverse_bits = bitset.transpose_bits(native_bits(), n)
-        return bool((bitset.bfs_distances_bits(reverse_bits, 0) >= 0).all())
-    reverse = DynamicDiGraph(n)
-    for u, v in graph.edges():
-        reverse.add_edge(v, u)
-    return bool((bfs_distances(reverse, 0) >= 0).all())
+    # Reverse reachability: BFS from 0 over the transposed rows.
+    reverse_bits = bitset.transpose_bits(graph.adjacency_bits(), n)
+    return bool((bitset.bfs_distances_bits(reverse_bits, 0) >= 0).all())
 
 
 # --------------------------------------------------------------------------- #
@@ -190,20 +153,20 @@ def diameter(graph: GraphLike) -> int:
     return max(eccentricity(graph, u) for u in range(graph.n))
 
 
-def average_degree(graph: DynamicGraph) -> float:
+def average_degree(graph: ArrayGraph) -> float:
     """Mean degree ``2m / n`` (0.0 for an empty node set)."""
     if graph.n == 0:
         return 0.0
     return 2.0 * graph.number_of_edges() / graph.n
 
 
-def degree_histogram(graph: DynamicGraph) -> Dict[int, int]:
+def degree_histogram(graph: ArrayGraph) -> Dict[int, int]:
     """Map from degree value to the number of nodes having that degree."""
     values, counts = np.unique(graph.degrees(), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def clustering_coefficient(graph: DynamicGraph, u: int) -> float:
+def clustering_coefficient(graph: ArrayGraph, u: int) -> float:
     """Local clustering coefficient of ``u`` (1.0 by convention for degree < 2... 0.0).
 
     Defined as the fraction of pairs of neighbours of ``u`` that are
@@ -221,14 +184,14 @@ def clustering_coefficient(graph: DynamicGraph, u: int) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
-def average_clustering(graph: DynamicGraph) -> float:
+def average_clustering(graph: ArrayGraph) -> float:
     """Mean local clustering coefficient over all nodes (0.0 for empty graphs)."""
     if graph.n == 0:
         return 0.0
     return float(np.mean([clustering_coefficient(graph, u) for u in range(graph.n)]))
 
 
-def missing_edge_pairs(graph: DynamicGraph) -> List[tuple]:
+def missing_edge_pairs(graph: ArrayGraph) -> List[tuple]:
     """All node pairs not yet joined by an edge (the complement's edge list)."""
     return [
         (u, v)
@@ -238,7 +201,7 @@ def missing_edge_pairs(graph: DynamicGraph) -> List[tuple]:
     ]
 
 
-def verify_lemma1(graph: DynamicGraph, u: int) -> bool:
+def verify_lemma1(graph: ArrayGraph, u: int) -> bool:
     """Check Lemma 1 for node ``u``: ``|N¹(u) ∪ ... ∪ N⁴(u)| >= min(2δ, n - 1)``.
 
     Only meaningful on connected graphs; returns the truth of the inequality.

@@ -1,21 +1,15 @@
-"""Shared bulk-sampling primitives used by every graph backend.
+"""Bulk-sampling primitives: how one uniform becomes one neighbour.
 
-Cross-backend trace equivalence rests on one invariant: for the same seed,
-the list backend (:mod:`repro.graphs.adjacency`) and the array backend
-(:mod:`repro.graphs.array_adjacency`) must consume the *same* random
-values and map them to the *same* neighbour choices.  Every sampled node
-costs one uniform float, turned into a neighbour index with the exact
-floating-point computation implemented here.
-
-The two backends consume those uniforms in different call shapes.  The
-gossip kernels on the array backend draw a whole round's uniforms as one
-block — ``rng.random((2, m))`` for two sampling stages over ``m`` nodes —
-and hand row ``s`` to stage ``s``.  The list backend still draws stage by
-stage, one ``rng.random(m)`` per ``random_neighbors`` call.  NumPy fills
-the block in order from the same stream, so both see the same values
-(``tests/test_draw_budget.py`` pins this).  Only the final gather —
-ragged Python lists versus one flat ``take`` into a 2-D array — differs
-between backends, and gathering is deterministic.
+Every sampled node costs one uniform float, turned into a neighbour index
+with the exact floating-point computation implemented here, so a seed
+maps to one sequence of choices however the draws are shaped.  The
+gossip kernels draw a whole round's uniforms as one block —
+``rng.random((2, m))`` for two sampling stages over ``m`` nodes — and
+hand row ``s`` to stage ``s``.  NumPy fills the block in order from the
+same stream that one ``rng.random(m)`` per stage would read, so the two
+shapes see the same values (``tests/test_draw_budget.py`` pins this, and
+``tests/test_backend_equivalence.py`` checks the kernels against an
+oracle that draws stage by stage).
 
 The helpers use ``-1`` as the sentinel for "no sample" (a node with no
 neighbours, or a ``-1`` node propagated from an earlier sampling stage),
@@ -35,8 +29,8 @@ def uniform_indices(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Returns an ``int64`` array with ``-1`` wherever ``counts <= 0``.  The
     result is clipped to ``counts - 1`` so the (measure-zero, but real in
     floating point) case ``u·k`` rounding up to ``k`` cannot produce an
-    out-of-range index.  Every backend must use this exact computation so
-    identical draws yield identical choices.
+    out-of-range index.  Every sampling path uses this exact computation
+    so identical draws yield identical choices.
     """
     counts = np.asarray(counts, dtype=np.int64)
     idx = (np.asarray(u) * counts).astype(np.int64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs import properties
 
 __all__ = [
@@ -28,7 +28,7 @@ class ValidationError(AssertionError):
     """Raised when a graph fails an internal-consistency or precondition check."""
 
 
-def check_graph_invariants(graph: DynamicGraph) -> List[str]:
+def check_graph_invariants(graph: ArrayGraph) -> List[str]:
     """Return a list of invariant violations (empty list = consistent).
 
     Checks: neighbour lists symmetric and duplicate-free, no self loops,
@@ -59,7 +59,7 @@ def check_graph_invariants(graph: DynamicGraph) -> List[str]:
     return problems
 
 
-def check_digraph_invariants(graph: DynamicDiGraph) -> List[str]:
+def check_digraph_invariants(graph: ArrayDiGraph) -> List[str]:
     """Return a list of invariant violations for a digraph (empty = consistent)."""
     problems: List[str] = []
     seen_edges = set()
@@ -89,7 +89,7 @@ def check_digraph_invariants(graph: DynamicDiGraph) -> List[str]:
     return problems
 
 
-def require_connected(graph: DynamicGraph) -> None:
+def require_connected(graph: ArrayGraph) -> None:
     """Raise :class:`ValidationError` unless the undirected graph is connected."""
     if not properties.is_connected(graph):
         raise ValidationError(
@@ -98,13 +98,13 @@ def require_connected(graph: DynamicGraph) -> None:
         )
 
 
-def require_weakly_connected(graph: DynamicDiGraph) -> None:
+def require_weakly_connected(graph: ArrayDiGraph) -> None:
     """Raise :class:`ValidationError` unless the digraph is weakly connected."""
     if not properties.is_weakly_connected(graph):
         raise ValidationError("starting digraph must be weakly connected")
 
 
-def require_strongly_connected(graph: DynamicDiGraph) -> None:
+def require_strongly_connected(graph: ArrayDiGraph) -> None:
     """Raise :class:`ValidationError` unless the digraph is strongly connected."""
     if not properties.is_strongly_connected(graph):
         raise ValidationError("starting digraph must be strongly connected")

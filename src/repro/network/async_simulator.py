@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.baselines._packed import require_undirected
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, EdgeArrays
 from repro.network.events import (
     ChurnSchedule,
@@ -140,7 +139,7 @@ class AsyncNetworkSimulator:
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         protocol: Union[GossipProtocol, str] = "push",
         rng: Union[np.random.Generator, int, None] = None,
         failures: Optional[FailureModel] = None,
@@ -178,7 +177,7 @@ class AsyncNetworkSimulator:
             np.repeat(np.arange(self.n), [len(row) for row in rows]),
             np.array([v for row in rows for v in row], dtype=np.int64),
         )
-        self._knowledge = ArrayGraph.from_graph(graph)
+        self._knowledge = graph.copy()
         # Discoveries not yet folded into the knowledge graph.
         self._found: List[EdgeArrays] = []
         self.event_log: Optional[List[Tuple[float, int, str, object]]] = (
@@ -529,9 +528,9 @@ class AsyncNetworkSimulator:
         )
         return int(np.count_nonzero(known)) == m * (m - 1)
 
-    def contact_graph(self) -> DynamicGraph:
+    def contact_graph(self) -> ArrayGraph:
         """The current who-knows-whom graph reconstructed from node state."""
-        return DynamicGraph(self.n, self.contacts.edge_list())
+        return self.contacts.to_undirected()
 
     def max_bits_per_node_round(self) -> int:
         """Largest bits any *single* node sent in any single tick.
@@ -576,7 +575,7 @@ class NetworkSimulator(AsyncNetworkSimulator):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         protocol: Union[GossipProtocol, str] = "push",
         rng: Union[np.random.Generator, int, None] = None,
         failures: Optional[FailureModel] = None,

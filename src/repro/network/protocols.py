@@ -25,7 +25,7 @@ Per-protocol shapes:
   :func:`repro.graphs.sampling.uniform_indices` — the convention of the
   vectorized round engine.  So the protocol stays draw-for-draw identical
   to :class:`repro.core.push.PushDiscovery` given the same seed and
-  starting graph, on either graph backend.
+  starting graph.
 * **Pull**: ``PULL_REQUEST`` to a random neighbour; the delivered request
   triggers a ``PULL_REPLY`` carrying a random ID from the replier's
   current contacts; the delivered reply is *recorded at the requester*

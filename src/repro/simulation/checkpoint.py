@@ -6,7 +6,7 @@ the *complete* dynamic state of a trial — graph, process counters, and the
 RNG — and restores it so that a resumed run is **draw-for-draw identical**
 to the uninterrupted one: same contact graphs round by round, same final
 bit-generator state.  The property is pinned by ``tests/test_checkpoint.py``
-for every registered process, on both graph backends.
+for every registered process.
 
 Checkpoint file format (version 1)
 ----------------------------------
@@ -27,7 +27,10 @@ in the target directory + ``os.replace``) and in order:
     SHA-256 of the ``.npz`` bytes, the ``meta`` block (process registry
     name, backend, semantics, round/message/bit counters, the directed
     deficit counter), and the full ``rng_state`` — the process
-    generator's ``bit_generator.state`` dict.
+    generator's ``bit_generator.state`` dict.  ``backend`` is always
+    ``"array"`` now.  Files written by the removed list backend store the
+    same payload (rows trimmed, in insertion order) with ``capacity`` 0,
+    and restore onto the array graph like any other.
 
 Compatibility policy: the loader accepts exactly
 :data:`CHECKPOINT_VERSION`.  Any format evolution bumps the version and
@@ -39,7 +42,7 @@ from silently corrupt state.
 What is checkpointable
 ----------------------
 Every process constructible through the registry
-(:data:`repro.simulation.engine.PROCESS_REGISTRY`), on either backend.
+(:data:`repro.simulation.engine.PROCESS_REGISTRY`).
 Instance-patched processes (a :class:`~repro.core.variants.ChurnModel`
 overlay's guarded ``propose``) and unregistered subclasses raise
 :class:`CheckpointError`: their extra state lives outside the format.
@@ -62,7 +65,6 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.core.push import PushDiscovery
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, _round_up_pow2
 from repro.simulation.engine import PROCESS_REGISTRY, make_process
 from repro.simulation.io import atomic_write_bytes
@@ -134,32 +136,21 @@ def _registry_name(process: DiscoveryProcess) -> str:
 
 
 def _graph_payload(graph) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Neighbour rows + degrees: the complete, backend-independent graph state.
+    """Neighbour rows + degrees: the complete graph state.
 
     Rows are stored trimmed to the occupied width; everything else (packed
     membership bits, in-degrees, the capacity padding) is derived on
     restore.  Insertion order inside each row is preserved, which is the
     property the draw-stream contract rests on.
     """
-    n = graph.n
-    directed = bool(getattr(graph, "directed", False))
-    if isinstance(graph, (ArrayGraph, ArrayDiGraph)):
-        rows, deg = graph.out_neighbor_rows() if directed else graph.neighbor_rows()
-        capacity = graph.capacity
-    else:
-        deg = graph.out_degrees() if directed else graph.degrees()
-        lists = graph._out if directed else graph._neighbors
-        width = int(deg.max()) if deg.size else 0
-        rows = np.full((n, max(width, 1)), -1, dtype=np.int64)
-        for u, nbrs in enumerate(lists):
-            rows[u, : len(nbrs)] = nbrs
-        capacity = 0  # list backend: no preallocated capacity to preserve
+    directed = graph.directed
+    rows, deg = graph.out_neighbor_rows() if directed else graph.neighbor_rows()
     width = int(deg.max()) if deg.size else 0
     meta = {
-        "n": n,
+        "n": graph.n,
         "directed": directed,
         "num_edges": graph.number_of_edges(),
-        "capacity": capacity,
+        "capacity": graph.capacity,
     }
     arrays = {
         "nbr": np.ascontiguousarray(rows[:, : max(width, 1)], dtype=np.int64),
@@ -189,7 +180,7 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
 
     meta: Dict[str, object] = {
         "process": name,
-        "backend": process.backend,
+        "backend": "array",
         "semantics": process.semantics.value,
         "round_index": process.round_index,
         "total_edges_added": process.total_edges_added,
@@ -313,8 +304,12 @@ def _restore_rng(state: Dict[str, object]) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _restore_array_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarray):
-    """Rebuild an array-backend graph from trimmed rows (bits/in-degrees derived)."""
+def _restore_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarray):
+    """Rebuild the graph from trimmed rows (bits/in-degrees derived).
+
+    A ``capacity`` of 0 (written by the removed list backend) or one
+    narrower than the rows means the smallest power of two that fits.
+    """
     n = int(meta["n"])
     directed = bool(meta["directed"])
     cap = max(_round_up_pow2(rows.shape[1] if n else 1), int(meta.get("capacity") or 0))
@@ -356,38 +351,6 @@ def _slot_indices(deg: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - starts
 
 
-def _restore_list_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarray):
-    """Rebuild a list-backend graph, preserving per-node insertion order."""
-    n = int(meta["n"])
-    directed = bool(meta["directed"])
-    lists = [rows[u, : deg[u]].tolist() for u in range(n)]
-    if directed:
-        graph = DynamicDiGraph(n)
-        graph._out = lists
-        graph._edge_set = {(u, v) for u, nbrs in enumerate(lists) for v in nbrs}
-        graph._out_degrees = deg.copy()
-        in_deg = np.zeros(n, dtype=np.int64)
-        for nbrs in lists:
-            for v in nbrs:
-                in_deg[v] += 1
-        graph._in_degrees = in_deg
-        graph._num_edges = int(deg.sum())
-    else:
-        graph = DynamicGraph(n)
-        graph._neighbors = lists
-        graph._edge_set = {
-            (min(u, v), max(u, v)) for u, nbrs in enumerate(lists) for v in nbrs
-        }
-        graph._degrees = deg.copy()
-        graph._num_edges = int(deg.sum()) // 2
-    if graph._num_edges != int(meta["num_edges"]):
-        raise CheckpointError(
-            f"checkpoint graph payload is inconsistent: rows encode "
-            f"{graph._num_edges} edges, envelope says {meta['num_edges']}"
-        )
-    return graph
-
-
 def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
     """Rebuild the checkpointed process, ready to continue draw-for-draw."""
     meta = checkpoint.meta
@@ -402,10 +365,7 @@ def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
         )
     rows = np.asarray(checkpoint.arrays["nbr"], dtype=np.int64)
     deg = np.asarray(checkpoint.arrays["deg"], dtype=np.int64)
-    if str(meta["backend"]) == "array":
-        graph = _restore_array_graph(meta, rows, deg)
-    else:
-        graph = _restore_list_graph(meta, rows, deg)
+    graph = _restore_graph(meta, rows, deg)
     process = make_process(
         checkpoint.process_name,
         graph,

@@ -23,8 +23,7 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 __all__ = [
     "PROCESS_REGISTRY",
@@ -34,7 +33,7 @@ __all__ = [
     "process_names",
 ]
 
-GraphLike = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
+GraphLike = Union[ArrayGraph, ArrayDiGraph]
 
 #: name -> (constructor, requires_directed_graph)
 PROCESS_REGISTRY: Dict[str, Tuple[Callable[..., DiscoveryProcess], bool]] = {
@@ -65,10 +64,8 @@ def make_process(
 ) -> DiscoveryProcess:
     """Build a process by registry name over ``graph``.
 
-    ``backend`` selects the graph substrate: ``"list"`` (default behaviour)
-    or ``"array"`` (the vectorized fast path — supported by every
-    registered process, baselines included).  The graph is converted as
-    needed.
+    ``backend`` accepts ``"array"``, the one graph substrate, and ``None``;
+    anything else raises ``ValueError``.
 
     Raises ``KeyError`` for unknown names and ``TypeError`` when the graph
     kind does not match the process (e.g. an undirected graph passed to
@@ -86,8 +83,17 @@ def make_process(
         if name != "pointer_jump":
             raise TypeError(f"process {name!r} requires an undirected graph")
     if backend is not None:
-        graph = as_backend(graph, backend)
+        require_array_backend(backend)
     return ctor(graph, rng=rng, semantics=semantics, **kwargs)
+
+
+def require_array_backend(backend: str) -> None:
+    """Raise ``ValueError`` unless ``backend`` is ``"array"``, the one graph substrate."""
+    if backend != "array":
+        raise ValueError(
+            f"backend={backend!r}: \"array\" is the only graph backend "
+            "(the list backend was removed)"
+        )
 
 
 def run_process(
@@ -109,7 +115,6 @@ def measure_convergence_rounds(
     max_rounds: Optional[int] = None,
     semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
     copy_graph: bool = True,
-    backend: Optional[str] = None,
     checkpoint_every: int = 0,
     checkpoint_dir: Union[str, "os.PathLike", None] = None,
     **kwargs,
@@ -118,8 +123,6 @@ def measure_convergence_rounds(
 
     This is the workhorse of every scaling experiment: one call, one
     :class:`RunResult` whose ``rounds`` field is the convergence time.
-    ``backend="array"`` routes the run through the vectorized fast path;
-    the seeded result is identical to the list backend's.
 
     ``checkpoint_every=k`` with ``checkpoint_dir`` writes an exact
     checkpoint (``round_<index>`` stem) after every ``k``-th completed
@@ -127,9 +130,7 @@ def measure_convergence_rounds(
     :func:`repro.simulation.checkpoint.resume_from_checkpoint`.
     """
     work_graph = graph.copy() if copy_graph else graph
-    process = make_process(
-        name, work_graph, rng=rng, semantics=semantics, backend=backend, **kwargs
-    )
+    process = make_process(name, work_graph, rng=rng, semantics=semantics, **kwargs)
     callbacks = ()
     if checkpoint_every:
         if checkpoint_dir is None:

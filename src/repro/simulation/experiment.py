@@ -16,15 +16,14 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Unio
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import BACKENDS
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.directed_generators import DIRECTED_FAMILY_REGISTRY, make_directed_family
 from repro.graphs.generators import FAMILY_REGISTRY, make_family
-from repro.simulation.engine import PROCESS_REGISTRY
+from repro.simulation.engine import PROCESS_REGISTRY, require_array_backend
 
 __all__ = ["ExperimentSpec", "SweepSpec"]
 
-GraphFactory = Callable[[int, Optional[np.random.Generator]], Union[DynamicGraph, DynamicDiGraph]]
+GraphFactory = Callable[[int, Optional[np.random.Generator]], Union[ArrayGraph, ArrayDiGraph]]
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,8 @@ class ExperimentSpec:
     max_rounds:
         Optional hard cap per trial (defaults to the process's own cap).
     backend:
-        Graph backend for the trials: ``"list"`` (default) or ``"array"``
-        (the vectorized fast path; identical seeded results).  Every
-        registered process supports both — the baselines included, since
-        their payload rounds run on the packed bitset substrate.
+        ``"array"``, the one graph substrate; any other value raises
+        ``ValueError``.
     checkpoint_every:
         When > 0 (and ``checkpoint_dir`` is set), each trial writes an
         exact checkpoint every this-many rounds under
@@ -76,7 +73,7 @@ class ExperimentSpec:
     graph_factory: Optional[GraphFactory] = field(default=None, compare=False)
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
-    backend: str = "list"
+    backend: str = "array"
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = field(default=None, compare=False)
     label: str = ""
@@ -95,8 +92,7 @@ class ExperimentSpec:
                     f"family={self.family!r} is not a registered {kind} family; "
                     f"known: {sorted(families)}"
                 )
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend={self.backend!r} is not a backend; known: {list(BACKENDS)}")
+        require_array_backend(self.backend)
         for name, least in (("n", 1), ("trials", 1), ("checkpoint_every", 0)):
             value = getattr(self, name)
             if value < least:
@@ -106,7 +102,7 @@ class ExperimentSpec:
 
     def build_graph(
         self, rng: Optional[np.random.Generator] = None
-    ) -> Union[DynamicGraph, DynamicDiGraph]:
+    ) -> Union[ArrayGraph, ArrayDiGraph]:
         """Instantiate the starting graph for one trial."""
         if self.graph_factory is not None:
             return self.graph_factory(self.n, rng)
@@ -117,8 +113,7 @@ class ExperimentSpec:
     def describe(self) -> str:
         """Short human-readable description for logs and tables."""
         tag = f" [{self.label}]" if self.label else ""
-        fast = f" backend={self.backend}" if self.backend != "list" else ""
-        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{fast}{tag}"
+        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{tag}"
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,6 @@ class SweepSpec:
     directed: bool = False
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
-    backend: str = "list"
     label: str = ""
 
     def expand(self) -> List[ExperimentSpec]:
@@ -150,7 +144,6 @@ class SweepSpec:
                             directed=self.directed,
                             process_kwargs=dict(self.process_kwargs),
                             max_rounds=self.max_rounds,
-                            backend=self.backend,
                             label=self.label,
                         )
                     )

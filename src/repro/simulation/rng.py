@@ -13,7 +13,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "fresh_root_seed", "spawn_rngs", "rng_from_seed"]
+__all__ = [
+    "SeedSequenceFactory",
+    "fresh_root_seed",
+    "require_seed",
+    "spawn_rngs",
+    "rng_from_seed",
+]
 
 
 def fresh_root_seed() -> int:
@@ -23,6 +29,19 @@ def fresh_root_seed() -> int:
     can be replayed with ``--seed`` (or ``root_seed=``).
     """
     return int(np.random.SeedSequence().entropy)
+
+
+def require_seed(seed: Optional[int], who: str) -> None:
+    """Raise ``ValueError`` when ``seed`` is None.
+
+    An unseeded run would draw OS entropy that nothing records, so its
+    result could not be replayed; callers that want fresh entropy pass
+    :func:`fresh_root_seed` and keep what it returns.
+    """
+    if seed is None:
+        raise ValueError(
+            f"{who} requires an explicit seed (an integer); an unseeded run cannot be replayed"
+        )
 
 
 def rng_from_seed(seed: Optional[int]) -> np.random.Generator:

@@ -125,7 +125,6 @@ def _run_single_trial(args) -> TrialResult:
             rng=rng,
             max_rounds=spec.max_rounds,
             copy_graph=False,
-            backend=spec.backend,
             checkpoint_every=spec.checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             **spec.process_kwargs,

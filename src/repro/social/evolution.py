@@ -15,11 +15,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.baselines._packed import supports_undirected
 from repro.core.base import DiscoveryProcess, RoundResult
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs import properties
 from repro.simulation.engine import make_process
+from repro.simulation.rng import require_seed
 
 __all__ = ["EvolutionSnapshot", "EvolutionTracker", "simulate_social_evolution"]
 
@@ -62,13 +62,13 @@ class EvolutionTracker:
         self.snapshots: List[EvolutionSnapshot] = []
         self._probes: Optional[List[int]] = None
 
-    def _ensure_probes(self, graph: DynamicGraph) -> List[int]:
+    def _ensure_probes(self, graph: ArrayGraph) -> List[int]:
         if self._probes is None:
             count = min(self.probe_nodes, graph.n)
             self._probes = self.rng.choice(graph.n, size=count, replace=False).tolist()
         return self._probes
 
-    def snapshot(self, graph: DynamicGraph, round_index: int) -> EvolutionSnapshot:
+    def snapshot(self, graph: ArrayGraph, round_index: int) -> EvolutionSnapshot:
         """Take one snapshot of ``graph`` (also used for the round-0 baseline)."""
         probes = self._ensure_probes(graph)
         second_sizes = []
@@ -96,10 +96,8 @@ class EvolutionTracker:
         if result.round_index % self.every != 0:
             return
         graph = process.graph
-        # Capability check, not a backend isinstance: a stale
-        # `isinstance(graph, DynamicGraph)` guard here silently recorded
-        # zero snapshots whenever the run used the array backend.
-        if not supports_undirected(graph):
+        # Snapshots describe an undirected social graph; a directed run records none.
+        if graph.directed:
             return
         self.snapshots.append(self.snapshot(graph, result.round_index + 1))
 
@@ -123,24 +121,23 @@ class EvolutionTracker:
 
 
 def simulate_social_evolution(
-    graph: DynamicGraph,
+    graph: ArrayGraph,
     process: str = "push",
     rounds: int = 200,
     every: int = 10,
     seed: Optional[int] = None,
     probe_nodes: int = 16,
-    backend: Optional[str] = None,
 ) -> List[EvolutionSnapshot]:
     """Run ``process`` on a copy of ``graph`` for ``rounds`` rounds, returning snapshots.
 
     The round-0 snapshot of the untouched starting graph is always included
     first so growth can be expressed relative to the initial network.
-    ``backend`` selects the graph substrate for the run (``"list"`` or
-    ``"array"``); snapshots are recorded on either.
+    ``seed`` is required: ``None`` raises ``ValueError``.
     """
+    require_seed(seed, "simulate_social_evolution")
     work = graph.copy()
     tracker = EvolutionTracker(every=every, probe_nodes=probe_nodes, rng=seed)
     baseline = tracker.snapshot(work, 0)
-    proc = make_process(process, work, rng=seed, backend=backend)
+    proc = make_process(process, work, rng=seed)
     proc.run(rounds, callbacks=[tracker])
     return [baseline] + tracker.snapshots

@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.subset import SubsetDiscovery
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
+from repro.simulation.rng import require_seed
 
 __all__ = ["GroupDiscoveryResult", "discover_group", "sample_connected_group"]
 
@@ -36,7 +37,7 @@ class GroupDiscoveryResult:
 
 
 def sample_connected_group(
-    graph: DynamicGraph, k: int, rng: Union[np.random.Generator, int, None] = None
+    graph: ArrayGraph, k: int, rng: Union[np.random.Generator, int, None] = None
 ) -> List[int]:
     """Sample ``k`` nodes inducing a connected subgraph via a random BFS ball.
 
@@ -50,7 +51,7 @@ def sample_connected_group(
     start = int(rng.integers(graph.n))
     group = [start]
     group_set = {start}
-    frontier = list(graph.neighbors(start))
+    frontier = graph.neighbors(start).tolist()
     while len(group) < k:
         candidates = [v for v in frontier if v not in group_set]
         if not candidates:
@@ -61,33 +62,32 @@ def sample_connected_group(
         pick = candidates[int(rng.integers(len(candidates)))]
         group.append(pick)
         group_set.add(pick)
-        frontier.extend(graph.neighbors(pick))
+        frontier.extend(graph.neighbors(pick).tolist())
     return group
 
 
 def discover_group(
-    host: DynamicGraph,
+    host: ArrayGraph,
     members: Optional[Sequence[int]] = None,
     k: Optional[int] = None,
     process: str = "push",
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> GroupDiscoveryResult:
     """Run the group-discovery scenario on ``host``.
 
     Exactly one of ``members`` (an explicit group) or ``k`` (sample a
-    connected group of that size) must be provided.  ``backend`` selects
-    the substrate of the restricted run (``"list"`` or ``"array"``; the
-    seeded result is identical — group sampling and the restricted
-    process share one generator on either backend).
+    connected group of that size) must be provided.  Group sampling and
+    the restricted process share one generator, seeded by ``seed``, which
+    is required (``None`` raises ``ValueError``).
     """
+    require_seed(seed, "discover_group")
     if (members is None) == (k is None):
         raise ValueError("provide exactly one of `members` or `k`")
     rng = np.random.default_rng(seed)
     if members is None:
         members = sample_connected_group(host, int(k), rng)
-    subset = SubsetDiscovery(host, members, process=process, rng=rng, backend=backend)
+    subset = SubsetDiscovery(host, members, process=process, rng=rng)
     result = subset.run_to_convergence(max_rounds=max_rounds)
     group_size = subset.k
     log_k = max(float(np.log(group_size)), 1.0)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 #: how long a test's resources get to wind down before they count as leaked
 LEAK_WAIT_S = 5.0
@@ -101,25 +101,25 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def small_cycle() -> DynamicGraph:
+def small_cycle() -> ArrayGraph:
     """A 12-node cycle: connected, sparse, minimum degree 2."""
     return generators.cycle_graph(12)
 
 
 @pytest.fixture
-def small_path() -> DynamicGraph:
+def small_path() -> ArrayGraph:
     """A 10-node path: connected, minimum degree 1."""
     return generators.path_graph(10)
 
 
 @pytest.fixture
-def small_star() -> DynamicGraph:
+def small_star() -> ArrayGraph:
     """A 9-node star: diameter 2, very uneven degrees."""
     return generators.star_graph(9)
 
 
 @pytest.fixture
-def small_digraph() -> DynamicDiGraph:
+def small_digraph() -> ArrayDiGraph:
     """A 8-node directed cycle (strongly connected, out-degree 1)."""
     from repro.graphs import directed_generators
 

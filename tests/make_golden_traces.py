@@ -5,8 +5,8 @@ convention (which invalidates the recorded traces)::
 
     PYTHONPATH=src python tests/make_golden_traces.py
 
-The traces pin the exact per-round added edges of the reference (list)
-backend; ``tests/test_golden_traces.py`` asserts that both backends still
+The traces pin the exact per-round added edges of each process on a
+64-cycle; ``tests/test_golden_traces.py`` asserts that the processes still
 reproduce them bit-for-bit.  Never regenerate to paper over an accidental
 drift — the whole point is to catch one.
 
@@ -53,7 +53,7 @@ def canonical_round(edges) -> list:
 
 
 def build_trace(process_cls, process_name: str, canonical: bool) -> dict:
-    """Run the reference backend to convergence and serialise its trace."""
+    """Run the process to convergence and serialise its trace."""
     graph = gen.cycle_graph(GOLDEN_N)
     process = process_cls(graph, rng=GOLDEN_SEED)
     result = process.run_to_convergence(record_history=True)

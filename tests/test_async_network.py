@@ -420,10 +420,10 @@ class TestAsyncMisc:
             AsyncNetworkSimulator(gen.cycle_graph(6), protocol="bogus")
 
     def test_requires_undirected_graph(self):
-        from repro.graphs.adjacency import DynamicDiGraph
+        from repro.graphs.array_adjacency import ArrayDiGraph
 
         with pytest.raises(TypeError):
-            AsyncNetworkSimulator(DynamicDiGraph(3, [(0, 1)]))
+            AsyncNetworkSimulator(ArrayDiGraph(3, [(0, 1)]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

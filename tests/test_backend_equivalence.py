@@ -1,12 +1,15 @@
-"""Cross-backend equivalence: list and array backends produce identical seeded traces.
+"""The array kernels against the test oracle: identical seeded traces.
 
-The vectorized array backend is only trustworthy if it is *bit-identical*
-to the reference list backend: same RNG stream consumption, same neighbour
-choices, same per-round added edges, same totals.  These tests run push,
-pull, and the directed two-hop walk to convergence on seeded graph
-families under both backends and compare everything the trace exposes.
-Walks that hit dead ends (sinks, an isolated node) are compared too, so
-the ``-1`` sentinel chain of the array kernels meets the list backend.
+The vectorized round kernels are only trustworthy if they are
+*bit-identical* to the obvious per-node loop: same RNG stream
+consumption, same neighbour choices, same per-round added edges in the
+same order, same totals.  These tests run push, pull, the directed
+two-hop walk and the three baselines to convergence on seeded graph
+families and compare everything the trace exposes with
+:func:`oracle.run_oracle`, which keeps per-node Python lists, samples
+stage by stage and inserts edge by edge.  Walks that hit dead ends
+(sinks, an isolated node) are compared too, so the ``-1`` sentinel chain
+of the array kernels meets the oracle's.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import run_oracle
 from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
@@ -24,9 +28,20 @@ from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicGraph
-from repro.graphs.array_adjacency import as_backend
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.simulation.engine import make_process
+
+#: the oracle's registry name for each process class
+ORACLE_NAME = {
+    PushDiscovery: "push",
+    PullDiscovery: "pull",
+    DirectedTwoHopWalk: "directed_pull",
+    FaultyPushDiscovery: "faulty_push",
+    FaultyPullDiscovery: "faulty_pull",
+    NameDropper: "name_dropper",
+    RandomPointerJump: "pointer_jump",
+    NeighborhoodFlooding: "flooding",
+}
 
 SEEDS = [0, 7, 20120614]
 
@@ -56,50 +71,63 @@ def path_plus_isolated(n):
     index would wrap to the path's end, which has a neighbour, not to the
     isolated node itself.
     """
-    return DynamicGraph(n, [(u, u + 1) for u in range(1, n - 1)])
+    return ArrayGraph(n, [(u, u + 1) for u in range(1, n - 1)])
 
 
-def run_trace(process_cls, base_graph, seed, backend, normalize=False, **kwargs):
-    """Run to convergence and return every trace-visible quantity.
+def _trace(history, graph_edges, normalize):
+    """Every trace-visible quantity of a run, from per-round ``(added, messages, bits)``.
 
-    ``normalize=True`` canonicalises undirected edge orientation — needed
-    for flooding, whose packed round reports new edges as ``u < v`` while
-    the list loop records them in delivery orientation (same edge sets).
+    Each round's added edges are kept in order: that order fixes the
+    neighbour rows and with them every later draw.  Under ``normalize``
+    only the per-round sets are kept.
     """
-    graph = as_backend(base_graph.copy(), backend)
-    process = process_cls(graph, rng=seed, **kwargs)
-    result = process.run_to_convergence(record_history=True)
 
     def canon(u, v):
         u, v = int(u), int(v)
         return (u, v) if not normalize or u < v else (v, u)
 
-    per_round_added = [
-        frozenset(canon(u, v) for u, v in r.added_edges) for r in result.history
-    ]
+    added = [[canon(u, v) for u, v in round_added] for round_added, _, _ in history]
     return {
-        "rounds": result.rounds,
-        "converged": result.converged,
-        "added": per_round_added,
-        "messages": result.total_messages,
-        "bits": result.total_bits,
-        "edges": sorted((int(u), int(v)) for u, v in process.graph.edge_list()),
+        "rounds": len(history),
+        "added": [frozenset(edges) for edges in added] if normalize else added,
+        "messages": sum(messages for _, messages, _ in history),
+        "bits": sum(bits for _, _, bits in history),
+        "edges": sorted((int(u), int(v)) for u, v in graph_edges),
     }
 
 
-def run_fixed(process_cls, base_graph, seed, backend, rounds):
-    """Run exactly ``rounds`` rounds; return per-round added edges, totals and RNG state."""
-    graph = as_backend(base_graph.copy(), backend)
-    process = process_cls(graph, rng=seed)
-    result = process.run(max_rounds=rounds, record_history=True)
-    return {
-        "rounds": result.rounds,
-        "added": [[(int(u), int(v)) for u, v in r.added_edges] for r in result.history],
-        "messages": result.total_messages,
-        "bits": result.total_bits,
-        "edges": sorted((int(u), int(v)) for u, v in process.graph.edge_list()),
-        "rng_state": process.rng.bit_generator.state,
-    }
+def run_pair(process_cls, base_graph, seed, normalize=False, max_rounds=None, **kwargs):
+    """Run the process and its oracle from ``base_graph``; return both traces.
+
+    Both run to convergence, or for exactly ``max_rounds`` rounds when
+    given.  ``normalize=True`` canonicalises undirected edge orientation and
+    compares each round's added edges as a set — needed for flooding, whose
+    packed round reports new edges as ``u < v`` in canonical order while the
+    oracle records them in delivery orientation and order (same edge sets).
+    """
+    process = process_cls(base_graph.copy(), rng=seed, **kwargs)
+    cap = max_rounds if max_rounds is not None else process.default_round_cap()
+    result = process.run(cap, record_history=True)
+    fast = _trace(
+        [(r.added_edges, r.messages_sent, r.bits_sent) for r in result.history],
+        process.graph.edge_list(),
+        normalize,
+    )
+    fast["converged"] = result.converged
+    fast["rng_state"] = process.rng.bit_generator.state
+    semantics = kwargs.pop("semantics", UpdateSemantics.SYNCHRONOUS)
+    history, graph, rng = run_oracle(
+        ORACLE_NAME[process_cls],
+        base_graph,
+        seed,
+        cap,
+        sequential=semantics is UpdateSemantics.SEQUENTIAL,
+        **kwargs,
+    )
+    ref = _trace([(r.added, r.messages, r.bits) for r in history], graph.edge_list(), normalize)
+    ref["converged"] = fast["converged"] if max_rounds is not None else len(history) < cap
+    ref["rng_state"] = rng.bit_generator.state
+    return ref, fast
 
 
 class TestUndirectedEquivalence:
@@ -108,43 +136,33 @@ class TestUndirectedEquivalence:
     def test_push_pull_trace_identical(self, process_cls, family):
         base = UNDIRECTED_FAMILIES[family]()
         for seed in SEEDS:
-            ref = run_trace(process_cls, base, seed, "list")
-            fast = run_trace(process_cls, base, seed, "array")
-            assert ref["rounds"] == fast["rounds"]
+            ref, fast = run_pair(process_cls, base, seed)
             assert ref["converged"] and fast["converged"]
-            assert ref["added"] == fast["added"]
-            assert ref["messages"] == fast["messages"]
-            assert ref["bits"] == fast["bits"]
-            assert ref["edges"] == fast["edges"]
+            assert ref == fast
 
     @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
     def test_isolated_node_fixed_rounds_identical(self, process_cls):
-        """The isolated node samples -1 every round, so run_trace (which needs
-        convergence) cannot compare it; compare 40 fixed rounds instead."""
+        """The isolated node samples -1 every round, so the run never
+        converges; compare 40 fixed rounds instead."""
         base = path_plus_isolated(20)
         for seed in SEEDS:
-            ref = run_fixed(process_cls, base, seed, "list", rounds=40)
-            fast = run_fixed(process_cls, base, seed, "array", rounds=40)
+            ref, fast = run_pair(process_cls, base, seed, max_rounds=40)
             assert ref["rounds"] == 40
             assert ref == fast
 
     def test_push_without_replacement_trace_identical(self):
-        base = gen.path_graph(20)
-        ref = run_trace(PushDiscovery, base, 5, "list", without_replacement=True)
-        fast = run_trace(PushDiscovery, base, 5, "array", without_replacement=True)
+        ref, fast = run_pair(PushDiscovery, gen.path_graph(20), 5, without_replacement=True)
         assert ref == fast
 
     @pytest.mark.parametrize("process_cls", [FaultyPushDiscovery, FaultyPullDiscovery])
     def test_faulty_variants_trace_identical(self, process_cls):
-        base = gen.path_graph(20)
         kwargs = {"failure_prob": 0.25, "participation_prob": 0.75}
-        ref = run_trace(process_cls, base, 11, "list", **kwargs)
-        fast = run_trace(process_cls, base, 11, "array", **kwargs)
+        ref, fast = run_pair(process_cls, gen.path_graph(20), 11, **kwargs)
         assert ref == fast
 
 
 class TestBaselineEquivalence:
-    """The three baselines (PR 3) are trace-identical across backends too."""
+    """The three baselines' packed rounds equal their per-node payload loops."""
 
     @pytest.mark.parametrize("family", sorted(UNDIRECTED_FAMILIES))
     @pytest.mark.parametrize(
@@ -153,28 +171,26 @@ class TestBaselineEquivalence:
     def test_baseline_trace_identical(self, process_cls, family):
         base = UNDIRECTED_FAMILIES[family]()
         for seed in SEEDS:
-            ref = run_trace(process_cls, base, seed, "list", normalize=True)
-            fast = run_trace(process_cls, base, seed, "array", normalize=True)
+            ref, fast = run_pair(process_cls, base, seed, normalize=True)
             assert ref == fast
 
     @pytest.mark.parametrize("family", sorted(DIRECTED_FAMILIES))
     def test_directed_pointer_jump_trace_identical(self, family):
         base = DIRECTED_FAMILIES[family]()
         for seed in SEEDS:
-            ref = run_trace(RandomPointerJump, base, seed, "list")
-            fast = run_trace(RandomPointerJump, base, seed, "array")
+            ref, fast = run_pair(RandomPointerJump, base, seed)
             assert ref == fast
 
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
-    def test_sequential_baseline_trace_identical(self, process_cls):
-        """Sequential rounds use scalar draws; both backends consume the same stream."""
-        base = gen.path_graph(18)
-        ref = run_trace(
-            process_cls, base, 13, "list", semantics=UpdateSemantics.SEQUENTIAL
-        )
-        fast = run_trace(
-            process_cls, base, 13, "array", semantics=UpdateSemantics.SEQUENTIAL
-        )
+    @pytest.mark.parametrize(
+        "base", [gen.path_graph(18), gen.cycle_graph(64)], ids=["path18", "cycle64"]
+    )
+    def test_sequential_baseline_trace_identical(self, process_cls, base):
+        """Sequential rounds use scalar draws and insert payload IDs read
+        from the rows one by one; at n = 64 some of them sit in bit 63 of
+        a membership word."""
+        ref, fast = run_pair(process_cls, base, 13, semantics=UpdateSemantics.SEQUENTIAL)
+        assert ref["converged"]
         assert ref == fast
 
     @pytest.mark.parametrize(
@@ -195,35 +211,31 @@ class TestBaselineEquivalence:
     )
     def test_exact_added_order_parity(self, process_cls, graph_factory):
         """Name Dropper / pointer jump packed rounds reproduce the exact edge
-        application order of the reference loop (not just the sets) — the
+        application order of the payload loop (not just the sets) — the
         invariant that keeps neighbour rows, and hence future draws, aligned.
 
         Each round's proposal list must match too.  It is read only after
-        the run, when the array backend rebuilds it from rows that have
+        the run, when the packed round rebuilds it from rows that have
         grown since.  At n=128 a round carries tens of thousands of payload
         IDs, most of them already known, so the teach-row filter has real
         work."""
         base = graph_factory()
-        runs = {}
-        for backend in ("list", "array"):
-            graph = as_backend(base.copy(), backend)
-            process = process_cls(graph, rng=9)
-            result = process.run_to_convergence(record_history=True)
-            runs[backend] = [
-                (
-                    [(int(u), int(v)) for u, v in r.added_edges],
-                    [(int(u), int(v)) for u, v in r.proposed_edges],
-                )
-                for r in result.history
-            ]
-        assert runs["list"] == runs["array"]
+        process = process_cls(base.copy(), rng=9)
+        result = process.run_to_convergence(record_history=True)
+        fast = [
+            (
+                [(int(u), int(v)) for u, v in r.added_edges],
+                [(int(u), int(v)) for u, v in r.proposed_edges],
+            )
+            for r in result.history
+        ]
+        history, _, _ = run_oracle(ORACLE_NAME[process_cls], base, 9, process.default_round_cap())
+        assert fast == [(r.added, r.proposed) for r in history]
 
     def test_large_flooding_round_parity(self):
         """Flooding at n=128: late rounds deliver more than 4096 rows, so the
         sorted row union crosses chunk boundaries mid-run."""
-        base = gen.cycle_graph(128)
-        ref = run_trace(NeighborhoodFlooding, base, 0, "list", normalize=True)
-        fast = run_trace(NeighborhoodFlooding, base, 0, "array", normalize=True)
+        ref, fast = run_pair(NeighborhoodFlooding, gen.cycle_graph(128), 0, normalize=True)
         assert ref == fast
 
 
@@ -232,19 +244,14 @@ class TestDirectedEquivalence:
     def test_directed_trace_identical(self, family):
         base = DIRECTED_FAMILIES[family]()
         for seed in SEEDS:
-            ref = run_trace(DirectedTwoHopWalk, base, seed, "list")
-            fast = run_trace(DirectedTwoHopWalk, base, seed, "array")
-            assert ref["rounds"] == fast["rounds"]
+            ref, fast = run_pair(DirectedTwoHopWalk, base, seed)
             assert ref["converged"] and fast["converged"]
-            assert ref["added"] == fast["added"]
-            assert ref["messages"] == fast["messages"]
-            assert ref["bits"] == fast["bits"]
-            assert ref["edges"] == fast["edges"]
+            assert ref == fast
 
 
 class TestSequentialEquivalence:
-    """Sequential rounds take scalar draws per node; both backends consume the
-    same stream and apply the same edges, for the gossip processes too."""
+    """Sequential rounds take scalar draws per node and apply each edge at
+    once; the processes and the oracle consume the same stream."""
 
     @pytest.mark.parametrize(
         "process_cls, graph_factory, kwargs",
@@ -280,66 +287,53 @@ class TestSequentialEquivalence:
     def test_sequential_trace_identical(self, process_cls, graph_factory, kwargs):
         base = graph_factory()
         for seed in SEEDS:
-            ref = run_trace(
-                process_cls, base, seed, "list", semantics=UpdateSemantics.SEQUENTIAL, **kwargs
-            )
-            fast = run_trace(
-                process_cls, base, seed, "array", semantics=UpdateSemantics.SEQUENTIAL, **kwargs
+            ref, fast = run_pair(
+                process_cls, base, seed, semantics=UpdateSemantics.SEQUENTIAL, **kwargs
             )
             assert ref["converged"]
             assert ref == fast
 
 
 class TestEngineBackendOption:
-    def test_make_process_backend_equivalence(self):
-        base = gen.cycle_graph(24)
-        results = {}
-        for backend in ("list", "array"):
-            proc = make_process("push", base.copy(), rng=17, backend=backend)
-            run = proc.run_to_convergence()
-            results[backend] = (run.rounds, run.total_messages, run.total_bits)
-        assert results["list"] == results["array"]
-
-    @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump", "flooding"])
-    def test_make_process_accepts_array_for_baselines(self, name):
-        """Baselines run on both backends end-to-end with identical seeded totals."""
+    @pytest.mark.parametrize("name", ["push", "name_dropper", "pointer_jump", "flooding"])
+    def test_make_process_matches_oracle(self, name):
+        """``make_process`` builds the same run with or without ``backend="array"``."""
         base = gen.cycle_graph(16)
-        results = {}
-        for backend in ("list", "array"):
+        results = set()
+        for backend in (None, "array"):
             proc = make_process(name, base.copy(), rng=3, backend=backend)
-            assert proc.backend == backend
             run = proc.run_to_convergence()
             assert run.converged
-            results[backend] = (run.rounds, run.total_messages, run.total_bits)
-        assert results["list"] == results["array"]
+            results.add((run.rounds, run.total_messages, run.total_bits))
+        history, _, _ = run_oracle(name, base, 3, proc.default_round_cap())
+        oracle = (len(history), sum(r.messages for r in history), sum(r.bits for r in history))
+        assert results == {oracle}
 
     def test_pointer_jump_classifies_array_graphs(self):
-        """Handed an array graph directly, pointer jump picks the right mode."""
-        from repro.graphs import directed_generators as dgen
-
-        directed = make_process(
-            "pointer_jump_directed", as_backend(dgen.directed_cycle(8), "array"), rng=0
-        )
+        """Handed either graph kind, pointer jump picks the right mode."""
+        directed = make_process("pointer_jump_directed", dgen.directed_cycle(8), rng=0)
         assert directed._directed
         assert directed.run_to_convergence().converged
-        undirected = make_process("pointer_jump", as_backend(gen.cycle_graph(8), "array"), rng=0)
+        undirected = make_process("pointer_jump", gen.cycle_graph(8), rng=0)
         assert not undirected._directed
         assert undirected.run_to_convergence().converged
 
-    def test_process_backend_kwarg_converts_graph(self):
-        proc = PushDiscovery(gen.cycle_graph(12), rng=0, backend="array")
-        assert proc.backend == "array"
-        assert type(proc.graph).__name__ == "ArrayGraph"
+    def test_list_backend_is_refused(self):
+        from repro.simulation.experiment import ExperimentSpec
+
+        with pytest.raises(ValueError, match="list backend was removed"):
+            make_process("push", gen.cycle_graph(12), rng=0, backend="list")
+        with pytest.raises(ValueError, match="list backend was removed"):
+            ExperimentSpec(process="push", family="cycle", n=8, backend="list")
 
     def test_neighbor_rows_stay_aligned_after_convergence(self):
         """The strong invariant behind trace equality: identical row order."""
         base = gen.path_graph(18)
-        ref = PushDiscovery(base.copy(), rng=9)
-        ref.run_to_convergence()
-        fast = PushDiscovery(base.copy(), rng=9, backend="array")
+        fast = PushDiscovery(base.copy(), rng=9)
         fast.run_to_convergence()
+        _, ref, _ = run_oracle("push", base, 9, fast.default_round_cap())
         for u in range(base.n):
-            assert list(ref.graph.neighbors(u)) == fast.graph.neighbors(u).tolist()
+            assert ref.rows[u] == fast.graph.neighbors(u).tolist()
 
 
 @pytest.mark.slow
@@ -347,13 +341,10 @@ class TestLargeEquivalenceSweep:
     """Full-size sweep (n close to the benchmark scale); run with -m slow."""
 
     def test_push_large_cycle_trace_identical(self):
-        base = gen.cycle_graph(96)
-        ref = run_trace(PushDiscovery, base, 20120614, "list")
-        fast = run_trace(PushDiscovery, base, 20120614, "array")
+        ref, fast = run_pair(PushDiscovery, gen.cycle_graph(96), 20120614)
         assert ref == fast
 
     def test_pull_large_er_trace_identical(self):
         base = gen.erdos_renyi_graph(96, 0.08, rng=np.random.default_rng(1))
-        ref = run_trace(PullDiscovery, base, 20120614, "list")
-        fast = run_trace(PullDiscovery, base, 20120614, "array")
+        ref, fast = run_pair(PullDiscovery, base, 20120614)
         assert ref == fast

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import run_oracle
 from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
@@ -10,8 +11,7 @@ from repro.core.base import UpdateSemantics
 from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicDiGraph
-from repro.graphs.array_adjacency import EdgeArrays, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, EdgeArrays
 from repro.graphs.closure import is_transitively_closed
 from repro.simulation.engine import make_process
 
@@ -19,18 +19,18 @@ from repro.simulation.engine import make_process
 class TestNameDropper:
     def test_requires_undirected(self):
         with pytest.raises(TypeError):
-            NameDropper(DynamicDiGraph(3, [(0, 1)]))
+            NameDropper(ArrayDiGraph(3, [(0, 1)]))
 
     def test_requires_undirected_array_backend(self):
         with pytest.raises(TypeError):
-            NameDropper(as_backend(dgen.directed_cycle(6), "array"))
+            NameDropper(dgen.directed_cycle(6))
 
     def test_rejects_non_graph_objects(self):
-        with pytest.raises(TypeError, match="protocol"):
+        with pytest.raises(TypeError, match="requires an undirected graph, got NotAGraph"):
             NameDropper(type("NotAGraph", (), {"directed": False})())
 
     def test_accepts_array_graph(self):
-        graph = as_backend(gen.cycle_graph(12), "array")
+        graph = gen.cycle_graph(12)
         proc = NameDropper(graph, rng=0)
         assert proc.run_to_convergence().converged
         assert graph.is_complete()
@@ -75,15 +75,14 @@ class TestNameDropper:
 class TestNameDropperDrawStream:
     """The RNG contract of both update semantics, pinned generator-state-exact."""
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
-    def test_sequential_draws_once_per_active_node(self, backend):
+    def test_sequential_draws_once_per_active_node(self):
         """Regression for the double-draw bug: one ``rng.integers`` per active
         node, and the round's effect equals the manual index-order replay
         (the old code pre-sampled a discarded pass first, consuming two
         draws per node and corrupting the sampling stream)."""
         base = gen.path_graph(10)
         proc = NameDropper(
-            as_backend(base.copy(), backend),
+            base.copy(),
             rng=np.random.default_rng(123),
             semantics=UpdateSemantics.SEQUENTIAL,
         )
@@ -102,13 +101,10 @@ class TestNameDropperDrawStream:
         # Identical generator states <=> identical draw counts and kinds.
         assert proc.rng.bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
-    def test_synchronous_consumes_one_bulk_draw(self, backend):
+    def test_synchronous_consumes_one_bulk_draw(self):
         """A synchronous round consumes exactly ``rng.random(n)`` — the shared
-        bulk-draw convention that makes backends trace-identical."""
-        proc = NameDropper(
-            as_backend(gen.path_graph(10), backend), rng=np.random.default_rng(7)
-        )
+        bulk-draw convention of every sampling path."""
+        proc = NameDropper(gen.path_graph(10), rng=np.random.default_rng(7))
         proc.step()
         rng = np.random.default_rng(7)
         rng.random(10)
@@ -160,7 +156,7 @@ class TestRandomPointerJump:
         assert proc.run_to_convergence().rounds == 0
 
     def test_directed_array_backend_converges_to_closure(self):
-        g = as_backend(dgen.directed_cycle(8), "array")
+        g = dgen.directed_cycle(8)
         proc = RandomPointerJump(g, rng=0)
         assert proc.run_to_convergence().converged
         assert is_transitively_closed(g)
@@ -180,14 +176,14 @@ class TestRandomPointerJump:
 class TestNeighborhoodFlooding:
     def test_requires_undirected(self):
         with pytest.raises(TypeError):
-            NeighborhoodFlooding(DynamicDiGraph(3, [(0, 1)]))
+            NeighborhoodFlooding(ArrayDiGraph(3, [(0, 1)]))
 
     def test_requires_undirected_array_backend(self):
         with pytest.raises(TypeError):
-            NeighborhoodFlooding(as_backend(dgen.directed_cycle(6), "array"))
+            NeighborhoodFlooding(dgen.directed_cycle(6))
 
     def test_accepts_array_graph(self):
-        graph = as_backend(gen.path_graph(17), "array")
+        graph = gen.path_graph(17)
         proc = NeighborhoodFlooding(graph, rng=0)
         result = proc.run_to_convergence()
         assert result.converged
@@ -196,19 +192,19 @@ class TestNeighborhoodFlooding:
 
     def test_packed_round_accounting_matches_reference(self):
         """One packed round reports the same messages/bits/added-edge set as
-        the reference triple loop on the same starting graph."""
+        the oracle's triple loop on the same starting graph."""
         base = gen.make_family("erdos_renyi", 24, np.random.default_rng(5))
-        ref = NeighborhoodFlooding(base.copy(), rng=0).step()
-        fast = NeighborhoodFlooding(as_backend(base.copy(), "array"), rng=0).step()
-        assert fast.messages_sent == ref.messages_sent
-        assert fast.bits_sent == ref.bits_sent
+        (ref,), _, _ = run_oracle("flooding", base, 0, 1)
+        fast = NeighborhoodFlooding(base.copy(), rng=0).step()
+        assert fast.messages_sent == ref.messages
+        assert fast.bits_sent == ref.bits
         canon = lambda edges: {tuple(sorted((int(u), int(v)))) for u, v in edges}
-        assert canon(fast.added_edges) == canon(ref.added_edges)
+        assert canon(fast.added_edges) == canon(ref.added)
 
     def test_packed_round_skips_proposal_materialisation(self):
         """The packed round never builds the Θ(n·m) proposal list (documented
         contract: accounting and added_edges are exact, proposals stay empty)."""
-        proc = NeighborhoodFlooding(as_backend(gen.cycle_graph(12), "array"), rng=0)
+        proc = NeighborhoodFlooding(gen.cycle_graph(12), rng=0)
         result = proc.step()
         assert result.num_added > 0
         assert result.proposed_edges == []
@@ -272,7 +268,7 @@ class TestPayloadRoundsKeepEdgeArrays:
 
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump", "flooding"])
     def test_round_path_builds_no_edge_tuples(self, name):
-        process = make_process(name, gen.cycle_graph(40), rng=3, backend="array")
+        process = make_process(name, gen.cycle_graph(40), rng=3)
         process.degree_view()  # primed, so every round's new edges update it
         result = process.run_to_convergence()
         assert result.converged

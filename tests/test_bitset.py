@@ -4,9 +4,9 @@ Every kernel in :mod:`repro.graphs.bitset` has a one-line ``bool``-matrix
 reference; hypothesis drives random matrices, random digraphs and random
 edge batches through both and demands identical answers.  The closure
 kernels are additionally checked against the original per-node Python BFS
-(kept in :mod:`repro.graphs.closure` as the oracle), and the packed
-membership storage of the array backend is pinned to the list backend's
-behaviour under batches containing self loops and duplicates.
+(kept in :mod:`repro.graphs.closure` as the oracle), and the graphs'
+packed membership storage is pinned to a ``bool``-matrix reference under
+batches containing self loops and duplicates.
 """
 
 import json
@@ -17,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import ListGraph
 from repro.core.push import PushDiscovery
 from repro.graphs import bitset, closure
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 FAST = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -193,7 +193,7 @@ class TestClosureKernels:
     @given(digraph_edge_lists())
     def test_closure_matches_bfs_oracle(self, n_edges):
         n, edges = n_edges
-        g = DynamicDiGraph(n, edges)
+        g = ArrayDiGraph(n, edges)
         assert np.array_equal(
             closure.reachability_matrix(g), closure.reachability_matrix_bfs(g)
         )
@@ -202,31 +202,15 @@ class TestClosureKernels:
     @given(digraph_edge_lists())
     def test_reachable_from_matches_bfs_oracle(self, n_edges):
         n, edges = n_edges
-        g = DynamicDiGraph(n, edges)
+        g = ArrayDiGraph(n, edges)
         for source in range(n):
             assert closure.reachable_from(g, source) == closure.reachable_from_bfs(g, source)
 
     @FAST
     @given(digraph_edge_lists())
-    def test_kernels_agree_across_backends(self, n_edges):
-        n, edges = n_edges
-        g_list = DynamicDiGraph(n, edges)
-        g_array = ArrayDiGraph.from_graph(g_list)
-        assert np.array_equal(
-            closure.reachability_matrix(g_list), closure.reachability_matrix(g_array)
-        )
-        assert closure.transitive_closure_edges(g_list) == closure.transitive_closure_edges(
-            g_array
-        )
-        assert closure.is_transitively_closed(g_list) == closure.is_transitively_closed(
-            g_array
-        )
-
-    @FAST
-    @given(digraph_edge_lists())
     def test_bfs_distances_bits_matches_queue_bfs(self, n_edges):
         n, edges = n_edges
-        g = DynamicDiGraph(n, edges)
+        g = ArrayDiGraph(n, edges)
         bits = closure.adjacency_bits(g)
         for source in range(n):
             ref = np.full(n, -1, dtype=np.int64)
@@ -314,37 +298,37 @@ class TestRowContract:
 # packed membership storage ≡ naive bool-matrix graph behaviour
 # --------------------------------------------------------------------------- #
 class TestPackedMembershipStorage:
+    """Random batches (self loops, duplicates included) against the oracle's
+    list-of-lists graph, which inserts edge by edge into Python lists and a set."""
+
+    @staticmethod
+    def _check_against_oracle(g, ref, n, edges):
+        half = len(edges) // 2
+        for batch in (edges[:half], edges[half:]):
+            assert g.add_edges_batch(batch) == [e for e in batch if ref.add_edge(*e)]
+        rows_of = g.out_neighbors if ref.directed else g.neighbors
+        assert [rows_of(u).tolist() for u in range(n)] == ref.rows
+        expected = np.zeros((n, n), dtype=bool)
+        for u, row in enumerate(ref.rows):
+            expected[u, row] = True
+        assert np.array_equal(g.adjacency_matrix(), expected)
+        assert np.array_equal(bitset.unpack_bool_matrix(g.adjacency_bits(), n), expected)
+        for u, v in edges:
+            key = (u, v) if ref.directed else (min(u, v), max(u, v))
+            assert g.has_edge(u, v) == (key in ref.edge_set)
+        assert not any(g.has_edge(u, u) for u in range(n))
+
     @FAST
     @given(digraph_edge_lists(max_nodes=10, max_edges=35))
     def test_undirected_batches_match_bool_reference(self, n_edges):
-        """Random batches (self loops, duplicates included) against DynamicGraph."""
         n, edges = n_edges
-        ref = DynamicGraph(n)
-        g = ArrayGraph(n)
-        half = len(edges) // 2
-        for batch in (edges[:half], edges[half:]):
-            assert g.add_edges_batch(batch) == ref.add_edges_batch(batch)
-        assert np.array_equal(g.adjacency_matrix(), ref.adjacency_matrix())
-        assert np.array_equal(
-            bitset.unpack_bool_matrix(g.adjacency_bits(), n), ref.adjacency_matrix()
-        )
-        for u, v in edges:
-            assert g.has_edge(u, v) == ref.has_edge(u, v)
-        assert not any(g.has_edge(u, u) for u in range(n))
+        self._check_against_oracle(ArrayGraph(n), ListGraph(n), n, edges)
 
     @FAST
     @given(digraph_edge_lists(max_nodes=10, max_edges=35))
     def test_directed_batches_match_bool_reference(self, n_edges):
         n, edges = n_edges
-        ref = DynamicDiGraph(n)
-        g = ArrayDiGraph(n)
-        half = len(edges) // 2
-        for batch in (edges[:half], edges[half:]):
-            assert g.add_edges_batch(batch) == ref.add_edges_batch(batch)
-        assert np.array_equal(g.adjacency_matrix(), ref.adjacency_matrix())
-        for u, v in edges:
-            assert g.has_edge(u, v) == ref.has_edge(u, v)
-        assert not any(g.has_edge(u, u) for u in range(n))
+        self._check_against_oracle(ArrayDiGraph(n), ListGraph(n, directed=True), n, edges)
 
     def test_membership_memory_is_packed(self):
         n = 256
@@ -362,7 +346,7 @@ class TestGoldenTraceRegression:
             (Path(__file__).parent / "data" / "golden_push_cycle_n64.json").read_text()
         )
         graph = gen.cycle_graph(golden["n"])
-        process = PushDiscovery(graph, rng=golden["seed"], backend="array")
+        process = PushDiscovery(graph, rng=golden["seed"])
         assert isinstance(process.graph, ArrayGraph)
         # Storage really is packed words, not bytes.
         n = golden["n"]

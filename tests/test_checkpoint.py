@@ -3,8 +3,9 @@
 The property pinned here is the crash-tolerance substrate's whole point:
 a run checkpointed at any round and resumed — in this process or a fresh
 one — reproduces the uninterrupted run exactly (same contact graphs, same
-counters, same bit-generator end state), for every registered process, on
-both graph backends, and for every trial of a checkpointed sweep.  The
+counters, same bit-generator end state), for every registered process,
+and for every trial of a checkpointed sweep.  Files written by the
+removed list graph substrate still resume.  The
 format tests pin the failure modes: truncated envelopes, checksum
 mismatches, foreign versions and files this build cannot replay all
 refuse to resume instead of continuing from corrupt state.
@@ -12,6 +13,7 @@ refuse to resume instead of continuing from corrupt state.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -42,7 +44,7 @@ from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.runner import run_trials
 
 ALL_NAMES = sorted(PROCESS_REGISTRY)
-BACKENDS = ("list", "array")
+DATA_DIR = Path(__file__).parent / "data"
 N = 12
 SEED = 20120614
 CHECKPOINT_AT = 4  # run this many rounds (capped by convergence) before snapshotting
@@ -52,14 +54,14 @@ def canon(edges):
     return sorted((int(u), int(v)) for u, v in edges)
 
 
-def build(name: str, backend: str):
+def build(name: str):
     rng = np.random.default_rng(SEED)
     _, needs_directed = PROCESS_REGISTRY[name]
     if needs_directed:
         graph = dgen.make_directed_family("random_strong", N, rng)
     else:
         graph = gen.make_family("cycle", N, rng)
-    return make_process(name, graph, rng=rng, backend=backend)
+    return make_process(name, graph, rng=rng)
 
 
 def assert_same_end_state(a, b) -> None:
@@ -73,12 +75,11 @@ def assert_same_end_state(a, b) -> None:
     assert a.is_converged() == b.is_converged()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_resume_equivalence_every_process(name, backend, tmp_path):
+def test_resume_equivalence_every_process(name, tmp_path):
     """checkpoint-at-k + resume == uninterrupted, for the whole registry."""
-    uninterrupted = build(name, backend)
-    interrupted = build(name, backend)
+    uninterrupted = build(name)
+    interrupted = build(name)
     interrupted.run(max_rounds=CHECKPOINT_AT)
     k = interrupted.round_index  # fast convergers stop before CHECKPOINT_AT
     path = save_checkpoint(interrupted, tmp_path / f"round_{k:08d}")
@@ -92,10 +93,10 @@ def test_resume_equivalence_every_process(name, backend, tmp_path):
 
 def test_resume_from_checkpoint_reports_total_rounds(tmp_path):
     """resume_from_checkpoint's RunResult equals the uninterrupted run's."""
-    uninterrupted = build("push", "list")
+    uninterrupted = build("push")
     reference = uninterrupted.run_to_convergence()
 
-    interrupted = build("push", "list")
+    interrupted = build("push")
     interrupted.run(max_rounds=CHECKPOINT_AT)
     path = save_checkpoint(interrupted, tmp_path / "snap")
     result = resume_from_checkpoint(path)
@@ -108,10 +109,10 @@ def test_resume_from_checkpoint_reports_total_rounds(tmp_path):
 
 def test_resume_in_fresh_process(tmp_path):
     """A brand-new interpreter resumes to the same end state (true crash shape)."""
-    uninterrupted = build("pull", "array")
+    uninterrupted = build("pull")
     uninterrupted.run_to_convergence()
 
-    interrupted = build("pull", "array")
+    interrupted = build("pull")
     interrupted.run(max_rounds=CHECKPOINT_AT)
     path = save_checkpoint(interrupted, tmp_path / "snap")
 
@@ -162,7 +163,7 @@ def test_periodic_checkpoints_via_measure(tmp_path):
 def test_checkpointed_sweep_trial_resumes_to_its_result(tmp_path):
     """A trial of a checkpointed run_trials sweep resumes to its own TrialResult."""
     sweep = ExperimentSpec(
-        process="push", family="cycle", n=N, trials=2, backend="array",
+        process="push", family="cycle", n=N, trials=2,
         checkpoint_every=3, checkpoint_dir=str(tmp_path),
     )
     trial = run_trials(sweep, root_seed=SEED)[1]
@@ -180,7 +181,7 @@ def test_checkpoint_requires_dir():
 
 
 def test_envelope_format_and_checksum(tmp_path):
-    process = build("push", "array")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -193,7 +194,7 @@ def test_envelope_format_and_checksum(tmp_path):
 
 def test_sharded_checkpoint_is_refused(tmp_path):
     """Checkpoints carry no shard fields; a v1 file recording shards > 1 will not restore."""
-    process = build("push", "array")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -205,7 +206,7 @@ def test_sharded_checkpoint_is_refused(tmp_path):
 
 
 def test_load_rejects_truncated_envelope(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     raw = path.read_text()
@@ -215,7 +216,7 @@ def test_load_rejects_truncated_envelope(tmp_path):
 
 
 def test_load_rejects_corrupt_payload(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     npz = path.with_suffix(".npz")
@@ -226,7 +227,7 @@ def test_load_rejects_corrupt_payload(tmp_path):
 
 
 def test_load_rejects_unknown_version(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -237,7 +238,7 @@ def test_load_rejects_unknown_version(tmp_path):
 
 
 def test_load_rejects_missing_payload(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     path.with_suffix(".npz").unlink()
@@ -262,7 +263,7 @@ def test_load_rejects_foreign_json(tmp_path, envelope):
 
 
 def test_restore_rejects_unknown_bit_generator(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -272,11 +273,10 @@ def test_restore_rejects_unknown_bit_generator(tmp_path):
         restore_process(load_checkpoint(path))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["push", "directed_pull"])
-def test_restore_rejects_edge_count_that_disagrees_with_rows(tmp_path, name, backend):
+def test_restore_rejects_edge_count_that_disagrees_with_rows(tmp_path, name):
     """The envelope's edge count is checked against the rows it describes."""
-    process = build(name, backend)
+    process = build(name)
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -292,7 +292,7 @@ def test_periodic_checkpointer_rejects_nonpositive_period(tmp_path):
 
 
 def test_resume_with_checkpoint_every_requires_dir(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -302,9 +302,9 @@ def test_resume_with_checkpoint_every_requires_dir(tmp_path):
 def test_resumed_run_keeps_checkpointing(tmp_path):
     """A resumed run writes later checkpoints, and resuming from those still
     reproduces the uninterrupted run."""
-    reference = build("pull", "array").run_to_convergence()
+    reference = build("pull").run_to_convergence()
 
-    interrupted = build("pull", "array")
+    interrupted = build("pull")
     interrupted.run(max_rounds=2)
     first = save_checkpoint(interrupted, tmp_path / "snap")
     later_dir = tmp_path / "later"
@@ -320,7 +320,7 @@ def test_resumed_run_keeps_checkpointing(tmp_path):
 
 
 def test_latest_checkpoint_skips_foreign_round_names(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     save_checkpoint(process, tmp_path / "round_00000002")
     (tmp_path / "round_final.json").write_text("{}")
@@ -335,7 +335,7 @@ def test_latest_checkpoint_empty_dir(tmp_path):
 def test_instance_patched_process_not_checkpointable():
     from repro.core.variants import ChurnModel
 
-    process = build("push", "list")
+    process = build("push")
     ChurnModel(process, rng=1)
     with pytest.raises(CheckpointError, match="instance-patched"):
         capture_checkpoint(process)
@@ -351,3 +351,26 @@ def test_unregistered_process_not_checkpointable():
     process = Custom(gen.make_family("cycle", N, rng), rng=rng)
     with pytest.raises(CheckpointError, match="not a registered process"):
         capture_checkpoint(process)
+
+
+@pytest.mark.parametrize("name", ["push", "directed_pull", "name_dropper"])
+def test_list_substrate_checkpoint_resumes(name):
+    """A version-1 file written on the removed list graphs (``capacity`` 0)
+    resumes onto the array graph and ends where its uninterrupted run did.
+
+    The files and the run's end state were recorded on list graphs:
+    12-node graphs, push without replacement, checkpoints at rounds 1-6."""
+    checkpoint = load_checkpoint(DATA_DIR / f"checkpoint_v1_list_{name}")
+    assert (checkpoint.meta["backend"], checkpoint.meta["capacity"]) == ("list", 0)
+    process = restore_process(checkpoint)
+    process.run_to_convergence()
+    state = json.dumps(process.rng.bit_generator.state, sort_keys=True).encode()
+    expected = json.loads((DATA_DIR / "checkpoint_v1_list_expected.json").read_text())
+    assert {
+        "rounds": process.round_index,
+        "edges": process.graph.number_of_edges(),
+        "edges_added": process.total_edges_added,
+        "messages": process.total_messages,
+        "bits": process.total_bits,
+        "rng_state_sha256": hashlib.sha256(state).hexdigest(),
+    } == expected[name]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import cli
-from repro.graphs.array_adjacency import BACKENDS
 from repro.graphs.directed_generators import directed_family_names
 from repro.graphs.generators import family_names
 from repro.network.protocols import protocol_names
@@ -49,10 +48,6 @@ class TestParserMatchesRegistries:
         ("async", "family"): set(family_names()),
         ("directed", "family"): set(directed_family_names()),
         ("async", "protocol"): set(protocol_names()),
-        ("run", "backend"): set(BACKENDS),
-        ("scaling", "backend"): set(BACKENDS),
-        ("group", "backend"): set(BACKENDS),
-        ("directed", "backend"): set(BACKENDS),
     }
 
     @staticmethod
@@ -73,7 +68,7 @@ class TestParserMatchesRegistries:
         assert option.default in self.EXPECTED[key]
 
     def test_every_registry_backed_option_is_covered(self):
-        dests = {"process", "family", "host_family", "protocol", "backend"}
+        dests = {"process", "family", "host_family", "protocol"}
         covered = {key for key in self.options() if key[1] in dests}
         assert covered == set(self.EXPECTED)
 
@@ -92,23 +87,22 @@ class TestCommands:
         assert "power-law fit" in out
         assert "theorem-shape fit" in out
 
-    def test_run_baseline_on_array_backend(self, capsys):
-        """End-to-end: a baseline rides the CLI's --backend array plumbing, and
-        the seeded summary matches the list backend exactly."""
-        outputs = {}
-        for backend in ("list", "array"):
-            assert cli.main(["run", "--process", "name_dropper", "--family", "cycle",
-                             "--n", "16", "--trials", "2", "--seed", "5",
-                             "--backend", backend]) == 0
-            outputs[backend] = capsys.readouterr().out
-            assert "rounds_mean" in outputs[backend]
-        assert outputs["list"] == outputs["array"]
-
-    def test_run_flooding_on_array_backend(self, capsys):
-        assert cli.main(["run", "--process", "flooding", "--family", "cycle",
-                         "--n", "16", "--trials", "1", "--seed", "5",
-                         "--backend", "array"]) == 0
+    def test_run_baseline(self, capsys):
+        assert cli.main(["run", "--process", "name_dropper", "--family", "cycle",
+                         "--n", "16", "--trials", "2", "--seed", "5"]) == 0
         assert "rounds_mean" in capsys.readouterr().out
+
+    def test_run_flooding(self, capsys):
+        assert cli.main(["run", "--process", "flooding", "--family", "cycle",
+                         "--n", "16", "--trials", "1", "--seed", "5"]) == 0
+        assert "rounds_mean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "scaling", "group", "directed"])
+    def test_no_backend_flag(self, command, capsys):
+        """There is one graph substrate, so no subcommand takes --backend."""
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--backend", "array"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_nonmonotone_command(self, capsys):
         assert cli.main(["nonmonotone", "--trials", "50", "--seed", "3"]) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs import directed_generators as dgen
-from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph
 from repro.graphs import closure
 
 
@@ -134,7 +134,7 @@ class TestIncrementalClosure:
         inc = closure.IncrementalClosure(bitset.zeros(3, 3), 3)
         inc.add_edges(np.array([0, 1]), np.array([1, 2]))
         expected = bitset.transitive_closure_bits(
-            closure.adjacency_bits(DynamicDiGraph(3, [(0, 1), (1, 2)])), 3
+            closure.adjacency_bits(ArrayDiGraph(3, [(0, 1), (1, 2)])), 3
         )
         assert np.array_equal(inc.closure_bits(), expected)
 

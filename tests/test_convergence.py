@@ -73,10 +73,9 @@ class TestPredicates:
 class TestIncrementalCounters:
     """The cached degree/min-degree counters track the graph exactly."""
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
     @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
-    def test_degree_view_tracks_graph_every_round(self, process_cls, backend):
-        proc = process_cls(gen.cycle_graph(16), rng=7, backend=backend)
+    def test_degree_view_tracks_graph_every_round(self, process_cls):
+        proc = process_cls(gen.cycle_graph(16), rng=7)
         assert np.array_equal(proc.degree_view(), proc.graph.degrees())
         assert proc.cached_min_degree() == proc.graph.min_degree()
         for _ in range(40):
@@ -84,9 +83,8 @@ class TestIncrementalCounters:
             assert np.array_equal(proc.degree_view(), proc.graph.degrees())
             assert proc.cached_min_degree() == proc.graph.min_degree()
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
-    def test_degree_view_tracks_directed_out_degrees(self, backend):
-        proc = DirectedTwoHopWalk(dgen.directed_cycle(12), rng=3, backend=backend)
+    def test_degree_view_tracks_directed_out_degrees(self):
+        proc = DirectedTwoHopWalk(dgen.directed_cycle(12), rng=3)
         for _ in range(30):
             proc.step()
             assert np.array_equal(proc.degree_view(), proc.graph.out_degrees())

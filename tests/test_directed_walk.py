@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.directed import DirectedTwoHopWalk
 from repro.graphs import directed_generators as dgen
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.closure import is_transitively_closed, transitive_closure_edges
 from repro.graphs import validation
 
@@ -12,7 +12,7 @@ from repro.graphs import validation
 class TestDirectedWalkBasics:
     def test_requires_directed_graph(self):
         with pytest.raises(TypeError):
-            DirectedTwoHopWalk(DynamicGraph(3, [(0, 1)]))
+            DirectedTwoHopWalk(ArrayGraph(3, [(0, 1)]))
 
     def test_target_closure_computed_at_start(self):
         g = dgen.directed_path(4)
@@ -34,7 +34,7 @@ class TestDirectedWalkBasics:
         assert proc.propose(2) is None
 
     def test_two_hop_back_to_self_is_no_proposal(self, rng):
-        g = DynamicDiGraph(2, [(0, 1), (1, 0)])
+        g = ArrayDiGraph(2, [(0, 1), (1, 0)])
         proc = DirectedTwoHopWalk(g, rng=rng)
         assert proc.propose(0) is None
         assert proc.is_converged()  # closure is already present

@@ -1,11 +1,11 @@
-"""The draw budget the array backend's fused gossip kernels rely on.
+"""The draw budget the fused gossip kernels rely on.
 
-On the array backend, push, pull and the directed walk draw a round's
-uniforms as one ``rng.random((2, m))`` block; the list backend draws one
-``rng.random(m)`` per sampling stage.  Seeded traces agree across backends
-only because NumPy fills the block in order from the same stream.  The
-golden traces would catch a break too, but only as an unexplained trace
-diff; these tests name the two facts directly:
+Push, pull and the directed walk draw a round's uniforms as one
+``rng.random((2, m))`` block; the test oracle (``tests/oracle.py``) draws
+one ``rng.random(m)`` per sampling stage.  Their seeded traces agree only
+because NumPy fills the block in order from the same stream.  The golden
+traces would catch a break too, but only as an unexplained trace diff;
+these tests name the two facts directly:
 
 * a ``(2, m)`` block equals two consecutive ``m``-draws, for a seeded
   generator and for a ``SeedSequence.spawn`` child (the runner's trial
@@ -27,7 +27,7 @@ import pytest
 from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.simulation.engine import make_process
 
 
@@ -71,7 +71,7 @@ def _state_after_uniforms(rng, count):
 CASES = {
     "push": lambda: gen.cycle_graph(12),
     # node 0 is isolated: dead ends still consume their uniforms
-    "pull": lambda: DynamicGraph(12, [(u, u + 1) for u in range(1, 11)]),
+    "pull": lambda: ArrayGraph(12, [(u, u + 1) for u in range(1, 11)]),
     "directed_pull": lambda: dgen.make_directed_family("thm14_weak", 16),
 }
 

@@ -281,5 +281,36 @@ class TestExplicitSeedContract:
         )
         assert (f1, b1) == (f2, b2)
 
+    def test_measure_scaling_rejects_none(self):
+        from repro.analysis.scaling import measure_scaling
+
+        with pytest.raises(ValueError, match="measure_scaling requires an explicit seed"):
+            measure_scaling("push", "cycle", sizes=[8, 12], trials=1)
+
+    def test_lower_bound_ratio_check_rejects_none(self):
+        from repro.analysis.lower_bounds import lower_bound_ratio_check
+        from repro.simulation.bounds import n_log_n
+
+        with pytest.raises(ValueError, match="lower_bound_ratio_check requires an explicit seed"):
+            lower_bound_ratio_check("push", gen.cycle_graph, sizes=[8, 12], bound=n_log_n)
+
+    def test_monte_carlo_expected_convergence_time_rejects_none(self):
+        from repro.analysis.nonmonotonicity import monte_carlo_expected_convergence_time
+
+        with pytest.raises(ValueError, match="requires an explicit seed"):
+            monte_carlo_expected_convergence_time(gen.fig1c_nonmonotone(), trials=2)
+
+    def test_simulate_social_evolution_rejects_none(self):
+        from repro.social.evolution import simulate_social_evolution
+
+        with pytest.raises(ValueError, match="simulate_social_evolution requires an explicit seed"):
+            simulate_social_evolution(gen.cycle_graph(8), rounds=2)
+
+    def test_discover_group_rejects_none(self):
+        from repro.social.group_discovery import discover_group
+
+        with pytest.raises(ValueError, match="discover_group requires an explicit seed"):
+            discover_group(gen.cycle_graph(10), k=4)
+
     def test_deterministic_families_still_work_without_rng(self):
         assert gen.make_family("cycle", 8).n == 8

@@ -1,4 +1,4 @@
-"""Golden-trace regression: both backends reproduce committed seeded traces bit-for-bit.
+"""Golden-trace regression: the processes reproduce committed seeded traces bit-for-bit.
 
 The JSON files under ``tests/data/`` record the exact per-round added
 edges, round counts, and message/bit totals of reference runs (push,
@@ -46,9 +46,9 @@ def load_golden(filename: str) -> dict:
     return json.loads((DATA_DIR / filename).read_text())
 
 
-def replay(process_cls, golden: dict, backend: str) -> dict:
+def replay(process_cls, golden: dict) -> dict:
     graph = gen.cycle_graph(golden["n"])
-    process = process_cls(graph, rng=golden["seed"], backend=backend)
+    process = process_cls(graph, rng=golden["seed"])
     result = process.run_to_convergence(record_history=True)
     if golden.get("canonical_edges"):
         rounds = [
@@ -71,11 +71,10 @@ def replay(process_cls, golden: dict, backend: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", ["list", "array"])
 @pytest.mark.parametrize("filename,process_cls", GOLDEN_CASES)
-def test_backend_reproduces_golden_trace(filename, process_cls, backend):
+def test_reproduces_golden_trace(filename, process_cls):
     golden = load_golden(filename)
-    replayed = replay(process_cls, golden, backend)
+    replayed = replay(process_cls, golden)
     assert replayed["rounds"] == golden["rounds"]
     assert replayed["total_edges_added"] == golden["total_edges_added"]
     assert replayed["total_messages"] == golden["total_messages"]

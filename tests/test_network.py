@@ -64,10 +64,10 @@ class TestSimulator:
             NetworkSimulator(gen.cycle_graph(6), protocol="bogus")
 
     def test_requires_undirected_graph(self):
-        from repro.graphs.adjacency import DynamicDiGraph
+        from repro.graphs.array_adjacency import ArrayDiGraph
 
         with pytest.raises(TypeError):
-            NetworkSimulator(DynamicDiGraph(3, [(0, 1)]))
+            NetworkSimulator(ArrayDiGraph(3, [(0, 1)]))
 
     @pytest.mark.parametrize("protocol", ["push", "pull", "name_dropper"])
     def test_protocols_converge_to_full_discovery(self, protocol):

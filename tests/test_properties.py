@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs import properties as props
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 
 class TestDistances:
@@ -14,12 +14,12 @@ class TestDistances:
         assert dist.tolist() == [0, 1, 2, 3, 4]
 
     def test_bfs_distances_unreachable(self):
-        g = DynamicGraph(4, [(0, 1)])
+        g = ArrayGraph(4, [(0, 1)])
         dist = props.bfs_distances(g, 0)
         assert dist[1] == 1 and dist[2] == -1 and dist[3] == -1
 
     def test_bfs_directed_follows_out_edges(self):
-        g = DynamicDiGraph(3, [(0, 1), (1, 2)])
+        g = ArrayDiGraph(3, [(0, 1), (1, 2)])
         assert props.bfs_distances(g, 0).tolist() == [0, 1, 2]
         assert props.bfs_distances(g, 2).tolist() == [-1, -1, 0]
 
@@ -56,21 +56,21 @@ class TestTies:
 class TestConnectivity:
     def test_is_connected(self):
         assert props.is_connected(gen.cycle_graph(5))
-        assert props.is_connected(DynamicGraph(1))
-        assert not props.is_connected(DynamicGraph(3, [(0, 1)]))
+        assert props.is_connected(ArrayGraph(1))
+        assert not props.is_connected(ArrayGraph(3, [(0, 1)]))
 
     def test_connected_components(self):
-        g = DynamicGraph(5, [(0, 1), (2, 3)])
+        g = ArrayGraph(5, [(0, 1), (2, 3)])
         comps = props.connected_components(g)
         assert sorted(map(tuple, comps)) == [(0, 1), (2, 3), (4,)]
 
     def test_weak_strong_connectivity(self):
-        path = DynamicDiGraph(3, [(0, 1), (1, 2)])
+        path = ArrayDiGraph(3, [(0, 1), (1, 2)])
         assert props.is_weakly_connected(path)
         assert not props.is_strongly_connected(path)
-        cycle = DynamicDiGraph(3, [(0, 1), (1, 2), (2, 0)])
+        cycle = ArrayDiGraph(3, [(0, 1), (1, 2), (2, 0)])
         assert props.is_strongly_connected(cycle)
-        assert props.is_strongly_connected(DynamicDiGraph(1))
+        assert props.is_strongly_connected(ArrayDiGraph(1))
 
 
 class TestGlobalStats:
@@ -83,14 +83,14 @@ class TestGlobalStats:
 
     def test_diameter_disconnected_raises(self):
         with pytest.raises(ValueError):
-            props.diameter(DynamicGraph(3, [(0, 1)]))
+            props.diameter(ArrayGraph(3, [(0, 1)]))
         with pytest.raises(ValueError):
-            props.diameter(DynamicGraph(0))
+            props.diameter(ArrayGraph(0))
 
     def test_average_degree(self):
         g = gen.cycle_graph(6)
         assert props.average_degree(g) == pytest.approx(2.0)
-        assert props.average_degree(DynamicGraph(0)) == 0.0
+        assert props.average_degree(ArrayGraph(0)) == 0.0
 
     def test_degree_histogram(self):
         g = gen.star_graph(5)
@@ -106,10 +106,10 @@ class TestGlobalStats:
     def test_average_clustering(self):
         assert props.average_clustering(gen.complete_graph(4)) == pytest.approx(1.0)
         assert props.average_clustering(gen.cycle_graph(5)) == pytest.approx(0.0)
-        assert props.average_clustering(DynamicGraph(0)) == 0.0
+        assert props.average_clustering(ArrayGraph(0)) == 0.0
 
     def test_missing_edge_pairs(self):
-        g = DynamicGraph(3, [(0, 1)])
+        g = ArrayGraph(3, [(0, 1)])
         assert props.missing_edge_pairs(g) == [(0, 2), (1, 2)]
         assert props.missing_edge_pairs(gen.complete_graph(3)) == []
 

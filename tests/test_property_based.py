@@ -11,7 +11,7 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.graphs import generators as gen
 from repro.graphs import properties as props
 from repro.graphs import validation
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.closure import transitive_closure_edges
 from repro.simulation import stats
 
@@ -43,7 +43,7 @@ def connected_graphs(draw, min_nodes=3, max_nodes=10):
     extra = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
     )
-    g = DynamicGraph(n)
+    g = ArrayGraph(n)
     for v, p in enumerate(parents, start=1):
         g.add_edge(p, v)
     for u, v in extra:
@@ -61,7 +61,7 @@ def directed_graphs(draw, min_nodes=2, max_nodes=8):
     extra = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
     )
-    g = DynamicDiGraph(n)
+    g = ArrayDiGraph(n)
     for (v, p), flip in zip(enumerate(parents, start=1), flips):
         if flip:
             g.add_edge(v, p)
@@ -81,7 +81,7 @@ class TestGraphInvariants:
     @given(edge_lists())
     def test_graph_always_internally_consistent(self, n_edges):
         n, edges = n_edges
-        g = DynamicGraph(n, edges)
+        g = ArrayGraph(n, edges)
         assert validation.check_graph_invariants(g) == []
         # degree sum equals twice the edge count (handshake lemma)
         assert int(g.degrees().sum()) == 2 * g.number_of_edges()
@@ -90,7 +90,7 @@ class TestGraphInvariants:
     @given(edge_lists())
     def test_digraph_always_internally_consistent(self, n_edges):
         n, edges = n_edges
-        g = DynamicDiGraph(n, edges)
+        g = ArrayDiGraph(n, edges)
         assert validation.check_digraph_invariants(g) == []
         assert int(g.out_degrees().sum()) == g.number_of_edges()
         assert int(g.in_degrees().sum()) == g.number_of_edges()
@@ -99,8 +99,10 @@ class TestGraphInvariants:
     @given(edge_lists())
     def test_adjacency_matrix_roundtrip(self, n_edges):
         n, edges = n_edges
-        g = DynamicGraph(n, edges)
-        assert DynamicGraph.from_adjacency_matrix(g.adjacency_matrix()) == g
+        g = ArrayGraph(n, edges)
+        mat = g.adjacency_matrix()
+        assert (mat == mat.T).all() and not mat.diagonal().any()
+        assert ArrayGraph(n, zip(*np.nonzero(np.triu(mat)))) == g
 
 
 # --------------------------------------------------------------------------- #

@@ -7,13 +7,13 @@ from repro.core.pull import PullDiscovery
 from repro.graphs import generators as gen
 from repro.graphs import properties as props
 from repro.graphs import validation
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 
 class TestPullBasics:
     def test_requires_undirected_graph(self):
         with pytest.raises(TypeError):
-            PullDiscovery(DynamicDiGraph(3, [(0, 1)]))
+            PullDiscovery(ArrayDiGraph(3, [(0, 1)]))
 
     def test_propose_endpoint_is_within_two_hops(self, small_cycle, rng):
         proc = PullDiscovery(small_cycle, rng=rng)
@@ -27,19 +27,19 @@ class TestPullBasics:
             assert w in two_hop and w != 0
 
     def test_isolated_node_proposes_none(self, rng):
-        g = DynamicGraph(3, [(1, 2)])
+        g = ArrayGraph(3, [(1, 2)])
         proc = PullDiscovery(g, rng=rng)
         assert proc.propose(0) is None
 
     def test_walk_returning_home_is_no_proposal(self, rng):
         # On a single edge the two-hop walk always returns to the start.
-        g = DynamicGraph(2, [(0, 1)])
+        g = ArrayGraph(2, [(0, 1)])
         proc = PullDiscovery(g, rng=rng)
         assert proc.propose(0) is None
         assert proc.propose(1) is None
 
     def test_two_node_graph_is_already_converged(self, rng):
-        g = DynamicGraph(2, [(0, 1)])
+        g = ArrayGraph(2, [(0, 1)])
         proc = PullDiscovery(g, rng=rng)
         assert proc.is_converged()
 

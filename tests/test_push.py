@@ -7,13 +7,13 @@ from repro.core.base import UpdateSemantics
 from repro.core.push import PushDiscovery
 from repro.graphs import generators as gen
 from repro.graphs import validation
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 
 class TestPushBasics:
     def test_requires_undirected_graph(self):
         with pytest.raises(TypeError):
-            PushDiscovery(DynamicDiGraph(3, [(0, 1)]))
+            PushDiscovery(ArrayDiGraph(3, [(0, 1)]))
 
     def test_propose_returns_edge_between_neighbors(self, small_star, rng):
         proc = PushDiscovery(small_star, rng=rng)
@@ -32,7 +32,7 @@ class TestPushBasics:
         assert proc.propose(0) is None
 
     def test_isolated_node_proposes_none(self, rng):
-        g = DynamicGraph(3, [(1, 2)])
+        g = ArrayGraph(3, [(1, 2)])
         proc = PushDiscovery(g, rng=rng)
         assert proc.propose(0) is None
 

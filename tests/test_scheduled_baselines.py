@@ -1,17 +1,15 @@
-"""Activation schedules restrict *every* registered process on both backends.
+"""Activation schedules restrict *every* registered process.
 
 Regression suite for the scheduled-baseline bug: the baselines override
 ``step()`` wholesale, and before this fix they never consulted
 ``participating_nodes()``, so a ``ScheduledProcess`` subset run produced
 byte-identical edge sets to full activation.  The headline test here fails
 on the pre-fix code: a strict subset of active nodes must add strictly
-fewer edges than full activation for every registered process, on the
-list and the array backend alike.
+fewer edges than full activation for every registered process.
 
-The second half pins cross-backend trace equivalence *under* schedules:
-a seeded subset schedule produces identical per-round edge sets on both
-backends (the subset bulk draw consumes one uniform per participating
-node on each).
+The second half pins the packed rounds to the test oracle *under*
+schedules: a seeded subset schedule produces the oracle's per-round edge
+sets (the subset bulk draw consumes one uniform per participating node).
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from repro.core.scheduler import (
     RoundRobinActivation,
     ScheduledProcess,
 )
+from oracle import run_oracle
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.simulation.engine import PROCESS_REGISTRY, make_process
@@ -32,7 +31,6 @@ from repro.simulation.engine import PROCESS_REGISTRY, make_process
 N = 16
 ROUNDS = 4
 SUBSET = [0, 1, 2]
-BACKENDS = ["list", "array"]
 
 
 def _base_graph(name: str):
@@ -43,8 +41,8 @@ def _base_graph(name: str):
     return gen.cycle_graph(N)
 
 
-def _edges_after(name: str, backend: str, schedule) -> int:
-    process = make_process(name, _base_graph(name).copy(), rng=11, backend=backend)
+def _edges_after(name: str, schedule) -> int:
+    process = make_process(name, _base_graph(name).copy(), rng=11)
     if schedule is not None:
         process = ScheduledProcess(process, schedule)
     for _ in range(ROUNDS):
@@ -55,93 +53,85 @@ def _edges_after(name: str, backend: str, schedule) -> int:
 class TestSubsetRestrictsEveryProcess:
     """The headline regression: subset runs add strictly fewer edges."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(PROCESS_REGISTRY))
-    def test_subset_adds_strictly_fewer_edges(self, name, backend):
-        full = _edges_after(name, backend, None)
-        subset = _edges_after(name, backend, FixedSubsetActivation(SUBSET))
+    def test_subset_adds_strictly_fewer_edges(self, name):
+        full = _edges_after(name, None)
+        subset = _edges_after(name, FixedSubsetActivation(SUBSET))
         assert full > 0, f"{name} added nothing under full activation"
         assert subset < full, (
-            f"{name} on {backend}: subset activation added {subset} edges "
+            f"{name}: subset activation added {subset} edges "
             f"vs {full} under full activation — the schedule was ignored"
         )
 
     @pytest.mark.parametrize("name", ["flooding", "name_dropper", "pointer_jump"])
-    def test_subset_edge_sets_match_across_backends(self, name):
-        """Both backends agree on *which* edges a subset run creates."""
-        edge_sets = {}
-        for backend in BACKENDS:
-            process = make_process(name, gen.cycle_graph(N), rng=5, backend=backend)
-            wrapped = ScheduledProcess(process, FixedSubsetActivation(SUBSET))
-            for _ in range(ROUNDS):
-                wrapped.step()
-            edge_sets[backend] = sorted(
-                (min(int(u), int(v)), max(int(u), int(v)))
-                for u, v in process.graph.edge_list()
-            )
-        assert edge_sets["list"] == edge_sets["array"]
+    def test_subset_edge_sets_match_oracle(self, name):
+        """The packed round and the oracle agree on *which* edges a subset run creates."""
+        process = make_process(name, gen.cycle_graph(N), rng=5)
+        wrapped = ScheduledProcess(process, FixedSubsetActivation(SUBSET))
+        for _ in range(ROUNDS):
+            wrapped.step()
+        _, graph, _ = run_oracle(
+            name, gen.cycle_graph(N), 5, ROUNDS, schedule=FixedSubsetActivation(SUBSET)
+        )
+        assert process.graph.edge_list() == graph.edge_list()
+
+
+def _canon(edges):
+    return frozenset((min(int(u), int(v)), max(int(u), int(v))) for u, v in edges)
 
 
 class TestScheduledTraceEquivalence:
-    """ScheduledProcess × {push, pull, baselines}: list ≡ array per round."""
+    """ScheduledProcess × {push, pull, baselines}: the oracle's rounds, round by round."""
 
     PROCESSES = ["push", "pull", "name_dropper", "pointer_jump", "flooding"]
 
     @staticmethod
-    def _run(name: str, backend: str, make_schedule):
-        process = make_process(name, gen.cycle_graph(20), rng=13, backend=backend)
+    def _pair(name: str, make_schedule):
+        process = make_process(name, gen.cycle_graph(20), rng=13)
         wrapped = ScheduledProcess(process, make_schedule())
-        per_round = []
-        for _ in range(5):
-            result = wrapped.step()
-            per_round.append(
-                frozenset(
-                    (min(int(u), int(v)), max(int(u), int(v)))
-                    for u, v in result.added_edges
-                )
-            )
-        return {
-            "per_round": per_round,
+        fast = [wrapped.step() for _ in range(5)]
+        history, graph, _ = run_oracle(name, gen.cycle_graph(20), 13, 5, schedule=make_schedule())
+        ref = {
+            "per_round": [_canon(r.added) for r in history],
+            "messages": sum(r.messages for r in history),
+            "bits": sum(r.bits for r in history),
+            "edges": graph.edge_list(),
+        }
+        return ref, {
+            "per_round": [_canon(r.added_edges) for r in fast],
             "messages": process.total_messages,
             "bits": process.total_bits,
-            "edges": sorted(
-                (min(int(u), int(v)), max(int(u), int(v)))
-                for u, v in process.graph.edge_list()
-            ),
+            "edges": process.graph.edge_list(),
         }
 
     @pytest.mark.parametrize("name", PROCESSES)
     def test_fixed_subset_schedule_trace_equivalent(self, name):
-        ref = self._run(name, "list", lambda: FixedSubsetActivation([1, 4, 7, 10]))
-        fast = self._run(name, "array", lambda: FixedSubsetActivation([1, 4, 7, 10]))
+        ref, fast = self._pair(name, lambda: FixedSubsetActivation([1, 4, 7, 10]))
         assert ref == fast
 
     @pytest.mark.parametrize("name", PROCESSES)
     def test_bernoulli_schedule_trace_equivalent(self, name):
-        """The schedule draws from the process rng; both backends share the stream."""
-        ref = self._run(name, "list", lambda: BernoulliActivation(0.5))
-        fast = self._run(name, "array", lambda: BernoulliActivation(0.5))
+        """The schedule draws from the process rng, ahead of the round's own draws."""
+        ref, fast = self._pair(name, lambda: BernoulliActivation(0.5))
         assert ref == fast
 
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump"])
     def test_round_robin_single_actor_rounds(self, name):
         """One node per tick: a baseline round does at most one node's work."""
-        for backend in BACKENDS:
-            process = make_process(name, gen.cycle_graph(10), rng=2, backend=backend)
-            wrapped = ScheduledProcess(process, RoundRobinActivation())
-            result = wrapped.step()
-            assert result.messages_sent <= 2  # one actor (pointer jump pays 2)
+        process = make_process(name, gen.cycle_graph(10), rng=2)
+        wrapped = ScheduledProcess(process, RoundRobinActivation())
+        result = wrapped.step()
+        assert result.messages_sent <= 2  # one actor (pointer jump pays 2)
 
 
 class TestScheduledProcessPassthrough:
     """The wrapper is a full stand-in: no reaching into ``.process`` needed."""
 
     def test_exposes_rng_round_index_metrics_history(self):
-        process = make_process("push", gen.cycle_graph(12), rng=0, backend="array")
+        process = make_process("push", gen.cycle_graph(12), rng=0)
         wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 1, 2]))
         assert wrapped.rng is process.rng
         assert wrapped.round_index == 0
-        assert wrapped.backend == "array"
         assert wrapped.semantics is process.semantics
         first = wrapped.step()
         assert wrapped.round_index == 1
@@ -156,7 +146,7 @@ class TestScheduledProcessPassthrough:
         assert metrics["bits"] == wrapped.total_bits == process.total_bits
 
     def test_degree_view_passthrough_matches_graph(self):
-        process = make_process("pull", gen.cycle_graph(10), rng=3, backend="list")
+        process = make_process("pull", gen.cycle_graph(10), rng=3)
         wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 5]))
         wrapped.run(4)
         assert np.array_equal(wrapped.degree_view(), process.graph.degrees())

@@ -7,7 +7,7 @@ from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.closure import transitive_closure_edges
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.simulation import bounds, experiment
 from repro.simulation.engine import (
     PROCESS_REGISTRY,
@@ -112,11 +112,11 @@ class TestEngineRegistry:
         with pytest.raises(TypeError):
             make_process("directed_pull", gen.cycle_graph(6))
         with pytest.raises(TypeError):
-            make_process("push", DynamicDiGraph(4, [(0, 1)]))
+            make_process("push", ArrayDiGraph(4, [(0, 1)]))
 
     def test_pointer_jump_accepts_both_kinds(self):
         make_process("pointer_jump", gen.cycle_graph(6), rng=0)
-        make_process("pointer_jump_directed", DynamicDiGraph(4, [(0, 1), (1, 2)]), rng=0)
+        make_process("pointer_jump_directed", ArrayDiGraph(4, [(0, 1), (1, 2)]), rng=0)
 
     def test_measure_convergence_rounds_copy_semantics(self):
         g = gen.cycle_graph(8)
@@ -136,11 +136,10 @@ FAULTY_KWARGS = {"failure_prob": 0.25, "participation_prob": 0.75}
 
 
 class TestRegistryRunAccounting:
-    """Every registered process, on both backends, accounts for its run round by round."""
+    """Every registered process accounts for its run round by round."""
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
     @pytest.mark.parametrize("name", sorted(PROCESS_REGISTRY))
-    def test_history_sums_to_totals_and_reaches_the_target(self, name, backend):
+    def test_history_sums_to_totals_and_reaches_the_target(self, name):
         rng = np.random.default_rng(11)
         if PROCESS_REGISTRY[name][1]:
             start = dgen.make_directed_family("random_strong", 12, rng)
@@ -149,7 +148,7 @@ class TestRegistryRunAccounting:
             start = gen.make_family("cycle", 12, rng)
             target = {(u, v) for u in range(12) for v in range(u + 1, 12)}
         kwargs = FAULTY_KWARGS if name.startswith("faulty_") else {}
-        proc = make_process(name, start.copy(), rng=rng, backend=backend, **kwargs)
+        proc = make_process(name, start.copy(), rng=rng, **kwargs)
         result = proc.run_to_convergence(record_history=True)
 
         assert result.converged
@@ -173,12 +172,12 @@ class TestExperimentSpecs:
     def test_build_graph_from_family(self, rng):
         spec = ExperimentSpec(process="push", family="cycle", n=12)
         g = spec.build_graph(rng)
-        assert isinstance(g, DynamicGraph)
+        assert isinstance(g, ArrayGraph)
         assert g.n == 12
 
     def test_build_graph_directed(self, rng):
         spec = ExperimentSpec(process="directed_pull", family="directed_cycle", n=8, directed=True)
-        assert isinstance(spec.build_graph(rng), DynamicDiGraph)
+        assert isinstance(spec.build_graph(rng), ArrayDiGraph)
 
     def test_custom_factory(self):
         spec = ExperimentSpec(

@@ -87,10 +87,10 @@ class TestGroupDiscovery:
 
     def test_exactly_one_of_members_or_k(self):
         host = gen.cycle_graph(10)
-        with pytest.raises(ValueError):
-            discover_group(host)
-        with pytest.raises(ValueError):
-            discover_group(host, members=[0, 1], k=3)
+        with pytest.raises(ValueError, match="exactly one"):
+            discover_group(host, seed=0)
+        with pytest.raises(ValueError, match="exactly one"):
+            discover_group(host, members=[0, 1], k=3, seed=0)
 
     def test_group_rounds_independent_of_host_size(self):
         """The O(k log^2 k) guarantee: same group size, very different hosts."""

@@ -1,4 +1,4 @@
-"""Source rules: four syntax-level bans, checked over the repository's own code.
+"""Source rules: three syntax-level bans, checked over the repository's own code.
 
 Each rule judges one AST node at a time, so a rule is a function from a
 parsed module to ``(line, message)`` pairs.  A violation fails
@@ -25,14 +25,6 @@ rule flags and what it lets pass is pinned on snippets by :data:`CASES`.
     file plus ``os.replace``), the one module that holds the raw
     primitives.  Caught a torn write: ``analysis/report.py``'s
     ``Report.write`` wrote through ``Path.write_text``.
-
-``capability-guard`` — ``src/repro`` except ``repro/graphs/``.  Bans
-    ``isinstance(x, DynamicGraph | DynamicDiGraph)``.  Such a guard
-    silently no-ops on the array backend: ``EvolutionTracker`` once
-    recorded no snapshots there and ``NetworkSimulator`` rejected
-    ``ArrayGraph`` (``tests/test_guard_regression.py`` pins both).
-    Dispatch on capabilities instead; the backend layer itself may compare
-    its own types.
 
 ``exception-hygiene`` — ``src/repro``.  Flags bare, ``Exception`` and
     ``BaseException`` handlers that neither re-raise, log nor use the bound
@@ -165,24 +157,6 @@ def atomic_write(tree: ast.Module) -> Iterator[Violation]:
                 yield node.lineno, f"writable {name}(..., {mode!r}): use io.atomic_write_*"
 
 
-def capability_guard(tree: ast.Module) -> Iterator[Violation]:
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-        ):
-            names = {
-                sub.id if isinstance(sub, ast.Name) else sub.attr
-                for sub in ast.walk(node.args[1])
-                if isinstance(sub, (ast.Name, ast.Attribute))
-            }
-            guarded = sorted(names & {"DynamicGraph", "DynamicDiGraph"})
-            if guarded:
-                yield node.lineno, f"isinstance against {guarded} no-ops on other backends"
-
-
 _BROAD_TYPES = frozenset({"Exception", "BaseException"})
 #: calls that count as "the handler reported the failure"
 _REPORTING_CALLS = frozenset(
@@ -219,7 +193,6 @@ def exception_hygiene(tree: ast.Module) -> Iterator[Violation]:
 RULES = {
     "determinism": (determinism, ["src/repro", "benchmarks", "tests"], ["tests/data/"]),
     "atomic-write": (atomic_write, ["src/repro"], ["src/repro/simulation/io.py"]),
-    "capability-guard": (capability_guard, ["src/repro"], ["src/repro/graphs/"]),
     "exception-hygiene": (exception_hygiene, ["src/repro"], []),
 }
 
@@ -266,10 +239,7 @@ def test_tree_obeys_rule(rule):
     assert not stale, f"ALLOWED entries that no longer match anything: {sorted(stale)}"
 
 
-@pytest.mark.parametrize(
-    "rule, exempt",
-    [("atomic-write", "src/repro/simulation/io.py"), ("capability-guard", "src/repro/graphs/")],
-)
+@pytest.mark.parametrize("rule, exempt", [("atomic-write", "src/repro/simulation/io.py")])
 def test_exemption_is_load_bearing(rule, exempt):
     """The exempt path does what the rule bans; an exemption that stops doing so goes."""
     check = RULES[rule][0]
@@ -333,13 +303,6 @@ CASES = [
     ("atomic-write", "Path(path).open()", 0),
     ("atomic-write", "gzip.open('trace.gz')", 0),
     ("atomic-write", "atomic_write_text(Path(path), text)", 0),
-    ("capability-guard", "isinstance(graph, DynamicGraph)", 1),
-    ("capability-guard", "isinstance(graph, DynamicDiGraph)", 1),
-    ("capability-guard", "isinstance(graph, (DynamicGraph, DynamicDiGraph))", 1),
-    ("capability-guard", "isinstance(graph, adjacency.DynamicGraph)", 1),
-    ("capability-guard", "isinstance(graph, DynamicGraph | ArrayGraph)", 1),
-    ("capability-guard", "hasattr(graph, 'packed_rows')", 0),
-    ("capability-guard", "isinstance(sink, list)", 0),
     ("exception-hygiene", "try: f()\nexcept: pass", 1),
     ("exception-hygiene", "try: f()\nexcept Exception: pass", 1),
     ("exception-hygiene", "try: f()\nexcept BaseException: x = -1", 1),

@@ -8,7 +8,6 @@ from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 
 
 class TestPushEdgeProbability:
