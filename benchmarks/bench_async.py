@@ -20,15 +20,9 @@ Axes:
   nobody is dead, eviction would only thrash).
 * ``churn``    — Poisson leave/rejoin with liveness pings evicting dead
   contacts; convergence is judged among the alive nodes.
-
-Full-size results are written to ``BENCH_PR6.json`` at the repo root
-(skipped under ``--smoke`` so CI never overwrites the recorded snapshot).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +35,6 @@ from repro.network import (
     NetworkSimulator,
     UniformLatency,
 )
-from repro.simulation.io import atomic_write_text
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
@@ -50,8 +43,6 @@ MAX_TICKS = 20_000
 JITTER_WIDTHS = [0.5, 1.5, 3.0]
 DROP_RATES = [0.05, 0.1, 0.2]
 CHURN_RATES = [0.01, 0.03]
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
 
 def _async_ticks(n: int, seed: int, **kwargs) -> tuple[int, bool]:
@@ -187,14 +178,3 @@ def test_async_degradation(benchmark, smoke):
     # a fifth of the messages costs a clearly measurable factor.
     assert by_key[("jitter", f"U(0.05, {JITTER_WIDTHS[-1]})")]["inflation"] < 1.2
     assert by_key[("drop", f"p={DROP_RATES[-1]}")]["inflation"] > 1.2
-
-    snapshot = {
-        "pr": 6,
-        "seed": BENCH_SEED,
-        "n": n,
-        "trials": trials,
-        "protocol": "push",
-        "results": rows,
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")

@@ -1,4 +1,4 @@
-"""PR7 — checkpoint overhead and crash-recovery latency (``BENCH_PR7.json``).
+"""Checkpoint overhead and crash-recovery latency.
 
 Prices the crash-tolerance substrate added in PR7:
 
@@ -20,14 +20,11 @@ Prices the crash-tolerance substrate added in PR7:
   uninterrupted run's rounds and edge count exactly — recovery is the
   draw-for-draw contract from ``tests/test_checkpoint.py``, just priced.
 
-Results are printed and written to ``BENCH_PR7.json`` at the repo root
-(skipped under ``--smoke`` so CI never overwrites the recorded snapshot).
+Results are printed as tables.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -42,7 +39,6 @@ from repro.simulation.checkpoint import (
     save_checkpoint,
 )
 from repro.simulation.engine import make_process, measure_convergence_rounds
-from repro.simulation.io import atomic_write_text
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
@@ -52,8 +48,6 @@ N = 1024
 SMOKE_N = 256
 CHECKPOINT_EVERY = 10
 SNAPSHOT_WARMUP_ROUNDS = 12  # mid-run state for the single-snapshot timing
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
 
 def _fresh_graph(n: int):
@@ -163,17 +157,3 @@ def test_checkpoint_overhead_and_recovery(benchmark, smoke, tmp_path):
         return
     overhead = results["runs"][1]["overhead_fraction"]
     assert overhead < 0.10, f"checkpoint overhead {overhead:.1%} exceeds the 10% budget"
-    snapshot = {
-        "pr": 7,
-        "seed": BENCH_SEED,
-        "process": PROCESS,
-        "family": FAMILY,
-        "n": n,
-        "checkpoint_every": CHECKPOINT_EVERY,
-        "cpus": os.cpu_count(),
-        "runs": results["runs"],
-        "snapshot_ms": results["snapshot_ms"],
-        "recovery": results["recovery"],
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")

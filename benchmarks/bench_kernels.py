@@ -16,23 +16,19 @@ against its pre-PR2 implementation, at n ∈ {256, 1024, 4096}:
   the process's incremental counter cache vs the old recompute-a-degree-
   copy-every-round style.
 
-Results are printed and written to ``BENCH_PR2.json`` at the repo root
-(skipped under ``--smoke`` so CI never overwrites the recorded snapshot).
+Results are printed as a table.
 
 A second test times **closure maintenance** under per-round edge batches:
 :class:`repro.graphs.closure.IncrementalClosure` (row-OR propagation per
 batch endpoint) against a full Warshall
 :func:`repro.graphs.bitset.transitive_closure_bits` recompute per batch —
 the machinery that makes the directed walk's closure-deficit tracking
-affordable at large n.  Its snapshot goes to ``BENCH_PR5.json``.
+affordable at large n.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +36,6 @@ from repro.core.push import PushDiscovery
 from repro.graphs import bitset, closure
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
-from repro.simulation.io import atomic_write_text
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
@@ -53,15 +48,11 @@ MEMBERSHIP_BATCH = 100_000
 #: predicate evaluations per timing rep (one per simulated round).
 PREDICATE_CALLS = 2_000
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
-
 CLOSURE_SIZES = [512, 1024]
 SMOKE_CLOSURE_SIZES = [128]
 #: edge batches per closure-maintenance run, and edges drawn per batch.
 CLOSURE_BATCHES = 8
 CLOSURE_BATCH_EDGES = 64
-
-CLOSURE_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 
 
 def _best_of(fn, reps: int = 3) -> float:
@@ -188,16 +179,6 @@ def test_bitset_kernel_microbench(benchmark, smoke):
 
     if smoke:
         return
-    snapshot = {
-        "pr": 2,
-        "seed": BENCH_SEED,
-        "sizes": sizes,
-        "membership_batch": MEMBERSHIP_BATCH,
-        "predicate_calls": PREDICATE_CALLS,
-        "results": {str(n): results[n] for n in sizes},
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")
     # Acceptance: >=2x on the closure and convergence kernels at n=1024,
     # ~8x membership memory reduction.
     at_1024 = results[1024]
@@ -287,15 +268,3 @@ def test_incremental_closure_maintenance(benchmark, smoke):
     # Acceptance: incremental maintenance beats recompute at every size.
     worst = min(r["speedup"] for r in results)
     assert worst > 1.0, f"incremental closure slower than recompute ({worst:.3f}x)"
-
-    if smoke:
-        return
-    snapshot = {
-        "seed": BENCH_SEED,
-        "cpus": os.cpu_count(),
-        "closure_sizes": closure_sizes,
-        "best_closure_speedup": max(r["speedup"] for r in results),
-        "results": {"closure": results},
-    }
-    atomic_write_text(CLOSURE_RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {CLOSURE_RESULTS_PATH}")

@@ -1,8 +1,9 @@
-"""Thin setup.py shim.
+"""Packaging shim for ``pip install -e .``.
 
-The project is fully described by ``pyproject.toml``; this file exists only
-so that ``pip install -e . --no-use-pep517`` (the legacy editable path)
-works on environments without the ``wheel`` package installed.
+There is no ``pyproject.toml`` or ``setup.cfg``: setuptools discovers the
+``repro`` package under ``src/`` and records version 0.0.0 and no
+dependencies (``requirements-ci.txt`` lists them).  No console script is
+installed; run the command-line interface as ``python -m repro.cli``.
 """
 
 from setuptools import setup

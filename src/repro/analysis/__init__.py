@@ -15,11 +15,10 @@ from repro.analysis.nonmonotonicity import (
 )
 from repro.analysis.degree_growth import DegreePhase, measure_degree_growth_phases
 from repro.analysis.lower_bounds import lower_bound_ratio_check
-from repro.analysis import theory, report
+from repro.analysis import theory
 
 __all__ = [
     "theory",
-    "report",
     "ScalingMeasurement",
     "measure_scaling",
     "exact_expected_convergence_time",

@@ -1,15 +1,16 @@
 """Command-line interface: run any experiment from the shell.
 
-Usage examples::
+Run it as a module, with ``src`` on ``PYTHONPATH`` or the package
+installed.  Usage examples::
 
-    repro-gossip run --process push --family cycle --n 64 --trials 3 --seed 1
-    repro-gossip scaling --process pull --family erdos_renyi --sizes 16 32 64
-    repro-gossip nonmonotone
-    repro-gossip group --host-n 256 --k 24 --process push
-    repro-gossip directed --family thm15_strong --sizes 8 16 24
-    repro-gossip async --protocol push --n 64 --jitter 1.5 --drop 0.1 --compare-sync
-    repro-gossip run --process push --n 256 --checkpoint-every 10 --checkpoint-dir ckpt
-    repro-gossip resume ckpt/trial_0000
+    python -m repro.cli run --process push --family cycle --n 64 --trials 3 --seed 1
+    python -m repro.cli scaling --process pull --family erdos_renyi --sizes 16 32 64
+    python -m repro.cli nonmonotone
+    python -m repro.cli group --host-n 256 --k 24 --process push
+    python -m repro.cli directed --family thm15_strong --sizes 8 16 24
+    python -m repro.cli async --protocol push --n 64 --jitter 1.5 --drop 0.1 --compare-sync
+    python -m repro.cli run --process push --n 256 --checkpoint-every 10 --checkpoint-dir ckpt
+    python -m repro.cli resume ckpt/trial_0000
 
 Every subcommand prints a small aligned table to stdout; the benchmark
 harnesses under ``benchmarks/`` use the same underlying functions.
@@ -82,15 +83,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every and not args.checkpoint_dir:
         print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
         return 2
-    spec = ExperimentSpec(
-        process=args.process,
-        family=args.family,
-        n=args.n,
-        trials=args.trials,
-        directed=args.directed,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    try:
+        spec = ExperimentSpec(
+            process=args.process,
+            family=args.family,
+            n=args.n,
+            trials=args.trials,
+            directed=args.directed,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     trials = run_trials(
         spec, root_seed=args.seed, processes=args.processes, retries=args.retries
     )
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     all_families = sorted(set(family_names()) | set(directed_family_names()))
     parser = argparse.ArgumentParser(
-        prog="repro-gossip",
+        prog="python -m repro.cli",
         description="Run the 'Discovery through Gossip' reproduction experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,8 +4,8 @@
 * :class:`repro.core.pull.PullDiscovery` — the two-hop walk (pull) process.
 * :class:`repro.core.directed.DirectedTwoHopWalk` — the directed two-hop walk.
 * :mod:`repro.core.subset` — group discovery restricted to an induced subgraph.
-* :mod:`repro.core.variants` — robustness ablations (edge failures, partial
-  participation, churn) from the paper's conclusion.
+* :mod:`repro.core.variants` — robustness ablations (lossy introductions,
+  partial participation) from the paper's conclusion.
 """
 
 from repro.core.base import (
@@ -18,15 +18,9 @@ from repro.core.base import (
 from repro.core.push import PushDiscovery
 from repro.core.pull import PullDiscovery
 from repro.core.directed import DirectedTwoHopWalk
-from repro.core.convergence import (
-    complete_graph_reached,
-    closure_reached,
-    min_degree_reached,
-    edge_count_reached,
-)
 from repro.core.metrics import MetricsRecorder, RoundMetrics
 from repro.core.subset import SubsetDiscovery
-from repro.core.variants import FaultyPushDiscovery, FaultyPullDiscovery, ChurnModel
+from repro.core.variants import FaultyPushDiscovery, FaultyPullDiscovery
 from repro.core.scheduler import (
     ActivationSchedule,
     FullActivation,
@@ -56,11 +50,6 @@ __all__ = [
     "SubsetDiscovery",
     "FaultyPushDiscovery",
     "FaultyPullDiscovery",
-    "ChurnModel",
     "MetricsRecorder",
     "RoundMetrics",
-    "complete_graph_reached",
-    "closure_reached",
-    "min_degree_reached",
-    "edge_count_reached",
 ]

@@ -7,12 +7,11 @@ are append-only and proposals are sampled before any edge is applied, the
 synchronous semantics is achieved without copying the graph: a round
 first collects every node's proposed edge(s) and only then applies them.
 
-Synchronous rounds are executed through :meth:`DiscoveryProcess.propose_batch`,
-which the concrete processes override with vectorized kernels (bulk RNG
-draws, whole-array index math, a batched edge insert).  The base
-implementation falls back to calling :meth:`propose` per node, so
-processes that customise ``propose`` — the faulty variants' churn wrapper,
-user subclasses — keep their exact per-node behaviour.
+A synchronous round is one call of :meth:`DiscoveryProcess.propose_batch`,
+the process's vectorized kernel (bulk RNG draws, whole-array index math),
+followed by one batched edge insert.  :meth:`~DiscoveryProcess.propose`
+and :meth:`~DiscoveryProcess.apply_edge` state the same rule one node and
+one edge at a time; only the sequential ablation calls them.
 
 The bulk draw convention: a round of ``m`` participating nodes that
 samples in two stages (push's two endpoints, the two hops of pull and of
@@ -30,7 +29,7 @@ generator returns; a process handed another kind of graph raises
 A ``sequential`` update mode is provided as an ablation (nodes act in index
 order and see edges added earlier in the same round) — the paper's proofs
 are for the synchronous mode, and experiment E1/E2 variants measure the
-difference empirically.  The sequential mode always uses the per-node path.
+difference empirically.
 """
 
 from __future__ import annotations
@@ -71,11 +70,11 @@ def id_bits(n: int) -> int:
     """Bits needed to name one node among ``n`` — ``max(1, ceil(log2 n))``.
 
     This is the paper's ``O(log n)``-bit message payload unit.  It is the
-    single authority for bit accounting: the round engine (both the bulk
-    and the per-node accounting paths) and the message-level network layer
-    all charge ``id_bits(n)`` per transmitted node ID, so the two layers
-    can never drift apart on ``bits_sent``.  Degenerate sizes are pinned by
-    tests: a 1- or 2-node system still pays 1 bit per ID.
+    single authority for bit accounting: the round engine and the
+    message-level network layer both charge ``id_bits(n)`` per transmitted
+    node ID, so the two layers can never drift apart on ``bits_sent``.
+    Degenerate sizes are pinned by tests: a 1- or 2-node system still pays
+    1 bit per ID.
     """
     return max(1, (max(int(n), 2) - 1).bit_length())
 
@@ -162,11 +161,6 @@ class RoundResult:
             self._proposed = self._batch.edges() if self._batch is not None else []
         return self._proposed
 
-    @proposed_edges.setter
-    def proposed_edges(self, value: List[Edge]) -> None:
-        self._proposed = value
-        self._batch = None
-
     def attach_batch(self, batch: ProposalSource) -> None:
         """Record the array-form proposals, deferring tuple conversion."""
         self._batch = batch
@@ -198,12 +192,12 @@ class RoundResult:
 class BatchProposals:
     """Array-form result of a vectorized synchronous round's sampling stage.
 
-    The vectorized ``propose_batch`` kernels return this instead of a
-    per-node pairs list so the round engine can stay in NumPy all the way
-    to the batched edge insert.  ``us``/``vs`` hold the endpoints of the
-    *valid* proposals only, in node order; ``pos`` maps each proposal back
-    to its index among the round's ``count`` participating nodes (used by
-    the faulty variants to align their bulk failure draw).
+    The vectorized ``propose_batch`` kernels return this, so the round
+    engine stays in NumPy all the way to the batched edge insert.
+    ``us``/``vs`` hold the endpoints of the *valid* proposals only, in node
+    order; ``pos`` maps each proposal back to its index among the round's
+    ``count`` participating nodes (used by the faulty variants to align
+    their bulk failure draw).
     """
 
     __slots__ = ("count", "us", "vs", "pos")
@@ -251,10 +245,11 @@ class RunResult:
 class DiscoveryProcess(abc.ABC):
     """Common machinery for all discovery processes.
 
-    Subclasses implement :meth:`propose` — the per-node random proposal that
-    defines the process — and :meth:`is_converged`.  The base class owns the
-    round loop, the update semantics, message accounting, and the
-    participation mask used by the robustness variants.
+    Subclasses implement :meth:`propose_batch` — the synchronous round's
+    kernel —, :meth:`propose` — the same rule for one node, which the
+    sequential ablation calls — and :meth:`is_converged`.  The base class
+    owns the round loop, the update semantics, message accounting, and the
+    participation hook used by the robustness variants.
 
     Parameters
     ----------
@@ -319,71 +314,31 @@ class DiscoveryProcess(abc.ABC):
         """Nodes that act this round (all nodes by default)."""
         return self.graph.nodes()
 
-    def messages_for_proposal(self, node: int, edge: Optional[Edge]) -> Tuple[int, int]:
-        """Return ``(messages, bits)`` accounting for one node's action this round.
+    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
+        """Sample every participating node's proposal for one synchronous round.
 
-        The default charges :attr:`MESSAGES_PER_NODE` messages of one node
-        ID each, matching the paper's O(log n)-bits-per-message model.
-        Variants with no proposal still pay for their attempted messages.
+        This is the process's vectorized kernel.  It reads only the
+        round-start graph and ``self.rng`` and returns the valid proposals,
+        in node order, as a :class:`BatchProposals`.  Processes that
+        replace :meth:`step` (the baselines) need none.
         """
-        return self.MESSAGES_PER_NODE, self.MESSAGES_PER_NODE * self._id_bits
+        raise NotImplementedError(f"{type(self).__name__} has no synchronous round kernel")
 
-    def apply_edge(self, edge: Edge) -> bool:
-        """Insert a proposed edge into the graph; returns True when new."""
-        return self.graph.add_edge(*edge)
+    def apply_proposals(self, batch: BatchProposals) -> EdgeArrays:
+        """Insert a round's proposals with the graph's batched insert; return the new ones.
 
-    def propose_batch(
-        self, nodes: Iterable[int]
-    ) -> Union[List[Tuple[int, Optional[Edge]]], BatchProposals]:
-        """Collect every node's proposal for one synchronous round.
-
-        The base implementation calls :meth:`propose` per node and returns
-        ``(node, proposal)`` pairs in node order, one per participating node
-        (``None`` proposals included — they still pay their messages).  The
-        concrete processes override this with vectorized kernels that return
-        a :class:`BatchProposals` instead, and fall back here whenever
-        ``propose`` or the message accounting has been customised (so
-        wrappers that patch ``propose`` keep working unchanged).
+        The batch contract matches applying the proposals one by one in
+        order, first occurrence winning, and the new edges stay in array
+        form.  They patch the cached convergence counters through
+        :meth:`_note_added_edges`, so nothing rescans the graph.
         """
-        return [(node, self.propose(node)) for node in nodes]
-
-    def apply_proposals(
-        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals] = None
-    ) -> AddedEdges:
-        """Apply a round's proposals to the graph; return the new edges in order.
-
-        Uses the graph's batched insert when :meth:`apply_edge` has not been
-        customised (the batch contract matches sequential first-occurrence
-        application exactly) — staying in array form end to end when the
-        proposals came from a vectorized kernel; otherwise applies edge by
-        edge through :meth:`apply_edge` so subclass bookkeeping stays
-        correct.  ``proposed=None`` means "derive the tuples from ``batch``
-        if a non-array path actually needs them".  Every path funnels the
-        new edges through :meth:`_note_added_edges` so the cached
-        convergence counters stay current without rescanning the graph.
-        """
-        if "apply_edge" not in self.__dict__ and type(self).apply_edge is DiscoveryProcess.apply_edge:
-            added = self._insert_batch(proposed, batch)
-        else:
-            added = self._apply_each(proposed, batch)
+        added = self.graph.add_edges_batch_arrays(batch.us, batch.vs)
         self._note_added_edges(added)
         return added
 
-    def _insert_batch(
-        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals]
-    ) -> AddedEdges:
-        """The graph's batched insert, fed the kernel's arrays when there are some."""
-        if batch is not None:
-            return self.graph.add_edges_batch_arrays(batch.us, batch.vs)
-        return self.graph.add_edges_batch(proposed if proposed is not None else [])
-
-    def _apply_each(
-        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals]
-    ) -> List[Edge]:
-        """Apply proposals one by one through :meth:`apply_edge`; the new ones in order."""
-        if proposed is None:
-            proposed = batch.edges() if batch is not None else []
-        return [edge for edge in proposed if self.apply_edge(edge)]
+    def apply_edge(self, edge: Edge) -> bool:
+        """Insert one proposed edge (the sequential ablation); True when it is new."""
+        return self.graph.add_edge(*edge)
 
     # ------------------------------------------------------------------ #
     # incrementally-maintained convergence counters
@@ -433,22 +388,6 @@ class DiscoveryProcess(abc.ABC):
         np.add.at(deg, ends, 1)
         self._deg_cache_edges += len(added)
 
-    def _propose_is(self, owner: type) -> bool:
-        """True when ``self.propose`` is exactly ``owner.propose`` (not customised).
-
-        Vectorized ``propose_batch`` kernels are only valid when the scalar
-        rule they mirror is the one in effect; both subclass overrides and
-        instance-level patches (e.g. the churn wrapper) force the fallback.
-        """
-        return "propose" not in self.__dict__ and type(self).propose is owner.propose
-
-    def _default_accounting(self) -> bool:
-        """True when message accounting follows the flat per-node default."""
-        return (
-            "messages_for_proposal" not in self.__dict__
-            and type(self).messages_for_proposal is DiscoveryProcess.messages_for_proposal
-        )
-
     # ------------------------------------------------------------------ #
     # the round engine
     # ------------------------------------------------------------------ #
@@ -456,42 +395,24 @@ class DiscoveryProcess(abc.ABC):
         """Execute one synchronous (or sequential) round and return its result."""
         result = RoundResult(round_index=self.round_index)
         if self.semantics is UpdateSemantics.SYNCHRONOUS:
-            proposals = self.propose_batch(self.participating_nodes())
-            if isinstance(proposals, BatchProposals):
-                array_batch: Optional[BatchProposals] = proposals
-                pairs: List[Tuple[int, Optional[Edge]]] = []
-                participants = proposals.count
-                result.attach_batch(proposals)
-                proposed: Optional[List[Edge]] = None
-            else:
-                array_batch = None
-                pairs = proposals
-                participants = len(pairs)
-                proposed = [edge for _, edge in pairs if edge is not None]
-                result.proposed_edges = proposed
-            if self._default_accounting():
-                result.messages_sent = self.MESSAGES_PER_NODE * participants
-                result.bits_sent = result.messages_sent * self._id_bits
-            else:
-                # Only the pairs lane can reach here: the vectorized kernels
-                # fall back to the per-node path under custom accounting.
-                for node, edge in pairs:
-                    msgs, bits = self.messages_for_proposal(node, edge)
-                    result.messages_sent += msgs
-                    result.bits_sent += bits
-            result.added_edges = self.apply_proposals(proposed, batch=array_batch)
+            batch = self.propose_batch(self.participating_nodes())
+            result.attach_batch(batch)
+            result.added_edges = self.apply_proposals(batch)
+            participants = batch.count
         else:  # sequential ablation
+            participants = 0
             for node in self.participating_nodes():
+                participants += 1
                 edge = self.propose(node)
-                msgs, bits = self.messages_for_proposal(node, edge)
-                result.messages_sent += msgs
-                result.bits_sent += bits
                 if edge is None:
                     continue
                 result.proposed_edges.append(edge)
                 if self.apply_edge(edge):
                     result.added_edges.append(edge)
             self._note_added_edges(result.added_edges)
+        # A participant pays for its messages whether or not it proposed an edge.
+        result.messages_sent = self.MESSAGES_PER_NODE * participants
+        result.bits_sent = result.messages_sent * self._id_bits
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
@@ -519,7 +440,7 @@ class DiscoveryProcess(abc.ABC):
             :class:`RunResult` (memory grows linearly with rounds).
         callbacks:
             Callables invoked after every round with ``(process, result)``
-            — used by the metrics recorder and the trace collector.
+            — used by the metrics recorder and the checkpoint writer.
         """
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")

@@ -14,7 +14,7 @@ and an ``Ω(n² log n)`` weakly-connected lower bound; Theorem 15 gives an
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -101,16 +101,10 @@ class DirectedTwoHopWalk(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized directed round: both hops of every walk from ``2m`` bulk uniforms."""
-        if not self._propose_is(DirectedTwoHopWalk) or not self._default_accounting():
-            return super().propose_batch(nodes)
-        return self._propose_batch_kernel(nodes)
+    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
+        """Vectorized directed round: both hops of every walk from one ``(2, m)`` block.
 
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel: ``-1`` sentinels chain dead ends through both hops.
-
-        Both hops' uniforms come from one ``(2, m)`` block.
+        ``-1`` sentinels chain dead ends through both hops.
         """
         graph = self.graph
         nodes = node_array(nodes)
@@ -138,24 +132,16 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         self._closure.add_edges(edges.us, edges.vs)
 
     def apply_edge(self, edge: Tuple[int, int]) -> bool:
-        """Insert the edge and keep the closure-deficit counter up to date."""
+        """Insert one edge (the sequential ablation) and keep the deficit counter current."""
         added = self.graph.add_edge(*edge)
         if added:
             self._absorb_added([edge])
         return added
 
-    def apply_proposals(
-        self,
-        proposed: Optional[List[Tuple[int, int]]],
-        batch: Optional[BatchProposals] = None,
-    ) -> AddedEdges:
+    def apply_proposals(self, batch: BatchProposals) -> EdgeArrays:
         """Batched insert plus closure-deficit bookkeeping over the new edges only."""
-        if "apply_edge" in self.__dict__ or type(self).apply_edge is not DirectedTwoHopWalk.apply_edge:
-            added = self._apply_each(proposed, batch)
-        else:
-            added = self._insert_batch(proposed, batch)
-            self._absorb_added(added)
-        self._note_added_edges(added)
+        added = super().apply_proposals(batch)
+        self._absorb_added(added)
         return added
 
     def is_converged(self) -> bool:

@@ -63,19 +63,13 @@ class PullDiscovery(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized pull round: both hops of every node's walk from ``2m`` bulk uniforms."""
-        if not self._propose_is(PullDiscovery) or not self._default_accounting():
-            return super().propose_batch(nodes)
-        return self._propose_batch_kernel(nodes)
+    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
+        """Vectorized pull round: both hops of every node's walk from one ``(2, m)`` block.
 
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel: hop one over all nodes, hop two over the sampled ``v``s.
-
-        Both hops' uniforms come from one ``(2, m)`` block.  The second hop
-        chains through the ``-1`` sentinel, so isolated nodes consume their
-        uniforms (keeping the draw stream aligned) without ever touching a
-        neighbour row.
+        Hop one runs over all nodes, hop two over the sampled ``v``s.  The
+        second hop chains through the ``-1`` sentinel, so isolated nodes
+        consume their uniforms (keeping the draw stream aligned) without
+        ever touching a neighbour row.
         """
         graph = self.graph
         nodes = node_array(nodes)

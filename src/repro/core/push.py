@@ -77,14 +77,8 @@ class PushDiscovery(DiscoveryProcess):
             return None
         return v, w
 
-    def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized push round: all nodes' neighbour pairs from ``2m`` bulk uniforms."""
-        if not self._propose_is(PushDiscovery) or not self._default_accounting():
-            return super().propose_batch(nodes)
-        return self._propose_batch_kernel(nodes)
-
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel: one ``(2, m)`` block of uniforms per round.
+    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
+        """Vectorized push round: every node's neighbour pair from one ``(2, m)`` block.
 
         With replacement (the paper's process): ``m`` uniforms per
         introduced endpoint, mapped to indices by the shared sampling rule

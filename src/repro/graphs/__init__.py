@@ -9,8 +9,8 @@ structural property computations matching the paper's notation
 (:mod:`repro.graphs.properties`), word-packed ``uint64`` bitset kernels for
 membership/closure/convergence set algebra (:mod:`repro.graphs.bitset`),
 transitive-closure utilities for the directed termination condition
-(:mod:`repro.graphs.closure`), and invariant validation helpers
-(:mod:`repro.graphs.validation`).
+(:mod:`repro.graphs.closure`), and the shared neighbour-sampling rule
+(:mod:`repro.graphs.sampling`).
 """
 
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
@@ -21,7 +21,6 @@ from repro.graphs import (
     properties,
     closure,
     sampling,
-    validation,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "properties",
     "closure",
     "sampling",
-    "validation",
 ]

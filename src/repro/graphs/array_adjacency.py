@@ -78,13 +78,21 @@ def _available_memory() -> Optional[int]:
     return None
 
 
+#: graphs needing fewer bytes skip the memory probe: reading ``/proc/meminfo``
+#: costs more than allocating them, and every ``copy()`` constructs a graph.
+_PROBE_BYTES = 1 << 20
+
+
 def _refuse_oversized(n: int) -> None:
     """Raise ``MemoryError`` before allocating a graph that cannot fit in memory.
 
     Counts the packed membership rows (``n · ⌈n/64⌉`` words) and the first
-    neighbour block (``n · 4`` slots), both eight bytes an entry.
+    neighbour block (``n · 4`` slots), both eight bytes an entry, and asks
+    the OS only from :data:`_PROBE_BYTES` on.
     """
     nbytes = 8 * n * (bitset.words_for(n) + _MIN_CAPACITY)
+    if nbytes < _PROBE_BYTES:
+        return
     available = _available_memory()
     if available is not None and nbytes > available:
         raise MemoryError(

@@ -1,19 +1,17 @@
-"""Experiment substrate: seeds, traces, runners, sweeps, statistics, and bounds."""
+"""Experiment substrate: seeds, the process registry, specs, the trial runner,
+checkpoints, statistics and bounds."""
 
 from repro.simulation.rng import SeedSequenceFactory, spawn_rngs
-from repro.simulation.trace import RunTrace, TraceRecorder
 from repro.simulation.engine import (
     make_process,
-    run_process,
     measure_convergence_rounds,
     PROCESS_REGISTRY,
 )
-from repro.simulation.experiment import ExperimentSpec, SweepSpec
+from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.runner import (
     TrialExecutionError,
     TrialResult,
     run_trials,
-    run_sweep,
     summarize_trials,
 )
 from repro.simulation.checkpoint import (
@@ -26,7 +24,7 @@ from repro.simulation.checkpoint import (
     resume_from_checkpoint,
     save_checkpoint,
 )
-from repro.simulation import stats, bounds, io, plotting
+from repro.simulation import stats, bounds, io
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -39,20 +37,14 @@ __all__ = [
     "latest_checkpoint",
     "TrialExecutionError",
     "io",
-    "plotting",
     "SeedSequenceFactory",
     "spawn_rngs",
-    "RunTrace",
-    "TraceRecorder",
     "make_process",
-    "run_process",
     "measure_convergence_rounds",
     "PROCESS_REGISTRY",
     "ExperimentSpec",
-    "SweepSpec",
     "TrialResult",
     "run_trials",
-    "run_sweep",
     "summarize_trials",
     "stats",
     "bounds",

@@ -42,10 +42,11 @@ from silently corrupt state.
 What is checkpointable
 ----------------------
 Every process constructible through the registry
-(:data:`repro.simulation.engine.PROCESS_REGISTRY`).
-Instance-patched processes (a :class:`~repro.core.variants.ChurnModel`
-overlay's guarded ``propose``) and unregistered subclasses raise
-:class:`CheckpointError`: their extra state lives outside the format.
+(:data:`repro.simulation.engine.PROCESS_REGISTRY`).  A process with an
+instance-patched ``propose`` or ``participating_nodes`` (the one a
+:class:`~repro.core.scheduler.ScheduledProcess` wraps) and an
+unregistered subclass raise :class:`CheckpointError`: their extra state
+lives outside the format.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
     """Snapshot ``process`` into memory."""
     if "propose" in process.__dict__ or "participating_nodes" in process.__dict__:
         raise CheckpointError(
-            "process has instance-patched hooks (e.g. a ChurnModel overlay); "
+            "process has instance-patched hooks (e.g. a ScheduledProcess's schedule); "
             "its extra state lies outside the checkpoint format"
         )
     name = _registry_name(process)

@@ -2,10 +2,11 @@
 
 The experiment layer refers to processes by short string names
 (``"push"``, ``"pull"``, ``"directed_pull"``, ``"name_dropper"``,
-``"pointer_jump"``, ``"flooding"``) so that sweeps, benchmarks and the CLI
-can be configured declaratively.  :func:`make_process` resolves a name to
-a configured process instance; :func:`measure_convergence_rounds` is the
-one-call entry point used by most experiments.
+``"pointer_jump"``, ``"flooding"``) so that experiment specs, benchmarks
+and the CLI can be configured declaratively.  :func:`make_process`
+resolves a name to a configured process instance;
+:func:`measure_convergence_rounds` is the one-call entry point used by
+most experiments.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 __all__ = [
     "PROCESS_REGISTRY",
     "make_process",
-    "run_process",
     "measure_convergence_rounds",
     "process_names",
+    "graph_kind_mismatch",
 ]
 
 GraphLike = Union[ArrayGraph, ArrayDiGraph]
@@ -54,6 +55,20 @@ def process_names() -> Sequence[str]:
     return sorted(PROCESS_REGISTRY)
 
 
+def graph_kind_mismatch(name: str, directed: bool) -> Optional[str]:
+    """Why the registered process ``name`` cannot run on this kind of graph, or ``None``.
+
+    The directed processes need a directed graph and the undirected ones
+    an undirected graph; ``pointer_jump`` runs on both kinds.
+    """
+    needs_directed = PROCESS_REGISTRY[name][1]
+    if needs_directed and not directed:
+        return f"process {name!r} requires a directed graph"
+    if directed and not needs_directed and name != "pointer_jump":
+        return f"process {name!r} requires an undirected graph"
+    return None
+
+
 def make_process(
     name: str,
     graph: GraphLike,
@@ -72,16 +87,12 @@ def make_process(
     ``"directed_pull"``).
     """
     try:
-        ctor, needs_directed = PROCESS_REGISTRY[name]
+        ctor = PROCESS_REGISTRY[name][0]
     except KeyError:
         raise KeyError(f"unknown process {name!r}; known: {list(process_names())}") from None
-    directed_graph = bool(getattr(graph, "directed", False))
-    if needs_directed and not directed_graph:
-        raise TypeError(f"process {name!r} requires a directed graph")
-    if not needs_directed and directed_graph and name != "pointer_jump_directed":
-        # pointer_jump accepts both kinds; all other undirected processes do not.
-        if name != "pointer_jump":
-            raise TypeError(f"process {name!r} requires an undirected graph")
+    problem = graph_kind_mismatch(name, bool(getattr(graph, "directed", False)))
+    if problem is not None:
+        raise TypeError(problem)
     if backend is not None:
         require_array_backend(backend)
     return ctor(graph, rng=rng, semantics=semantics, **kwargs)
@@ -94,18 +105,6 @@ def require_array_backend(backend: str) -> None:
             f"backend={backend!r}: \"array\" is the only graph backend "
             "(the list backend was removed)"
         )
-
-
-def run_process(
-    process: DiscoveryProcess,
-    max_rounds: Optional[int] = None,
-    callbacks: Sequence[Callable] = (),
-    record_history: bool = False,
-) -> RunResult:
-    """Run ``process`` to convergence with a safety cap (thin wrapper)."""
-    return process.run_to_convergence(
-        max_rounds=max_rounds, callbacks=callbacks, record_history=record_history
-    )
 
 
 def measure_convergence_rounds(

@@ -1,27 +1,26 @@
-"""Declarative experiment and sweep specifications.
+"""Declarative experiment specifications.
 
 An :class:`ExperimentSpec` describes one measurement point — which process,
 on which graph family, at which size, under which options, for how many
-trials.  A spec checks its fields when it is built, so a typo fails at
-once instead of as one failed-trial record per trial.  A
-:class:`SweepSpec` expands a grid of sizes (and optionally families and
-processes) into a list of experiment specs.  The runner in
-:mod:`repro.simulation.runner` executes them.
+trials.  A spec checks its fields when it is built, so a typo, or a
+process that cannot run on the spec's kind of graph, fails at once
+instead of as one failed-trial record per trial.  The runner in
+:mod:`repro.simulation.runner` executes specs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.directed_generators import DIRECTED_FAMILY_REGISTRY, make_directed_family
 from repro.graphs.generators import FAMILY_REGISTRY, make_family
-from repro.simulation.engine import PROCESS_REGISTRY, require_array_backend
+from repro.simulation.engine import PROCESS_REGISTRY, graph_kind_mismatch, require_array_backend
 
-__all__ = ["ExperimentSpec", "SweepSpec"]
+__all__ = ["ExperimentSpec"]
 
 GraphFactory = Callable[[int, Optional[np.random.Generator]], Union[ArrayGraph, ArrayDiGraph]]
 
@@ -43,7 +42,8 @@ class ExperimentSpec:
     trials:
         Number of independent trials.
     directed:
-        Whether ``family`` refers to the directed registry.
+        Whether the trials' graphs are directed: ``family`` then names a
+        directed family, and ``process`` must run on directed graphs.
     graph_factory:
         Optional explicit factory ``(n, rng) -> graph`` overriding ``family``.
     process_kwargs:
@@ -92,6 +92,9 @@ class ExperimentSpec:
                     f"family={self.family!r} is not a registered {kind} family; "
                     f"known: {sorted(families)}"
                 )
+        problem = graph_kind_mismatch(self.process, self.directed)
+        if problem is not None:
+            raise ValueError(f"directed={self.directed!r}: {problem}")
         require_array_backend(self.backend)
         for name, least in (("n", 1), ("trials", 1), ("checkpoint_every", 0)):
             value = getattr(self, name)
@@ -114,43 +117,3 @@ class ExperimentSpec:
         """Short human-readable description for logs and tables."""
         tag = f" [{self.label}]" if self.label else ""
         return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{tag}"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid of experiment specs over sizes, families and processes."""
-
-    processes: Sequence[str]
-    families: Sequence[str]
-    sizes: Sequence[int]
-    trials: int = 5
-    directed: bool = False
-    process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
-    max_rounds: Optional[int] = None
-    label: str = ""
-
-    def expand(self) -> List[ExperimentSpec]:
-        """Materialise the full grid as a list of :class:`ExperimentSpec`."""
-        specs: List[ExperimentSpec] = []
-        for process in self.processes:
-            for family in self.families:
-                for n in self.sizes:
-                    specs.append(
-                        ExperimentSpec(
-                            process=process,
-                            family=family,
-                            n=n,
-                            trials=self.trials,
-                            directed=self.directed,
-                            process_kwargs=dict(self.process_kwargs),
-                            max_rounds=self.max_rounds,
-                            label=self.label,
-                        )
-                    )
-        return specs
-
-    def __iter__(self) -> Iterator[ExperimentSpec]:
-        return iter(self.expand())
-
-    def __len__(self) -> int:
-        return len(self.processes) * len(self.families) * len(self.sizes)

@@ -1,16 +1,14 @@
-"""Result persistence: save and load experiment outputs as JSON or CSV.
+"""Result persistence: save and load row tables as JSON or CSV, and atomic writes.
 
-Sweeps can take minutes; these helpers let the CLI and the benchmark
-harness persist their row tables (lists of flat dicts) and run traces so
-analyses can be re-plotted without re-simulating.  Only standard-library
-formats are used — JSON for nested payloads, CSV for flat row tables — so
-saved results remain readable without this package.
+The CLI's ``--save`` persists its result rows (lists of flat dicts) with
+these helpers, so analyses can be redone without re-simulating.  Only
+standard-library formats are used — JSON with a metadata block, CSV for
+flat row tables — so saved results remain readable without this package.
 
 All writers are atomic: content is staged to a temporary file in the
 target directory and moved into place with ``os.replace``, so a crash
 mid-write leaves either the old file or the new one, never a truncated
-hybrid.  ``load_trace`` validates its input and reports truncated or
-non-trace JSON explicitly instead of surfacing a bare ``KeyError``.
+hybrid.  The checkpoint writer uses the same primitives.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.simulation.trace import RunTrace
-
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
@@ -32,8 +28,6 @@ __all__ = [
     "load_rows_json",
     "save_rows_csv",
     "load_rows_csv",
-    "save_trace",
-    "load_trace",
 ]
 
 PathLike = Union[str, Path]
@@ -106,46 +100,3 @@ def load_rows_csv(path: PathLike) -> List[Dict[str, str]]:
     """Load a CSV row table; all values come back as strings."""
     with Path(path).open(newline="") as handle:
         return [dict(row) for row in csv.DictReader(handle)]
-
-
-def save_trace(
-    trace: RunTrace, path: PathLike, metadata: Optional[Dict[str, object]] = None
-) -> Path:
-    """Save a :class:`RunTrace` (plus metadata) as JSON."""
-    payload = {"metadata": dict(metadata or {}), "trace": trace.as_dict()}
-    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_trace(path: PathLike) -> RunTrace:
-    """Load a :class:`RunTrace` saved by :func:`save_trace`.
-
-    Raises ``ValueError`` naming the file when the JSON is truncated or
-    invalid, or when it parses but lacks the ``"trace"`` payload — both
-    symptoms of an interrupted or foreign write.
-    """
-    source = Path(path)
-    try:
-        payload = json.loads(source.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{source} does not contain valid JSON (truncated or corrupt "
-            f"write?): {exc}"
-        ) from exc
-    if not isinstance(payload, dict) or "trace" not in payload:
-        raise ValueError(
-            f"{source} is valid JSON but not a saved trace (no 'trace' key)"
-        )
-    data = payload["trace"]
-    if not isinstance(data, dict):
-        raise ValueError(f"{source} has a non-object 'trace' payload")
-    trace = RunTrace(
-        rounds=list(data.get("rounds", [])),
-        num_edges=list(data.get("num_edges", [])),
-        edges_added=list(data.get("edges_added", [])),
-        min_degree=list(data.get("min_degree", [])),
-    )
-    known = {"rounds", "num_edges", "edges_added", "min_degree"}
-    for key, values in data.items():
-        if key not in known:
-            trace.custom[key] = list(values)
-    return trace

@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,9 +41,7 @@ __all__ = [
     "TrialResult",
     "TrialExecutionError",
     "run_trials",
-    "run_sweep",
     "summarize_trials",
-    "sweep_table",
 ]
 
 #: consecutive pool failures tolerated before degrading to in-process runs
@@ -255,21 +253,6 @@ def run_trials(
     return [done[i] for i in range(spec.trials)]
 
 
-def run_sweep(
-    specs: Sequence[ExperimentSpec],
-    root_seed: Optional[int] = None,
-    processes: int = 1,
-    retries: int = DEFAULT_TRIAL_RETRIES,
-) -> Dict[ExperimentSpec, List[TrialResult]]:
-    """Run every spec in a sweep; returns results keyed by spec."""
-    results: Dict[ExperimentSpec, List[TrialResult]] = {}
-    for spec in specs:
-        results[spec] = run_trials(
-            spec, root_seed=root_seed, processes=processes, retries=retries
-        )
-    return results
-
-
 def summarize_trials(trials: Sequence[TrialResult]) -> Dict[str, float]:
     """Aggregate one spec's trials into summary statistics.
 
@@ -301,24 +284,3 @@ def summarize_trials(trials: Sequence[TrialResult]) -> Dict[str, float]:
         "bits_mean": float(np.mean([t.bits for t in ok])),
         "edges_added_mean": float(np.mean([t.edges_added for t in ok])),
     }
-
-
-def sweep_table(
-    results: Dict[ExperimentSpec, List[TrialResult]]
-) -> List[Dict[str, object]]:
-    """Flatten sweep results into a list of row dicts (one per spec).
-
-    Each row carries the spec identity (process, family, n, label) plus the
-    summary statistics — the exact rows the benchmark harnesses print.
-    """
-    rows: List[Dict[str, object]] = []
-    for spec, trials in results.items():
-        row: Dict[str, object] = {
-            "process": spec.process,
-            "family": spec.family,
-            "label": spec.label,
-        }
-        row.update(summarize_trials(trials))
-        rows.append(row)
-    rows.sort(key=lambda r: (str(r["process"]), str(r["family"]), float(r["n"])))
-    return rows

@@ -18,6 +18,10 @@ draw for draw:
 Given a graph with the same neighbour rows and the same seed, a process
 and its oracle must agree on every round's proposals, new edges (in
 order), messages and bits, and on the final rows and generator state.
+
+:func:`check_graph_invariants` and :func:`check_digraph_invariants` list
+what is inconsistent inside an array graph (rows, counters and membership
+bits disagreeing), so a test can assert a mutated graph is still sound.
 """
 
 from __future__ import annotations
@@ -254,3 +258,65 @@ def run_oracle(
             added = _apply(g, proposed)
         history.append(OracleRound(proposed, added, messages, messages * bits_per_id))
     return history, g, rng
+
+
+def check_graph_invariants(graph) -> List[str]:
+    """Invariant violations of an undirected array graph; empty when consistent.
+
+    Checks: neighbour rows symmetric and duplicate-free, no self loops,
+    degree counters equal to row lengths, every row entry in the
+    membership bits, and the edge counter equal to the distinct edges.
+    """
+    problems: List[str] = []
+    seen_edges = set()
+    for u in graph.nodes():
+        nbrs = list(graph.neighbors(u))
+        if len(set(nbrs)) != len(nbrs):
+            problems.append(f"node {u} has duplicate entries in its neighbor list")
+        if u in nbrs:
+            problems.append(f"node {u} has a self loop")
+        if graph.degree(u) != len(nbrs):
+            problems.append(
+                f"node {u}: degree counter {graph.degree(u)} != list length {len(nbrs)}"
+            )
+        for v in nbrs:
+            if u not in graph.neighbors(v):
+                problems.append(f"edge ({u}, {v}) present at {u} but not mirrored at {v}")
+            if not graph.has_edge(u, v):
+                problems.append(f"edge ({u}, {v}) in list but missing from edge set")
+            seen_edges.add((min(u, v), max(u, v)))
+    if len(seen_edges) != graph.number_of_edges():
+        problems.append(
+            f"edge counter {graph.number_of_edges()} != distinct edges seen {len(seen_edges)}"
+        )
+    return problems
+
+
+def check_digraph_invariants(graph) -> List[str]:
+    """Invariant violations of a directed array graph; empty when consistent."""
+    problems: List[str] = []
+    seen_edges = set()
+    total_out = 0
+    for u in graph.nodes():
+        nbrs = list(graph.out_neighbors(u))
+        if len(set(nbrs)) != len(nbrs):
+            problems.append(f"node {u} has duplicate out-neighbors")
+        if u in nbrs:
+            problems.append(f"node {u} has a self loop")
+        if graph.out_degree(u) != len(nbrs):
+            problems.append(
+                f"node {u}: out-degree counter {graph.out_degree(u)} != list length {len(nbrs)}"
+            )
+        total_out += len(nbrs)
+        for v in nbrs:
+            if not graph.has_edge(u, v):
+                problems.append(f"edge ({u}, {v}) in out-list but missing from edge set")
+            seen_edges.add((u, v))
+    if len(seen_edges) != graph.number_of_edges():
+        problems.append(
+            f"edge counter {graph.number_of_edges()} != distinct edges seen {len(seen_edges)}"
+        )
+    in_sum = int(graph.in_degrees().sum())
+    if in_sum != total_out:
+        problems.append(f"sum of in-degrees {in_sum} != sum of out-degrees {total_out}")
+    return problems

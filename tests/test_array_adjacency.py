@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle import ListGraph
-from repro.graphs import array_adjacency, bitset, properties, validation
+from oracle import ListGraph, check_graph_invariants
+from repro.graphs import array_adjacency, bitset, properties
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, _stable_sort
 from repro.simulation.engine import make_process
@@ -382,7 +382,7 @@ class TestNumpyIntegerIndices:
 
     def test_validation_and_clustering_on_a_70_clique(self):
         g = gen.complete_graph(70)
-        assert validation.check_graph_invariants(g) == []
+        assert check_graph_invariants(g) == []
         assert properties.average_clustering(g) == 1.0
 
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump"])
@@ -417,6 +417,19 @@ class TestMemoryPreflight:
     def test_probe_reads_memavailable(self):
         available = array_adjacency._available_memory()
         assert available is None or available > 0
+
+
+class TestMemoryProbeThreshold:
+    """Graphs below a MiB never read the OS memory figure: it costs more than they do."""
+
+    @pytest.mark.parametrize("cls", ALL_GRAPH_CLASSES)
+    def test_small_graphs_and_their_copies_skip_the_probe(self, cls, monkeypatch):
+        calls = []
+        monkeypatch.setattr(array_adjacency, "_available_memory", lambda: calls.append(1))
+        cls(16).copy()
+        assert calls == []
+        cls(4096)  # 4096 · (64 + 4) words: 2.2 MB
+        assert calls == [1]
 
 
 class TestCompositeSort:

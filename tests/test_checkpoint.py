@@ -333,10 +333,10 @@ def test_latest_checkpoint_empty_dir(tmp_path):
 
 
 def test_instance_patched_process_not_checkpointable():
-    from repro.core.variants import ChurnModel
+    from repro.core.scheduler import BernoulliActivation, ScheduledProcess
 
     process = build("push")
-    ChurnModel(process, rng=1)
+    ScheduledProcess(process, BernoulliActivation(0.5))
     with pytest.raises(CheckpointError, match="instance-patched"):
         capture_checkpoint(process)
 

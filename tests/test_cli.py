@@ -97,6 +97,15 @@ class TestCommands:
                          "--n", "16", "--trials", "1", "--seed", "5"]) == 0
         assert "rounds_mean" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("process, flag", [("directed_pull", []), ("push", ["--directed"])])
+    def test_run_of_the_wrong_graph_kind_fails_before_any_trial(self, process, flag, capsys):
+        family = "random_strong" if flag else "cycle"
+        assert cli.main(["run", "--process", process, "--family", family, *flag,
+                         "--n", "8", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "graph" in captured.err and "FAILED" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "scaling", "group", "directed"])
     def test_no_backend_flag(self, command, capsys):
         """There is one graph substrate, so no subcommand takes --backend."""

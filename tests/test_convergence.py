@@ -1,73 +1,14 @@
-"""Unit tests for the stopping predicates and the incremental counters behind them."""
+"""Unit tests for the incremental degree counters behind the convergence checks."""
 
 import numpy as np
 import pytest
 
-from repro.core import convergence as conv
 from repro.core.base import UpdateSemantics
 from repro.core.directed import DirectedTwoHopWalk
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-
-
-class TestPredicates:
-    def test_complete_graph_reached_undirected(self):
-        proc = PushDiscovery(gen.complete_graph(4), rng=0)
-        assert conv.complete_graph_reached(proc)
-        proc2 = PushDiscovery(gen.cycle_graph(5), rng=0)
-        assert not conv.complete_graph_reached(proc2)
-
-    def test_complete_graph_reached_directed(self):
-        proc = DirectedTwoHopWalk(dgen.complete_digraph(4), rng=0)
-        assert conv.complete_graph_reached(proc)
-        proc2 = DirectedTwoHopWalk(dgen.directed_cycle(4), rng=0)
-        assert not conv.complete_graph_reached(proc2)
-
-    def test_closure_reached_delegates_to_process(self):
-        proc = DirectedTwoHopWalk(dgen.complete_digraph(3), rng=0)
-        assert conv.closure_reached(proc)
-        proc2 = DirectedTwoHopWalk(dgen.directed_path(4), rng=0)
-        assert not conv.closure_reached(proc2)
-
-    def test_min_degree_reached(self):
-        proc = PushDiscovery(gen.cycle_graph(6), rng=0)
-        assert conv.min_degree_reached(2)(proc)
-        assert not conv.min_degree_reached(3)(proc)
-
-    def test_min_degree_reached_directed_uses_out_degree(self):
-        proc = DirectedTwoHopWalk(dgen.directed_cycle(5), rng=0)
-        assert conv.min_degree_reached(1)(proc)
-        assert not conv.min_degree_reached(2)(proc)
-
-    def test_edge_count_reached(self):
-        proc = PushDiscovery(gen.cycle_graph(6), rng=0)
-        assert conv.edge_count_reached(6)(proc)
-        assert not conv.edge_count_reached(7)(proc)
-
-    def test_rounds_elapsed(self):
-        proc = PushDiscovery(gen.cycle_graph(6), rng=0)
-        pred = conv.rounds_elapsed(2)
-        assert not pred(proc)
-        proc.step()
-        proc.step()
-        assert pred(proc)
-
-    def test_any_of_all_of(self):
-        proc = PushDiscovery(gen.cycle_graph(6), rng=0)
-        true_pred = conv.edge_count_reached(1)
-        false_pred = conv.edge_count_reached(1000)
-        assert conv.any_of(true_pred, false_pred)(proc)
-        assert not conv.all_of(true_pred, false_pred)(proc)
-        assert conv.all_of(true_pred, true_pred)(proc)
-
-    def test_predicate_used_in_run(self):
-        g = gen.cycle_graph(12)
-        proc = PushDiscovery(g, rng=1)
-        result = proc.run(10_000, until=conv.min_degree_reached(4))
-        assert g.min_degree() >= 4
-        assert result.converged
 
 
 class TestIncrementalCounters:

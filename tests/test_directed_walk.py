@@ -2,11 +2,11 @@
 
 import pytest
 
+from oracle import check_digraph_invariants
 from repro.core.directed import DirectedTwoHopWalk
 from repro.graphs import directed_generators as dgen
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.closure import is_transitively_closed, transitive_closure_edges
-from repro.graphs import validation
 
 
 class TestDirectedWalkBasics:
@@ -77,7 +77,7 @@ class TestDirectedWalkConvergence:
         for u, v in target:
             assert graph.has_edge(u, v)
         assert is_transitively_closed(graph)
-        assert validation.check_digraph_invariants(graph) == []
+        assert check_digraph_invariants(graph) == []
 
     def test_strongly_connected_converges_to_complete_digraph(self):
         g = dgen.thm15_strong_lower_bound(8)

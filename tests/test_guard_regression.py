@@ -5,9 +5,8 @@ Two seed-era layers gated on the old list graph class:
 and ``NetworkSimulator`` rejected ``ArrayGraph`` topologies outright —
 the same failure mode earlier fixes removed from the baselines and the
 activation schedules.  These tests run every recorder/callback
-(``EvolutionTracker``, the E8 degree-growth watcher, ``MetricsRecorder``,
-``TraceRecorder``) over array graphs, the one substrate, and assert
-non-empty output.
+(``EvolutionTracker``, the E8 degree-growth watcher, ``MetricsRecorder``)
+over array graphs, the one substrate, and assert non-empty output.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayDiGraph
 from repro.network import NetworkSimulator
 from repro.simulation.engine import make_process
-from repro.simulation.trace import TraceRecorder
 from repro.social.evolution import EvolutionTracker, simulate_social_evolution
 from repro.social.group_discovery import discover_group
 
@@ -45,12 +43,6 @@ class TestRecorders:
         run_with_callback(recorder)
         assert len(recorder.history) > 0
         assert recorder.edges_series().max() > 0
-
-    def test_trace_recorder_records(self):
-        recorder = TraceRecorder()
-        run_with_callback(recorder)
-        assert len(recorder.trace) > 0
-        assert max(recorder.trace.min_degree) >= 2
 
     def test_degree_growth_watcher_records(self):
         watcher = _MinDegreeWatcher([3, 4])

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import check_digraph_invariants, check_graph_invariants
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.core.directed import DirectedTwoHopWalk
 from repro.graphs import generators as gen
 from repro.graphs import properties as props
-from repro.graphs import validation
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.closure import transitive_closure_edges
 from repro.simulation import stats
@@ -82,7 +82,7 @@ class TestGraphInvariants:
     def test_graph_always_internally_consistent(self, n_edges):
         n, edges = n_edges
         g = ArrayGraph(n, edges)
-        assert validation.check_graph_invariants(g) == []
+        assert check_graph_invariants(g) == []
         # degree sum equals twice the edge count (handshake lemma)
         assert int(g.degrees().sum()) == 2 * g.number_of_edges()
 
@@ -91,7 +91,7 @@ class TestGraphInvariants:
     def test_digraph_always_internally_consistent(self, n_edges):
         n, edges = n_edges
         g = ArrayDiGraph(n, edges)
-        assert validation.check_digraph_invariants(g) == []
+        assert check_digraph_invariants(g) == []
         assert int(g.out_degrees().sum()) == g.number_of_edges()
         assert int(g.in_degrees().sum()) == g.number_of_edges()
 
@@ -140,7 +140,7 @@ class TestProcessInvariants:
         edges_before = g.number_of_edges()
         mind_before = g.min_degree()
         proc.run(15)
-        assert validation.check_graph_invariants(g) == []
+        assert check_graph_invariants(g) == []
         assert g.number_of_edges() >= edges_before
         assert g.min_degree() >= mind_before
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from oracle import check_graph_invariants
 from repro.core.base import UpdateSemantics
 from repro.core.pull import PullDiscovery
 from repro.graphs import generators as gen
 from repro.graphs import properties as props
-from repro.graphs import validation
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 
@@ -47,7 +47,7 @@ class TestPullBasics:
         proc = PullDiscovery(small_star, rng=rng)
         for _ in range(10):
             proc.step()
-        assert validation.check_graph_invariants(small_star) == []
+        assert check_graph_invariants(small_star) == []
 
     def test_message_accounting_three_per_node(self, small_cycle, rng):
         proc = PullDiscovery(small_cycle, rng=rng)

@@ -1,4 +1,4 @@
-"""Unit tests for the simulation substrate: rng, trace, engine registry, experiments, runner."""
+"""Unit tests for the simulation substrate: rng, engine registry, experiments, runner."""
 
 import numpy as np
 import pytest
@@ -14,12 +14,10 @@ from repro.simulation.engine import (
     make_process,
     measure_convergence_rounds,
     process_names,
-    run_process,
 )
-from repro.simulation.experiment import ExperimentSpec, SweepSpec
+from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.rng import SeedSequenceFactory, rng_from_seed, spawn_rngs
-from repro.simulation.runner import run_sweep, run_trials, summarize_trials, sweep_table
-from repro.simulation.trace import TraceRecorder
+from repro.simulation.runner import run_trials, summarize_trials
 
 
 class TestRng:
@@ -46,46 +44,6 @@ class TestRng:
         assert factory2.rng_for_index(3).integers(10_000) == value_direct
         with pytest.raises(ValueError):
             factory.rng_for_index(-1)
-
-
-class TestTrace:
-    def test_trace_records_series(self):
-        g = gen.cycle_graph(10)
-        proc = PushDiscovery(g, rng=0)
-        recorder = TraceRecorder()
-        proc.run(12, callbacks=[recorder])
-        trace = recorder.trace
-        assert len(trace) == 12
-        assert trace.num_edges[-1] == g.number_of_edges()
-        arrays = trace.as_arrays()
-        assert arrays["min_degree"].shape == (12,)
-
-    def test_trace_every_k(self):
-        g = gen.cycle_graph(10)
-        proc = PushDiscovery(g, rng=0)
-        recorder = TraceRecorder(every=3)
-        proc.run(10, callbacks=[recorder])
-        assert recorder.trace.rounds == [0, 3, 6, 9]
-        with pytest.raises(ValueError):
-            TraceRecorder(every=0)
-
-    def test_custom_probes(self):
-        g = gen.cycle_graph(8)
-        proc = PushDiscovery(g, rng=0)
-        recorder = TraceRecorder(probes={"mean_degree": lambda p: p.graph.degrees().mean()})
-        proc.run(5, callbacks=[recorder])
-        assert len(recorder.trace.custom["mean_degree"]) == 5
-        assert "mean_degree" in recorder.trace.as_dict()
-
-    def test_rounds_to_first_complete(self):
-        g = gen.cycle_graph(6)
-        proc = PushDiscovery(g, rng=0)
-        recorder = TraceRecorder()
-        proc.run_to_convergence(callbacks=[recorder])
-        total_pairs = 6 * 5 // 2
-        hit = recorder.trace.rounds_to_first_complete(total_pairs)
-        assert hit is not None
-        assert recorder.trace.rounds_to_first_complete(10**6) is None
 
 
 class TestEngineRegistry:
@@ -126,10 +84,6 @@ class TestEngineRegistry:
         assert g.number_of_edges() == before  # original untouched
         measure_convergence_rounds("push", g, rng=0, copy_graph=False)
         assert g.is_complete()
-
-    def test_run_process_wrapper(self):
-        proc = make_process("push", gen.cycle_graph(8), rng=0)
-        assert run_process(proc).converged
 
 
 FAULTY_KWARGS = {"failure_prob": 0.25, "participation_prob": 0.75}
@@ -218,13 +172,32 @@ class TestExperimentSpecs:
         with pytest.raises(ValueError, match="family='cycle' is not a registered directed"):
             ExperimentSpec(process="directed_pull", family="cycle", n=8, directed=True)
 
-    def test_sweep_expansion(self):
-        sweep = SweepSpec(processes=["push", "pull"], families=["cycle"], sizes=[8, 16], trials=2)
-        specs = sweep.expand()
-        assert len(specs) == len(sweep) == 4
-        assert {s.process for s in specs} == {"push", "pull"}
-        assert all(s.trials == 2 for s in specs)
-        assert len(list(iter(sweep))) == 4
+    @pytest.mark.parametrize(
+        "process, directed, kind",
+        [
+            ("directed_pull", False, "a directed"),
+            ("pointer_jump_directed", False, "a directed"),
+            ("push", True, "an undirected"),
+            ("faulty_pull", True, "an undirected"),
+        ],
+    )
+    def test_process_of_the_other_graph_kind_fails_at_once(
+        self, monkeypatch, process, directed, kind
+    ):
+        built = []
+        monkeypatch.setattr(experiment, "make_family", lambda *args: built.append(args))
+        monkeypatch.setattr(experiment, "make_directed_family", lambda *args: built.append(args))
+        family = "random_strong" if directed else "cycle"
+        with pytest.raises(ValueError, match=f"directed={directed!r}: .* requires {kind} graph"):
+            ExperimentSpec(process=process, family=family, n=8, directed=directed)
+        assert built == []
+
+    @pytest.mark.parametrize("directed, family", [(False, "cycle"), (True, "random_strong")])
+    def test_pointer_jump_takes_both_graph_kinds(self, directed, family):
+        spec = ExperimentSpec(
+            process="pointer_jump", family=family, n=8, trials=1, directed=directed
+        )
+        assert run_trials(spec, root_seed=0)[0].converged
 
 
 class TestRunner:
@@ -245,13 +218,6 @@ class TestRunner:
         assert summary["converged_fraction"] == 1.0
         with pytest.raises(ValueError):
             summarize_trials([])
-
-    def test_sweep_table_rows_sorted(self):
-        sweep = SweepSpec(processes=["push"], families=["cycle"], sizes=[12, 8], trials=2)
-        results = run_sweep(sweep.expand(), root_seed=3)
-        rows = sweep_table(results)
-        assert [r["n"] for r in rows] == [8.0, 12.0]
-        assert all(r["process"] == "push" for r in rows)
 
     def test_max_rounds_limits_trials(self):
         spec = ExperimentSpec(process="push", family="cycle", n=20, trials=1, max_rounds=2)

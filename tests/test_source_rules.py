@@ -23,8 +23,8 @@ rule flags and what it lets pass is pinned on snippets by :data:`CASES`.
     file that a resumed sweep reads back; every writer goes through
     ``io.atomic_write_bytes``/``atomic_write_text`` (same-directory temp
     file plus ``os.replace``), the one module that holds the raw
-    primitives.  Caught a torn write: ``analysis/report.py``'s
-    ``Report.write`` wrote through ``Path.write_text``.
+    primitives.  Caught a torn write: ``Report.write`` in the since
+    deleted ``analysis/report.py`` wrote through ``Path.write_text``.
 
 ``exception-hygiene`` — ``src/repro``.  Flags bare, ``Exception`` and
     ``BaseException`` handlers that neither re-raise, log nor use the bound

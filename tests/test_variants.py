@@ -1,9 +1,9 @@
-"""Unit tests for the robustness variants (failures, participation, churn)."""
+"""Unit tests for the robustness variants (lossy introductions, partial participation)."""
 
 import pytest
 
 from repro.core.base import UpdateSemantics
-from repro.core.variants import ChurnModel, FaultyPullDiscovery, FaultyPushDiscovery
+from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import generators as gen
@@ -88,39 +88,3 @@ class TestSequentialFaultyProcesses:
         b = faulty.run_to_convergence(record_history=True)
         assert [r.added_edges for r in a.history] == [r.added_edges for r in b.history]
         assert base.rng.bit_generator.state == faulty.rng.bit_generator.state
-
-
-class TestChurnModel:
-    def test_invalid_parameters(self):
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
-        with pytest.raises(ValueError):
-            ChurnModel(proc, leave_prob=1.0)
-        with pytest.raises(ValueError):
-            ChurnModel(proc, min_active_fraction=0.0)
-
-    def test_active_floor_respected(self):
-        proc = PushDiscovery(gen.cycle_graph(10), rng=0)
-        churn = ChurnModel(proc, leave_prob=0.9, join_prob=0.0, min_active_fraction=0.5, rng=1)
-        for _ in range(50):
-            churn.churn_step()
-        assert len(churn.active) >= churn.min_active
-
-    def test_inactive_nodes_do_not_propose(self):
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
-        churn = ChurnModel(proc, rng=1)
-        churn.active.clear()
-        churn.active.update({0, 1})
-        # node 5 is inactive -> its guarded propose returns None
-        assert proc.propose(5) is None
-
-    def test_run_converges_with_mild_churn(self):
-        proc = PushDiscovery(gen.cycle_graph(10), rng=4)
-        churn = ChurnModel(proc, leave_prob=0.02, join_prob=0.3, min_active_fraction=0.7, rng=5)
-        rounds, converged = churn.run(max_rounds=5000)
-        assert converged
-        assert churn.active_pairs_complete()
-
-    def test_active_pairs_complete_definition(self):
-        proc = PushDiscovery(gen.complete_graph(6), rng=0)
-        churn = ChurnModel(proc, rng=0)
-        assert churn.active_pairs_complete()
