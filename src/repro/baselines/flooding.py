@@ -11,12 +11,18 @@ A round is **one pass of row unions** on the word-packed membership
 rows: node ``v``'s new row is the OR of its neighbours' round-start rows
 (:func:`repro.graphs.bitset.rows_or_into`, which sorts the deliveries by
 recipient and folds each recipient's run with one ``reduceat``), the
-genuinely new edges fall out of the popcount delta
-(:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
+genuinely new edges are the bits the union set, and degree sums feed
 ``messages_sent``/``bits_sent``.  Flooding draws no randomness; the round
 adds the edge set a per-node payload loop would add, but discovers it in
 canonical rather than scan order and does not materialise the Θ(n · m)
 ``proposed_edges`` list (its ``added_edges`` and accounting are exact).
+
+The round works in bounded memory.  The deliveries are ORed in one
+chunk of senders at a time (:func:`~repro.baselines._packed.payload_chunks`),
+and the new edges are extracted and inserted one block of rows at a
+time, in row-major order (:func:`repro.graphs.bitset.bit_pairs`), so no
+temporary holds more than :data:`~repro.graphs.array_adjacency.CHUNK`
+entries beyond the one copy of the membership rows the union needs.
 
 Flooding is deterministic and purely synchronous: the round is computed
 against the round-start snapshot regardless of the ``semantics`` setting
@@ -29,9 +35,15 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import concat_rows, packed_rows, require_undirected
+from repro.baselines._packed import (
+    concat_rows,
+    packed_rows,
+    payload_chunks,
+    require_undirected,
+)
 from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics, node_array
-from repro.graphs import bitset
+from repro.graphs import array_adjacency, bitset
+from repro.graphs.array_adjacency import ROW_DTYPE, EdgeArrays
 
 __all__ = ["NeighborhoodFlooding"]
 
@@ -57,21 +69,14 @@ class NeighborhoodFlooding(DiscoveryProcess):
         """One synchronous flooding round restricted to the participating nodes."""
         result = RoundResult(round_index=self.round_index)
         active = node_array(self.participating_nodes())
-        self._packed_round(result, active, *packed_rows(self.graph))
+        self._packed_round(result, active)
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
         self.total_bits += result.bits_sent
         return result
 
-    def _packed_round(
-        self,
-        result: RoundResult,
-        active: np.ndarray,
-        rows: np.ndarray,
-        deg: np.ndarray,
-        bits: np.ndarray,
-    ) -> None:
+    def _packed_round(self, result: RoundResult, active: np.ndarray) -> None:
         """One pass of row unions on the packed membership rows.
 
         Each participating sender ``u`` delivers its round-start row to
@@ -79,14 +84,15 @@ class NeighborhoodFlooding(DiscoveryProcess):
         the recipient's row, so the neighbour-row union *is* the whole
         merge.  The deliveries are the flattened neighbour block of the
         active senders (one row-OR per delivered message), unioned per
-        recipient by :func:`bitset.rows_or_into`, and the new edges are the
-        popcount delta between the old and unioned rows.  New bits
+        recipient by :func:`bitset.rows_or_into` one chunk of senders at a
+        time, and the new edges are the bits the union added.  New bits
         always arrive in symmetric pairs (both endpoints of a new edge are
-        recipients of the same sender), so the undirected delta extraction
-        is exact.
+        recipients of the same sender), so reading the upper triangle,
+        one block of rows at a time, finds every new edge once.
         """
         graph = self.graph
         n = graph.n
+        rows, deg, bits = packed_rows(graph)
         senders = active[deg[active] > 0]
         counts = deg[senders]
         # Each active node sends its (deg+1)-ID knowledge set to every neighbour.
@@ -94,13 +100,27 @@ class NeighborhoodFlooding(DiscoveryProcess):
         result.bits_sent = int((counts * (counts + 1)).sum()) * self._id_bits
         if senders.size == 0:
             return
-        recipients = concat_rows(rows, senders, counts)
-        merged = bits.copy()
-        bitset.rows_or_into(merged, recipients, bits, np.repeat(senders, counts))
+        fresh = bits.copy()
+        for part in payload_chunks(counts):
+            recipients = concat_rows(rows, senders[part], counts[part])
+            bitset.rows_or_into(fresh, recipients, bits, np.repeat(senders[part], counts[part]))
+        fresh &= ~bits
         nodes = np.arange(n, dtype=np.int64)
-        bitset.clear_bits(merged, nodes, nodes)  # no self-knowledge edges
-        us, vs = bitset.delta_edges(bits, merged, n)
-        added = graph.add_edges_batch_arrays(us, vs)
+        bitset.clear_bits(fresh, nodes, nodes)  # no self-knowledge edges
+        # Every fresh bit is half of a new edge: collect the blocks' inserts
+        # into arrays of the final size rather than concatenating them.
+        us = np.empty(bitset.count_total(fresh) // 2, dtype=ROW_DTYPE)
+        vs = np.empty_like(us)
+        filled = 0
+        step = max(1, array_adjacency.CHUNK // n)
+        for start in range(0, n, step):
+            block = graph.add_edges_batch_arrays(
+                *bitset.bit_pairs(fresh[start : start + step], n, start, upper=True)
+            )
+            us[filled : filled + len(block)] = block.us
+            vs[filled : filled + len(block)] = block.vs
+            filled += len(block)
+        added = EdgeArrays(us, vs)
         result.added_edges = added
         self._note_added_edges(added)
 

@@ -12,11 +12,12 @@ so the baselines plug into the identical experiment harness
 targets come from one bulk draw, and each message's *teach row* — the
 sender's packed row minus the recipient's row and the recipient — says
 which of the IDs it carries are new to the recipient
-(:func:`~repro.baselines._packed.taught_edges`).  Only messages that
-teach something are expanded, only the IDs they teach reach the graph's
-batched edge insert, and degree sums feed the
-``messages_sent``/``bits_sent`` accounting.  ``proposed_edges`` still
-lists every carried ID; it is rebuilt from the rows on first access.
+(:func:`~repro.baselines._packed.insert_taught_edges`).  Only messages
+that teach something are expanded, a chunk of messages at a time, only
+the IDs they teach reach the graph's batched edge insert, and degree sums
+feed the ``messages_sent``/``bits_sent`` accounting.  ``proposed_edges``
+still lists every carried ID; it is rebuilt from the rows on first
+access.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(m)`` over
 the ``m`` participating nodes (the draw convention of
@@ -35,9 +36,9 @@ import numpy as np
 
 from repro.baselines._packed import (
     PayloadProposals,
+    insert_taught_edges,
     packed_rows,
     require_undirected,
-    taught_edges,
 )
 from repro.core.base import (
     DiscoveryProcess,
@@ -81,7 +82,7 @@ class NameDropper(DiscoveryProcess):
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:
-            self._packed_round(result, active, *packed_rows(self.graph))
+            self._packed_round(result, active)
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
@@ -106,23 +107,16 @@ class NameDropper(DiscoveryProcess):
             self._apply_action(u, v, payload, result)
         self._note_added_edges(result.added_edges)
 
-    def _packed_round(
-        self,
-        result: RoundResult,
-        active: np.ndarray,
-        rows: np.ndarray,
-        deg: np.ndarray,
-        bits: np.ndarray,
-    ) -> None:
+    def _packed_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous packed round: expand only what is taught.
 
         One uniform per participating node picks its target.  Sender
         ``s`` sends its round-start row plus itself to its target; the
         recipient already has ``s`` in its row, so only the row can teach
-        it anything.  :func:`taught_edges` keeps exactly the IDs the
-        recipient lacks, in payload order, and the batched insert adds
-        them in the first-occurrence edge order of a per-node payload loop,
-        so neighbour rows, and hence future draws, match that loop's.
+        it anything.  :func:`insert_taught_edges` inserts exactly the IDs
+        the recipient lacks, in payload order, so the new edges take the
+        first-occurrence edge order of a per-node payload loop, and
+        neighbour rows, and hence future draws, match that loop's.
         ``proposed_edges`` lists every carried ID but ``(v, v)``, built on
         first access.
         """
@@ -131,13 +125,13 @@ class NameDropper(DiscoveryProcess):
         valid = targets >= 0
         senders = active[valid]
         result.messages_sent = int(senders.size)
-        counts = deg[senders]
+        counts = packed_rows(graph)[1][senders]
         result.bits_sent = int((counts + 1).sum()) * self._id_bits
         if senders.size == 0:
             return
         recipients = targets[valid]
         result.attach_batch(PayloadProposals(graph, recipients, senders, counts, with_self=True))
-        added = graph.add_edges_batch_arrays(*taught_edges(rows, bits, recipients, senders, counts))
+        added = insert_taught_edges(graph, recipients, senders, counts)
         result.added_edges = added
         self._note_added_edges(added)
 

@@ -11,11 +11,16 @@ as a baseline for the directed two-hop walk experiments) and an undirected
 form for the undirected comparison sweep.  A synchronous round builds each
 pull's *teach row* — the chosen neighbour's packed (out-)row minus the
 puller's row and the puller — and expands only the pulled payloads that
-teach something, keeping only the IDs they teach
-(:func:`~repro.baselines._packed.taught_edges`), before one batched
-insert.  Degree sums feed the ``messages_sent``/``bits_sent``
-accounting, and ``proposed_edges`` is rebuilt from the rows on first
-access.
+teach something, a chunk of pulls at a time, inserting only the IDs they
+teach (:func:`~repro.baselines._packed.insert_taught_edges`).  Degree
+sums feed the ``messages_sent``/``bits_sent`` accounting, and
+``proposed_edges`` is rebuilt from the rows on first access.
+
+On a directed graph the run ends at the transitive closure of ``G_0``.
+Pointer jump adds only edges inside that closure (``u → v → w`` is a
+path), so one counter decides convergence: it starts at the number of
+closure pairs missing from ``G_0``, counted on packed rows, and falls by
+one for every new edge.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(m)`` over
 the ``m`` participating nodes, sequential rounds one ``rng.integers`` per
@@ -30,15 +35,17 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import PayloadProposals, packed_rows, taught_edges
+from repro.baselines._packed import PayloadProposals, insert_taught_edges, packed_rows
 from repro.core.base import (
+    AddedEdges,
     DiscoveryProcess,
     RoundResult,
     UpdateSemantics,
     node_array,
 )
+from repro.graphs import bitset
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
-from repro.graphs.closure import transitive_closure_edges
+from repro.graphs.closure import reachability_bits
 
 __all__ = ["RandomPointerJump"]
 
@@ -66,11 +73,16 @@ class RandomPointerJump(DiscoveryProcess):
             )
         super().__init__(graph, rng, semantics)
         self._directed = graph.directed
+        # Directed: the closure of G_0 without its diagonal, and the number
+        # of its pairs still missing from the graph.
+        self._target_bits: Optional[np.ndarray] = None
+        self._deficit = 0
         if self._directed:
-            closure = transitive_closure_edges(graph)
-            self._missing = {e for e in closure if not graph.has_edge(*e)}
-        else:
-            self._missing = None
+            target = reachability_bits(graph)
+            diag = np.arange(graph.n, dtype=np.int64)
+            bitset.clear_bits(target, diag, diag)
+            self._target_bits = target
+            self._deficit = bitset.count_total(target & ~graph.adjacency_bits())
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:  # pragma: no cover - unused
         raise NotImplementedError("RandomPointerJump overrides step() and never calls propose()")
@@ -93,7 +105,7 @@ class RandomPointerJump(DiscoveryProcess):
         if self.semantics is UpdateSemantics.SEQUENTIAL:
             self._sequential_round(result, active)
         else:
-            self._packed_round(result, active, *packed_rows(self.graph))
+            self._packed_round(result, active)
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent
@@ -114,25 +126,19 @@ class RandomPointerJump(DiscoveryProcess):
             if v is None:
                 continue
             self._apply_action(u, self._neighbors(v), result)
+        self._absorb_added(result.added_edges)
         self._note_added_edges(result.added_edges)
 
-    def _packed_round(
-        self,
-        result: RoundResult,
-        active: np.ndarray,
-        rows: np.ndarray,
-        deg: np.ndarray,
-        bits: np.ndarray,
-    ) -> None:
+    def _packed_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous packed round: expand only the pulled IDs that are new.
 
         One uniform per participating node picks its target.  Puller
         ``u`` pulls its chosen neighbour's round-start row;
-        :func:`taught_edges` keeps the IDs ``u`` lacks, in
-        participating-node and row order, so the batched insert
-        reproduces a per-node payload loop's first-occurrence edge order
-        exactly.  ``proposed_edges`` lists every pulled ID but ``(u, u)``,
-        built on first access.
+        :func:`insert_taught_edges` inserts the IDs ``u`` lacks, in
+        participating-node and row order, so the new edges take a
+        per-node payload loop's first-occurrence edge order exactly.
+        ``proposed_edges`` lists every pulled ID but ``(u, u)``, built on
+        first access.
         """
         graph = self.graph
         targets = self._bulk_targets(active)
@@ -140,23 +146,31 @@ class RandomPointerJump(DiscoveryProcess):
         pullers = active[valid]
         result.messages_sent = 2 * int(pullers.size)  # request + bulk reply each
         chosen = targets[valid]
-        counts = deg[chosen]
+        counts = packed_rows(graph)[1][chosen]
         result.bits_sent = int((1 + counts).sum()) * self._id_bits
         if pullers.size == 0:
             return
         result.attach_batch(PayloadProposals(graph, pullers, chosen, counts, with_self=False))
-        added = graph.add_edges_batch_arrays(*taught_edges(rows, bits, pullers, chosen, counts))
+        added = insert_taught_edges(graph, pullers, chosen, counts)
         result.added_edges = added
         self._absorb_added(added)
         self._note_added_edges(added)
 
-    def _absorb_added(self, added: List[Tuple[int, int]]) -> None:
-        """Keep the directed closure-deficit set current for a batch of new edges.
+    def _absorb_added(self, added: AddedEdges) -> None:
+        """Count a round's new edges off the directed closure deficit.
 
-        Called by the packed round with the edges it has just inserted.
+        Every new edge lies inside the closure of ``G_0`` and was missing,
+        so each one closes exactly one missing pair.
         """
-        if self._missing is not None and added:
-            self._missing.difference_update(added)
+        if self._directed:
+            self._deficit -= len(added)
+
+    def missing_closure_pairs(self) -> np.ndarray:
+        """The closure pairs of ``G_0`` still missing (directed), as a sorted ``(k, 2)`` array."""
+        us, vs = bitset.delta_edges(
+            self.graph.adjacency_bits(), self._target_bits, self.graph.n, directed=True
+        )
+        return np.stack((us, vs), axis=1)
 
     def _apply_action(self, u: int, payload: List[int], result: RoundResult) -> None:
         result.messages_sent += 2  # request + bulk reply
@@ -165,16 +179,13 @@ class RandomPointerJump(DiscoveryProcess):
             if w == u:
                 continue
             result.proposed_edges.append((u, w))
-            added = self.graph.add_edge(u, w)
-            if added:
+            if self.graph.add_edge(u, w):
                 result.added_edges.append((u, w))
-                if self._missing is not None:
-                    self._missing.discard((u, w))
 
     def is_converged(self) -> bool:
         """Complete graph (undirected) or transitive closure (directed)."""
         if self._directed:
-            return not self._missing
+            return self._deficit == 0
         return self.graph.is_complete()
 
     def default_round_cap(self) -> int:

@@ -28,6 +28,7 @@ from repro.analysis.nonmonotonicity import (
     monte_carlo_expected_convergence_time,
 )
 from repro.analysis.scaling import measure_scaling
+from repro.core.subset import SUBSET_PROCESSES
 from repro.graphs import generators
 from repro.graphs.directed_generators import directed_family_names
 from repro.graphs.generators import family_names
@@ -143,15 +144,19 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    measurement = measure_scaling(
-        process=args.process,
-        family=args.family,
-        sizes=args.sizes,
-        trials=args.trials,
-        seed=args.seed,
-        directed=args.directed,
-        poly_exponent=args.poly_exponent,
-    )
+    try:
+        measurement = measure_scaling(
+            process=args.process,
+            family=args.family,
+            sizes=args.sizes,
+            trials=args.trials,
+            seed=args.seed,
+            directed=args.directed,
+            poly_exponent=args.poly_exponent,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     _print_table(measurement.as_rows())
     _save_rows(measurement.as_rows(), args)
     print()
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--host-family", default="barabasi_albert", choices=family_names())
     p_group.add_argument("--host-n", type=int, default=256)
     p_group.add_argument("--k", type=int, default=24)
-    p_group.add_argument("--process", default="push", choices=process_names())
+    p_group.add_argument("--process", default="push", choices=SUBSET_PROCESSES)
     p_group.add_argument("--seed", type=int, default=None)
     p_group.set_defaults(func=_cmd_group)
 

@@ -41,7 +41,12 @@ from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, EdgeArrays
+from repro.graphs.array_adjacency import (
+    ArrayDiGraph,
+    ArrayGraph,
+    EdgeArrays,
+    refuse_oversized_run,
+)
 
 __all__ = [
     "UpdateSemantics",
@@ -475,7 +480,11 @@ class DiscoveryProcess(abc.ABC):
         The default cap is a generous multiple of the paper's upper bounds
         (``40 · n · (log₂ n + 1)²`` for undirected processes) so a stuck run
         cannot loop forever; hitting the cap returns ``converged=False``.
+        Before the first round, a run whose neighbour rows cannot grow to
+        the complete graph's in the memory available is refused with a
+        ``MemoryError`` (:func:`~repro.graphs.array_adjacency.refuse_oversized_run`).
         """
+        refuse_oversized_run(self.graph)
         if max_rounds is None:
             max_rounds = self.default_round_cap()
         return self.run(max_rounds, record_history=record_history, callbacks=callbacks)

@@ -24,7 +24,10 @@ from repro.core.pull import PullDiscovery
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs import properties
 
-__all__ = ["SubsetDiscovery"]
+__all__ = ["SUBSET_PROCESSES", "SubsetDiscovery"]
+
+#: the processes a group can run among its own members.
+SUBSET_PROCESSES = ("push", "pull")
 
 
 class SubsetDiscovery:
@@ -55,8 +58,8 @@ class SubsetDiscovery:
     ) -> None:
         if len(members) < 2:
             raise ValueError("a group needs at least 2 members")
-        if process not in ("push", "pull"):
-            raise ValueError(f"process must be 'push' or 'pull', got {process!r}")
+        if process not in SUBSET_PROCESSES:
+            raise ValueError(f"process must be one of {SUBSET_PROCESSES}, got {process!r}")
         self.host = host
         self.members: List[int] = list(members)
         # Subgraph edges are inserted in sorted order, so the restricted

@@ -1,7 +1,7 @@
 """The graph substrate of the discovery processes: NumPy rows plus packed bits.
 
 :class:`ArrayGraph` and :class:`ArrayDiGraph` store the neighbour lists
-in one preallocated 2-D ``int64`` array (one row per node, amortized
+in one preallocated 2-D ``int32`` array (one row per node, amortized
 column doubling) plus a word-packed membership matrix.  Per-round work
 is then whole-array operations:
 
@@ -12,7 +12,9 @@ is then whole-array operations:
 * ``add_edges_batch_arrays(us, vs)`` — one packed membership test over
   every proposal, then duplicate/self-loop rejection with
   first-occurrence order preserved and O(1) slot writes for the (few)
-  genuinely new edges, which come back as :class:`EdgeArrays`.
+  genuinely new edges, which come back as :class:`EdgeArrays`.  A large
+  batch is inserted one chunk at a time, in order, so no temporary of
+  the insert holds more than :data:`CHUNK` entries.
 
 The paper's processes only ever add edges among a fixed set of ``n``
 nodes, and the rows are append-only.  :meth:`ArrayDiGraph.remove_edge`
@@ -29,7 +31,14 @@ directly (read-only) so :mod:`repro.graphs.closure` and
 :mod:`repro.graphs.properties` run their kernels with zero conversion
 cost.  A graph whose membership rows and first neighbour block exceed
 the memory the OS reports available is refused with a ``MemoryError``
-before anything is allocated.
+before anything is allocated, and :func:`refuse_oversized_run` refuses a
+run whose rows cannot grow to the complete graph's.
+
+Neighbour rows hold ``int32`` node IDs, half the bytes of ``int64``; a
+scalar read from a row is an ``np.int32``.  Every flat index (node ·
+capacity + slot) and every sort key (node · n + node) is computed in
+``int64`` whatever the dtype of its inputs, so no product of a node ID
+with a capacity or with ``n`` can wrap around.
 
 Draw convention
 ---------------
@@ -46,16 +55,30 @@ pins both against a list-of-lists oracle that samples stage by stage.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.graphs import bitset
 from repro.graphs.sampling import masked_counts, uniform_indices
 
-__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays"]
+__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays", "refuse_oversized_run"]
 
 _MIN_CAPACITY = 4
+
+#: dtype of the neighbour rows (node IDs below 2³¹), and its bytes a slot.
+ROW_DTYPE = np.int32
+_ROW_BYTES = np.dtype(ROW_DTYPE).itemsize
+
+#: entries per chunk: the batched insert and the payload baselines' round
+#: expansion work through their candidates at most this many at a time,
+#: so a round's temporaries stay a fixed size however large its payloads.
+CHUNK = 1 << 18
+
+#: ``int64`` arrays of :data:`CHUNK` entries that a round's chunk can hold
+#: at once, counted generously: the insert's own temporaries (keys, sort
+#: positions and slots; about seven) plus the payload arrays held across it.
+CHUNK_TEMPORARIES = 12
 
 
 def _round_up_pow2(value: int) -> int:
@@ -86,11 +109,11 @@ _PROBE_BYTES = 1 << 20
 def _refuse_oversized(n: int) -> None:
     """Raise ``MemoryError`` before allocating a graph that cannot fit in memory.
 
-    Counts the packed membership rows (``n · ⌈n/64⌉`` words) and the first
-    neighbour block (``n · 4`` slots), both eight bytes an entry, and asks
+    Counts the packed membership rows (``n · ⌈n/64⌉`` words of eight bytes)
+    and the first neighbour block (``n · 4`` slots of four bytes), and asks
     the OS only from :data:`_PROBE_BYTES` on.
     """
-    nbytes = 8 * n * (bitset.words_for(n) + _MIN_CAPACITY)
+    nbytes = 8 * n * bitset.words_for(n) + _ROW_BYTES * n * _MIN_CAPACITY
     if nbytes < _PROBE_BYTES:
         return
     available = _available_memory()
@@ -101,8 +124,37 @@ def _refuse_oversized(n: int) -> None:
         )
 
 
+def refuse_oversized_run(graph: Union["ArrayGraph", "ArrayDiGraph"]) -> None:
+    """Raise ``MemoryError`` before a run whose rows cannot grow to the end in memory.
+
+    A discovery run ends at the complete graph (or inside it), whose rows
+    are ``n · _round_up_pow2(n − 1)`` slots.  The bytes the run still has
+    to allocate are those final rows, the half-width block that stays
+    alive while the last doubling copies it (both only if the rows are
+    narrower now), and the chunk scratch of a round: at most
+    :data:`CHUNK_TEMPORARIES` ``int64`` arrays of ``min(CHUNK, n²)``
+    entries.  Like the construction check it asks the OS only from
+    :data:`_PROBE_BYTES` on, and it touches neither the graph nor any
+    generator.
+    """
+    n = graph.n
+    final_cap = _round_up_pow2(n - 1)
+    nbytes = CHUNK_TEMPORARIES * 8 * min(CHUNK, n * n)
+    if graph.capacity < final_cap:
+        nbytes += _ROW_BYTES * n * (final_cap + final_cap // 2)
+    if nbytes < _PROBE_BYTES:
+        return
+    available = _available_memory()
+    if available is not None and nbytes > available:
+        raise MemoryError(
+            f"a run on n={n} nodes needs {nbytes} bytes for its neighbour rows to grow "
+            f"to capacity {final_cap} and for its round scratch, but only {available} "
+            "bytes are available"
+        )
+
+
 class EdgeArrays:
-    """A batch of edges as two ``int64`` endpoint arrays, in order.
+    """A batch of edges as two integer endpoint arrays, in order.
 
     What :meth:`ArrayGraph.add_edges_batch_arrays` returns, so a round's
     new edges stay in array form through the engine's bookkeeping.  It
@@ -134,6 +186,16 @@ class EdgeArrays:
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return zip(self.us.tolist(), self.vs.tolist())
 
+    @classmethod
+    def concat(cls, parts: Sequence["EdgeArrays"]) -> "EdgeArrays":
+        """The batches ``parts`` one after another (an empty batch when there are none)."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(empty, empty)
+        return cls(np.concatenate([p.us for p in parts]), np.concatenate([p.vs for p in parts]))
+
 
 def _endpoints(edges: Sequence[Tuple[int, int]], n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``edges`` as two ``int64`` endpoint arrays; ``IndexError`` if one is outside ``[0, n)``."""
@@ -148,16 +210,18 @@ def _sample_rows(rows: np.ndarray, deg: np.ndarray, nodes: np.ndarray, u: np.nda
 
     The sampling core of both array graphs.  Indices come from
     :func:`repro.graphs.sampling.uniform_indices`, and the gather is one
-    ``take`` at ``node · capacity + idx`` into the row block.  A ``-1``
-    node (a dead end handed on by an earlier hop) or a node of degree 0
-    yields ``-1``; only a batch that holds one pays for the masking.
+    ``take`` at ``node · capacity + idx`` into the row block, computed in
+    ``int64`` (``nodes`` may be ``int32`` IDs read from the rows).  A
+    ``-1`` node (a dead end handed on by an earlier hop) or a node of
+    degree 0 yields ``-1``; only a batch that holds one pays for the
+    masking.
     """
     if nodes.size and nodes.min() < 0:
         nodes, counts = masked_counts(nodes, deg)
     else:
         counts = deg.take(nodes)
     idx = uniform_indices(u, counts)
-    out = rows.take(nodes * rows.shape[1] + idx)
+    out = rows.take(np.multiply(nodes, rows.shape[1], dtype=np.int64) + idx)
     if idx.size and counts.min() == 0:
         out[idx < 0] = -1
     return out
@@ -180,10 +244,12 @@ def _stable_sort(keys: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
         raise OverflowError(
             f"a batch of {k} keys below {bound} overflows the int64 composite sort keys"
         )
-    composite = keys << shift
+    composite = np.left_shift(keys, shift, dtype=np.int64)
     composite |= np.arange(k, dtype=np.int64)
     composite.sort()
-    return composite >> shift, composite & ((1 << shift) - 1)
+    pos = composite & ((1 << shift) - 1)
+    composite >>= shift
+    return composite, pos
 
 
 def _new_edges(
@@ -198,15 +264,18 @@ def _new_edges(
     survivors, which late in a run are few; a self loop is never present,
     so it always survives the test.  The dedupe sorts the edge keys with
     :func:`_stable_sort` and drops every entry that is not the first of
-    its run: a later occurrence of an edge earlier in the batch.
+    its run: a later occurrence of an edge earlier in the batch.  The
+    keys ``lo · n + hi`` are ``int64`` whatever the endpoints' dtype.
     """
     cand = (~bitset.get_bits(bits, us, vs)).nonzero()[0]
     add_u, add_v = us[cand], vs[cand]
     if cand.size > 1:
         if directed:
-            keys = add_u * np.int64(n) + add_v
+            keys = np.multiply(add_u, n, dtype=np.int64)
+            keys += add_v
         else:
-            keys = np.minimum(add_u, add_v) * np.int64(n) + np.maximum(add_u, add_v)
+            keys = np.multiply(np.minimum(add_u, add_v), n, dtype=np.int64)
+            keys += np.maximum(add_u, add_v)
         keys, pos = _stable_sort(keys, n * n)
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
@@ -225,13 +294,38 @@ def _append_slots(deg: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Grouped slot assignment: entries bound for the same row take
     consecutive slots in batch order (ranked within the row's run of
     :func:`_stable_sort` order by ``searchsorted``), which is exactly
-    where appending them one at a time would put them.
+    where appending them one at a time would put them.  The slots are
+    ``int64``, ready for the flat index ``end · capacity + slot``.
     """
     sorted_ends, order = _stable_sort(ends, deg.shape[0])
-    slots = np.empty_like(ends)
-    slots[order] = np.arange(ends.shape[0]) - np.searchsorted(sorted_ends, sorted_ends)
-    slots += deg[ends]
+    rank = np.arange(ends.shape[0], dtype=np.int64)
+    rank -= np.searchsorted(sorted_ends, sorted_ends)
+    rank += deg[sorted_ends]
+    slots = np.empty_like(rank)
+    slots[order] = rank
     return slots
+
+
+def _insert_in_chunks(
+    insert: Callable[[np.ndarray, np.ndarray], EdgeArrays],
+    us: np.ndarray,
+    vs: np.ndarray,
+    size: int,
+) -> EdgeArrays:
+    """``insert`` over ``(us, vs)`` at most ``size`` proposals at a time, in order.
+
+    Each chunk's insert sees the edges an earlier chunk added as present,
+    so the first occurrence of every new edge still wins and the rows
+    receive the entries in the order one pass over the whole batch would
+    give them.  ``insert`` is a graph's private single-pass insert, never
+    the public method, which is entered once per batch.
+    """
+    k = us.shape[0]
+    if k <= size:
+        return insert(us, vs)
+    return EdgeArrays.concat(
+        [insert(us[i : i + size], vs[i : i + size]) for i in range(0, k, size)]
+    )
 
 
 class ArrayGraph:
@@ -262,7 +356,7 @@ class ArrayGraph:
         self._n = int(n)
         _refuse_oversized(self._n)
         self._cap = _MIN_CAPACITY
-        self._nbr = np.full((self._n, self._cap), -1, dtype=np.int64)
+        self._nbr = np.full((self._n, self._cap), -1, dtype=ROW_DTYPE)
         self._deg = np.zeros(self._n, dtype=np.int64)
         self._bits = bitset.zeros(self._n, self._n)
         self._num_edges = 0
@@ -386,8 +480,15 @@ class ArrayGraph:
         arrays a propose kernel produced and the new edges leave as
         :class:`EdgeArrays`.  Already-present edges are filtered *before*
         the within-batch dedupe (the two commute), so late rounds — where
-        almost every proposal already exists — skip the sort entirely.
+        almost every proposal already exists — skip the sort entirely.  A
+        new edge writes two row entries, so a batch of more than
+        ``CHUNK // 2`` proposals is inserted that many at a time
+        (:func:`_insert_in_chunks`), with the same result.
         """
+        return _insert_in_chunks(self._insert_chunk, us, vs, max(1, CHUNK // 2))
+
+    def _insert_chunk(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
+        """One pass of :meth:`add_edges_batch_arrays` over a batch of at most a chunk."""
         add_u, add_v = _new_edges(self._bits, self._n, us, vs, directed=False)
         if add_u.shape[0]:
             self._write_new_edges(add_u, add_v)
@@ -403,14 +504,15 @@ class ArrayGraph:
         """
         k = add_u.shape[0]
         ends = np.empty(2 * k, dtype=np.int64)
-        vals = np.empty(2 * k, dtype=np.int64)
         ends[0::2] = add_u
         ends[1::2] = add_v
-        vals[0::2] = add_v
-        vals[1::2] = add_u
         slots = _append_slots(self._deg, ends)
         self._ensure_capacity(int(slots.max()) + 1)
-        self._nbr.put(ends * self._cap + slots, vals)
+        slots += ends * self._cap
+        vals = np.empty(2 * k, dtype=ROW_DTYPE)
+        vals[0::2] = add_v
+        vals[1::2] = add_u
+        self._nbr.put(slots, vals)
         self._deg += np.bincount(ends, minlength=self._n)
         bitset.set_bits(self._bits, ends, vals)
         self._num_edges += k
@@ -427,7 +529,7 @@ class ArrayGraph:
         if needed <= self._cap:
             return
         new_cap = _round_up_pow2(needed)
-        grown = np.full((self._n, new_cap), -1, dtype=np.int64)
+        grown = np.full((self._n, new_cap), -1, dtype=ROW_DTYPE)
         grown[:, : self._cap] = self._nbr
         self._nbr = grown
         self._cap = new_cap
@@ -573,7 +675,7 @@ class ArrayDiGraph:
         self._n = int(n)
         _refuse_oversized(self._n)
         self._cap = _MIN_CAPACITY
-        self._out = np.full((self._n, self._cap), -1, dtype=np.int64)
+        self._out = np.full((self._n, self._cap), -1, dtype=ROW_DTYPE)
         self._out_deg = np.zeros(self._n, dtype=np.int64)
         self._in_deg = np.zeros(self._n, dtype=np.int64)
         self._bits = bitset.zeros(self._n, self._n)
@@ -685,13 +787,18 @@ class ArrayDiGraph:
         Same structure as the undirected version: filter present edges
         first, dedupe the (usually few) remaining candidates, then scatter
         the new out-entries with grouped slot assignment
-        (:func:`_append_slots`).
+        (:func:`_append_slots`), at most :data:`CHUNK` proposals at a time.
         """
+        return _insert_in_chunks(self._insert_chunk, us, vs, CHUNK)
+
+    def _insert_chunk(self, us: np.ndarray, vs: np.ndarray) -> EdgeArrays:
+        """One pass of :meth:`add_edges_batch_arrays` over a batch of at most a chunk."""
         add_u, add_v = _new_edges(self._bits, self._n, us, vs, directed=True)
         if add_u.shape[0]:
             slots = _append_slots(self._out_deg, add_u)
             self._ensure_capacity(int(slots.max()) + 1)
-            self._out.put(add_u * self._cap + slots, add_v)
+            slots += np.multiply(add_u, self._cap, dtype=np.int64)
+            self._out.put(slots, add_v)
             self._out_deg += np.bincount(add_u, minlength=self._n)
             self._in_deg += np.bincount(add_v, minlength=self._n)
             bitset.set_bits(self._bits, add_u, add_v)
@@ -723,7 +830,7 @@ class ArrayDiGraph:
         if needed <= self._cap:
             return
         new_cap = _round_up_pow2(needed)
-        grown = np.full((self._n, new_cap), -1, dtype=np.int64)
+        grown = np.full((self._n, new_cap), -1, dtype=ROW_DTYPE)
         grown[:, : self._cap] = self._out
         self._out = grown
         self._cap = new_cap

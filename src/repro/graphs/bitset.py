@@ -18,10 +18,11 @@ below operates on 64 set elements per machine word:
   (via ``np.bitwise_count`` when available, an 8-bit lookup otherwise);
 * :func:`or_rows` — OR-reduction of selected rows (the frontier-merge
   primitive of bitset BFS);
-* :func:`rows_or_into` / :func:`delta_edges` — row-union delivery (sorted
-  by destination, one ``reduceat`` per run of a destination) and new-edge
-  extraction: the payload-merge primitives of the baseline processes,
-  whose messages are whole neighbour sets;
+* :func:`rows_or_into` / :func:`delta_edges` / :func:`bit_pairs` —
+  row-union delivery (sorted by destination, one ``reduceat`` per run of
+  a destination) and new-edge extraction, whole or one block of rows at a
+  time: the payload-merge primitives of the baseline processes, whose
+  messages are whole neighbour sets;
 * :func:`transitive_closure_bits` — all-pairs reachability by Warshall
   elimination on packed rows (n vectorized row-OR passes, O(n³ / 64) bit
   operations total);
@@ -57,6 +58,7 @@ __all__ = [
     "or_rows",
     "rows_or_into",
     "delta_edges",
+    "bit_pairs",
     "indices_from_bits",
     "transitive_closure_bits",
     "closure_add_edges",
@@ -139,14 +141,23 @@ def get_bit(bits: np.ndarray, row: int, col: int) -> bool:
 
 
 def set_bit(bits: np.ndarray, row: int, col: int) -> None:
-    """Scalar insert: set bit ``col`` of ``row``."""
+    """Scalar insert: set bit ``col`` of ``row``.
+
+    Both indices are coerced to ``int`` first, as in :func:`get_bit`: with
+    an ``np.int32`` column (a scalar read from a neighbour row),
+    ``1 << (col & 63)`` stays ``int32``, which cannot hold bits 31 to 63.
+    """
+    row, col = int(row), int(col)
     bits[row, col >> 6] |= np.uint64(1 << (col & 63))
 
 
 def _word_and_mask(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split bit positions into (word index, single-bit mask) arrays."""
-    cols = np.asarray(cols, dtype=np.int64).astype(np.uint64)
-    return (cols >> _SIX).astype(np.int64), _ONE << (cols & _MASK6)
+    mask = np.asarray(cols).astype(np.uint64)
+    word = (mask >> _SIX).view(np.int64)
+    mask &= _MASK6
+    np.left_shift(_ONE, mask, out=mask)
+    return word, mask
 
 
 def get_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -285,12 +296,25 @@ def delta_edges(
     canonical row-major order.  With ``directed=False`` each undirected
     edge is reported once, oriented ``u < v`` (upper triangle).
     """
-    delta = unpack_bool_matrix(new_bits & ~old_bits, n_bits)
-    us, vs = np.nonzero(delta)
-    us, vs = us.astype(np.int64), vs.astype(np.int64)
-    if directed:
+    return bit_pairs(new_bits & ~old_bits, n_bits, upper=not directed)
+
+
+def bit_pairs(
+    bits: np.ndarray, n_bits: int, first_row: int = 0, upper: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, col)`` of every set bit, in row-major order, as ``int64`` arrays.
+
+    ``bits`` holds the packed rows ``first_row, first_row + 1, ...`` of a
+    matrix, so a caller can walk a large matrix one block of rows at a
+    time.  With ``upper=True`` only the pairs with ``row < col`` are
+    reported (one per undirected edge).
+    """
+    us, vs = np.nonzero(unpack_bool_matrix(bits, n_bits))
+    us = us.astype(np.int64, copy=False)
+    vs = vs.astype(np.int64, copy=False)
+    us += first_row
+    if not upper:
         return us, vs
-    # One undirected report per edge (u < v) without a second dense copy.
     keep = us < vs
     return us[keep], vs[keep]
 

@@ -14,17 +14,23 @@ A checkpoint is two files sharing one stem, written atomically (temp file
 in the target directory + ``os.replace``) and in order:
 
 ``<stem>.npz``
-    The array payload (NumPy ``savez``): the padded (out-)neighbour rows
-    trimmed to the occupied width, the degree vector, and per-process
-    extras (the directed walk's packed target-closure rows and live
-    :class:`~repro.graphs.closure.IncrementalClosure` rows, directed
-    pointer jump's missing-closure pair list).  Packed membership bitsets
-    and in-degrees are *derived* state — they are rebuilt exactly from the
-    rows on restore and never stored.
+    The array payload (an uncompressed NumPy ``.npz``): the padded
+    (out-)neighbour rows trimmed to the occupied width, the degree vector,
+    and per-process extras (the directed walk's packed target-closure rows
+    and live :class:`~repro.graphs.closure.IncrementalClosure` rows,
+    directed pointer jump's missing-closure pairs as a sorted ``(k, 2)``
+    array).  The rows are written as ``int32``, the dtype the graphs hold
+    them in; files with ``int64`` rows, as written before, load the same.
+    Packed membership bitsets and in-degrees are *derived* state — they
+    are rebuilt exactly from the rows on restore and never stored.  The
+    payload is streamed from the live arrays into its temporary file a
+    block at a time (:func:`~repro.simulation.io.atomic_write_npz`), and
+    the checksum is read back from that file, so a snapshot never holds a
+    second copy of the rows or of the file's bytes in memory.
 ``<stem>.json``
     The envelope, written **after** the payload so it is the commit point:
     ``format`` and ``version`` fields, a ``checksum`` block holding the
-    SHA-256 of the ``.npz`` bytes, the ``meta`` block (process registry
+    SHA-256 of the ``.npz`` file, the ``meta`` block (process registry
     name, backend, semantics, round/message/bit counters, the directed
     deficit counter), and the full ``rng_state`` — the process
     generator's ``bit_generator.state`` dict.  ``backend`` is always
@@ -52,7 +58,6 @@ lives outside the format.
 from __future__ import annotations
 
 import hashlib
-import io as _io
 import json
 import re
 from dataclasses import dataclass, replace
@@ -66,9 +71,10 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.core.push import PushDiscovery
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.graphs import bitset
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, _round_up_pow2
+from repro.graphs import array_adjacency
+from repro.graphs.array_adjacency import ROW_DTYPE, ArrayDiGraph, ArrayGraph, _round_up_pow2
 from repro.simulation.engine import PROCESS_REGISTRY, make_process
-from repro.simulation.io import atomic_write_bytes
+from repro.simulation.io import atomic_write_bytes, atomic_write_npz
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -102,7 +108,9 @@ class TrialCheckpoint:
     ``meta`` mirrors the JSON envelope's ``meta`` block; ``arrays`` holds
     the ``.npz`` payload; ``rng_state`` is the generator's
     ``bit_generator.state`` dict (restored verbatim, which is what makes
-    resumed draws identical).
+    resumed draws identical).  A :func:`capture_checkpoint` result's
+    arrays are views of the live process state: write or copy them before
+    the process runs another round.
     """
 
     meta: Dict[str, object]
@@ -137,7 +145,7 @@ def _registry_name(process: DiscoveryProcess) -> str:
 
 
 def _graph_payload(graph) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Neighbour rows + degrees: the complete graph state.
+    """Neighbour rows + degrees: the complete graph state, as live views.
 
     Rows are stored trimmed to the occupied width; everything else (packed
     membership bits, in-degrees, the capacity padding) is derived on
@@ -153,15 +161,12 @@ def _graph_payload(graph) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         "num_edges": graph.number_of_edges(),
         "capacity": graph.capacity,
     }
-    arrays = {
-        "nbr": np.ascontiguousarray(rows[:, : max(width, 1)], dtype=np.int64),
-        "deg": np.ascontiguousarray(deg, dtype=np.int64),
-    }
+    arrays = {"nbr": rows[:, : max(width, 1)], "deg": deg}
     return meta, arrays
 
 
 def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
-    """Snapshot ``process`` into memory."""
+    """Snapshot ``process``: its envelope metadata and views of its arrays."""
     if "propose" in process.__dict__ or "participating_nodes" in process.__dict__:
         raise CheckpointError(
             "process has instance-patched hooks (e.g. a ScheduledProcess's schedule); "
@@ -194,10 +199,9 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
         meta["deficit"] = int(process._deficit)
         arrays["target_bits"] = process._target_bits
         arrays["closure_reach"] = process._closure.reach
-    if isinstance(process, RandomPointerJump) and process._missing is not None:
+    if isinstance(process, RandomPointerJump) and process.graph.directed:
         meta["has_missing"] = True
-        missing = np.asarray(sorted(process._missing), dtype=np.int64).reshape(-1, 2)
-        arrays["missing"] = missing
+        arrays["missing"] = process.missing_closure_pairs()
     return TrialCheckpoint(
         meta=meta,
         arrays=arrays,
@@ -219,26 +223,30 @@ def _stem(path: PathLike) -> Path:
 def save_checkpoint(process: DiscoveryProcess, path: PathLike) -> Path:
     """Checkpoint ``process`` under ``path`` (stem); returns the envelope path.
 
-    Writes ``<stem>.npz`` first, then the ``<stem>.json`` envelope carrying
-    the payload's SHA-256 — the envelope is the commit point, so a crash
+    Streams ``<stem>.npz`` from the live arrays into its temporary file
+    first, then writes the ``<stem>.json`` envelope carrying the SHA-256 of
+    the file written — the envelope is the commit point, so a crash
     mid-write never leaves a checkpoint that both exists and fails to load.
     """
     checkpoint = capture_checkpoint(process)
     stem = _stem(path)
-    buffer = _io.BytesIO()
-    np.savez(buffer, **checkpoint.arrays)
-    payload = buffer.getvalue()
-    atomic_write_bytes(stem.with_suffix(".npz"), payload)
+    npz = atomic_write_npz(stem.with_suffix(".npz"), checkpoint.arrays)
     envelope = {
         "format": CHECKPOINT_FORMAT,
         "version": checkpoint.version,
-        "checksum": {"algorithm": "sha256", "npz": hashlib.sha256(payload).hexdigest()},
+        "checksum": {"algorithm": "sha256", "npz": _sha256(npz)},
         "meta": checkpoint.meta,
         "rng_state": checkpoint.rng_state,
     }
     target = stem.with_suffix(".json")
     atomic_write_bytes(target, (json.dumps(envelope, indent=2, sort_keys=True) + "\n").encode())
     return target
+
+
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of the file at ``path``, read in chunks."""
+    with path.open("rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def load_checkpoint(path: PathLike) -> TrialCheckpoint:
@@ -270,18 +278,17 @@ def load_checkpoint(path: PathLike) -> TrialCheckpoint:
             f"(this build reads version {CHECKPOINT_VERSION} only)"
         )
     try:
-        payload = npz_path.read_bytes()
+        digest = _sha256(npz_path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint payload {npz_path}: {exc}") from exc
     checksum = envelope.get("checksum", {})
     expected = checksum.get("npz")
-    digest = hashlib.sha256(payload).hexdigest()
     if expected != digest:
         raise CheckpointError(
             f"checkpoint payload {npz_path} fails its checksum "
             f"(expected sha256 {expected}, got {digest}); refusing to resume"
         )
-    with np.load(_io.BytesIO(payload)) as npz:
+    with np.load(npz_path) as npz:
         arrays = {key: npz[key] for key in npz.files}
     return TrialCheckpoint(
         meta=envelope["meta"],
@@ -310,30 +317,37 @@ def _restore_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarray):
 
     A ``capacity`` of 0 (written by the removed list backend) or one
     narrower than the rows means the smallest power of two that fits.
+    The rows become ``int32`` whatever dtype the file stored, and the
+    membership bits are set one block of rows at a time, so no temporary
+    outgrows :data:`~repro.graphs.array_adjacency.CHUNK` entries.
     """
     n = int(meta["n"])
     directed = bool(meta["directed"])
-    cap = max(_round_up_pow2(rows.shape[1] if n else 1), int(meta.get("capacity") or 0))
-    nbr = np.full((n, cap), -1, dtype=np.int64)
-    nbr[:, : rows.shape[1]] = rows
-    flat_owners = np.repeat(np.arange(n, dtype=np.int64), deg)
-    flat_targets = rows[flat_owners, _slot_indices(deg)] if flat_owners.size else flat_owners
+    width = rows.shape[1]
+    cap = max(_round_up_pow2(width if n else 1), int(meta.get("capacity") or 0))
+    nbr = np.full((n, cap), -1, dtype=ROW_DTYPE)
+    nbr[:, :width] = rows
+    graph = ArrayDiGraph(n) if directed else ArrayGraph(n)
+    bits = graph.adjacency_bits()
+    in_deg = np.zeros(n, dtype=np.int64)
+    step = max(1, array_adjacency.CHUNK // max(width, 1))
+    for start in range(0, n, step):
+        owners, slots = np.nonzero(np.arange(width) < deg[start : start + step, None])
+        owners += start
+        targets = nbr[owners, slots]
+        bitset.set_bits(bits, owners, targets)
+        if directed:
+            in_deg += np.bincount(targets, minlength=n)
     if directed:
-        graph = ArrayDiGraph(n)
         graph._cap = cap
         graph._out = nbr
         graph._out_deg = deg.copy()
-        graph._in_deg = np.bincount(flat_targets, minlength=n).astype(np.int64)
-        if flat_owners.size:
-            bitset.set_bits(graph._bits, flat_owners, flat_targets)
+        graph._in_deg = in_deg
         graph._num_edges = int(deg.sum())
     else:
-        graph = ArrayGraph(n)
         graph._cap = cap
         graph._nbr = nbr
         graph._deg = deg.copy()
-        if flat_owners.size:
-            bitset.set_bits(graph._bits, flat_owners, flat_targets)
         graph._num_edges = int(deg.sum()) // 2
     if graph._num_edges != int(meta["num_edges"]):
         raise CheckpointError(
@@ -341,15 +355,6 @@ def _restore_graph(meta: Dict[str, object], rows: np.ndarray, deg: np.ndarray):
             f"{graph._num_edges} edges, envelope says {meta['num_edges']}"
         )
     return graph
-
-
-def _slot_indices(deg: np.ndarray) -> np.ndarray:
-    """Column indices ``0..deg[u]-1`` per node, flattened in node order."""
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(deg) - deg, deg)
-    return np.arange(total, dtype=np.int64) - starts
 
 
 def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
@@ -364,9 +369,8 @@ def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
             f"checkpoint was taken with shards={shards}; row-sharded rounds draw "
             "a different stream, so it cannot be resumed draw-for-draw"
         )
-    rows = np.asarray(checkpoint.arrays["nbr"], dtype=np.int64)
     deg = np.asarray(checkpoint.arrays["deg"], dtype=np.int64)
-    graph = _restore_graph(meta, rows, deg)
+    graph = _restore_graph(meta, checkpoint.arrays["nbr"], deg)
     process = make_process(
         checkpoint.process_name,
         graph,
@@ -388,7 +392,10 @@ def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
         process._deficit = int(meta["deficit"])
     if isinstance(process, RandomPointerJump) and meta.get("has_missing"):
         missing = np.asarray(checkpoint.arrays["missing"], dtype=np.int64).reshape(-1, 2)
-        process._missing = {(int(u), int(v)) for u, v in missing}
+        target = graph.adjacency_bits().copy()
+        bitset.set_bits(target, missing[:, 0], missing[:, 1])
+        process._target_bits = target
+        process._deficit = missing.shape[0]
     return process
 
 

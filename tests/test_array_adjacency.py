@@ -380,6 +380,16 @@ class TestNumpyIntegerIndices:
         assert not g.has_edge(3, np.int64(64))
         assert bitset.get_bit(g.adjacency_bits(), np.int64(3), np.int64(63))
 
+    @pytest.mark.parametrize("cls", ALL_GRAPH_CLASSES)
+    def test_add_edge_with_int32_endpoints(self, cls):
+        """Row entries are ``np.int32``; adding one as an endpoint sets its bit."""
+        g = cls(70)
+        assert g.add_edge(np.int32(0), np.int32(40))
+        assert g.has_edge(0, 40)
+        assert not g.add_edge(0, 40)
+        row = g.out_neighbors(0) if g.directed else g.neighbors(0)
+        assert row.tolist() == [40]
+
     def test_validation_and_clustering_on_a_70_clique(self):
         g = gen.complete_graph(70)
         assert check_graph_invariants(g) == []
@@ -403,7 +413,7 @@ class TestMemoryPreflight:
         monkeypatch.setattr(array_adjacency, "_available_memory", lambda: 1 << 20)
         monkeypatch.setattr(bitset, "zeros", refuse)
         n = 4096
-        need = 8 * n * (n // 64 + 4)
+        need = 8 * n * (n // 64) + 4 * n * 4  # uint64 bit words, int32 row slots
         with pytest.raises(MemoryError, match=f"n={n} nodes needs {need} bytes"):
             cls(n)
 

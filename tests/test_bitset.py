@@ -106,6 +106,22 @@ class TestBitOps:
         ref[rs, cs] = False
         assert np.array_equal(bitset.unpack_bool_matrix(packed, n_bits), ref)
 
+    @pytest.mark.parametrize("col", [0, 31, 32, 40, 63, 64, 69])
+    def test_scalar_and_batched_ops_take_int32_indices(self, col):
+        """Indices read from ``int32`` neighbour rows reach every bit of a word.
+
+        ``set_bit`` shifted ``1`` by an ``np.int32`` column, which stays
+        ``int32``: columns 32-63 of each word were never set.
+        """
+        bits = bitset.zeros(2, 70)
+        bitset.set_bit(bits, np.int32(1), np.int32(col))
+        assert bitset.get_bit(bits, 1, col) and bitset.count_total(bits) == 1
+        rows, cols = np.array([0], dtype=np.int32), np.array([col], dtype=np.int32)
+        bitset.set_bits(bits, rows, cols)
+        assert bitset.get_bits(bits, rows, cols).tolist() == [True]
+        bitset.clear_bits(bits, rows, cols)
+        assert bitset.count_total(bits) == 1
+
     @FAST
     @given(bool_matrices(max_rows=8, max_bits=100), st.integers(0, 2**31 - 1))
     def test_or_rows_matches_any(self, mat, seed):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import cli
+from repro.core.subset import SUBSET_PROCESSES
 from repro.graphs.directed_generators import directed_family_names
 from repro.graphs.generators import family_names
 from repro.network.protocols import protocol_names
@@ -39,7 +40,8 @@ class TestParserMatchesRegistries:
     EXPECTED = {
         ("run", "process"): set(process_names()),
         ("scaling", "process"): set(process_names()),
-        ("group", "process"): set(process_names()),
+        # A group runs the processes SubsetDiscovery supports among its members.
+        ("group", "process"): set(SUBSET_PROCESSES) & set(process_names()),
         # The exact-E[T] Markov computation exists for push and pull only.
         ("nonmonotone", "process"): {"push", "pull"} & set(process_names()),
         ("run", "family"): set(family_names()) | set(directed_family_names()),
@@ -105,6 +107,33 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "graph" in captured.err and "FAILED" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "process, flag, kind",
+        [("directed_pull", [], "a directed"), ("push", ["--directed"], "an undirected")],
+    )
+    def test_scaling_of_the_wrong_graph_kind_is_a_one_line_error(self, process, flag, kind, capsys):
+        family = "random_strong" if flag else "cycle"
+        assert cli.main(["scaling", "--process", process, "--family", family, *flag,
+                         "--sizes", "8", "12", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"directed={bool(flag)}: process {process!r} requires {kind} graph"
+        ]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("process", ["name_dropper", "flooding", "directed_pull"])
+    def test_group_offers_only_the_processes_a_group_runs(self, process, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["group", "--process", process, "--host-n", "32", "--k", "6", "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("process", SUBSET_PROCESSES)
+    def test_group_runs_every_offered_process(self, process, capsys):
+        assert cli.main(["group", "--process", process, "--host-family", "cycle",
+                         "--host-n", "30", "--k", "6", "--seed", "4"]) == 0
+        assert "group_k" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "scaling", "group", "directed"])
     def test_no_backend_flag(self, command, capsys):

@@ -1,6 +1,9 @@
-"""Tests for result persistence (io): row tables and atomic writes."""
+"""Tests for result persistence (io): row tables, atomic writes and the npz stream."""
 
 import json
+
+import numpy as np
+import pytest
 
 from repro.simulation import io as sim_io
 
@@ -58,3 +61,36 @@ class TestRowPersistence:
         sim_io.atomic_write_bytes(target, b"\x00\x01")
         assert target.read_bytes() == b"\x00\x01"
         assert list((tmp_path / "deep").glob("*.tmp")) == []
+
+
+class TestNpzStream:
+    """``atomic_write_npz`` writes what ``np.savez`` would, one block at a time."""
+
+    def test_views_and_shapes_round_trip(self, tmp_path, monkeypatch):
+        block = np.arange(60, dtype=np.int32).reshape(6, 10)
+        arrays = {
+            "rows": block[:, :7],  # a trimmed, non-contiguous view
+            "deg": np.arange(6, dtype=np.int64),
+            "pairs": np.empty((0, 2), dtype=np.int64),
+            "bits": np.full((3, 2), 2**63 + 5, dtype=np.uint64),
+        }
+        monkeypatch.setattr(sim_io, "NPZ_BLOCK_BYTES", 40)  # several blocks an array
+        path = sim_io.atomic_write_npz(tmp_path / "a.npz", arrays)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == sorted(arrays)
+            for name, array in arrays.items():
+                assert npz[name].dtype == array.dtype
+                assert np.array_equal(npz[name], array)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_writer_leaves_the_old_file(self, tmp_path):
+        path = sim_io.atomic_write_bytes(tmp_path / "a.npz", b"old")
+
+        def fail(handle):
+            handle.write(b"partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            sim_io.atomic_write_stream(path, fail)
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
