@@ -7,8 +7,7 @@ are append-only and proposals are sampled before any edge is applied, the
 synchronous semantics is achieved without copying the graph: a round
 first collects every node's proposed edge(s) and only then applies them.
 
-A synchronous round is one call of :meth:`DiscoveryProcess.propose_batch`,
-the process's vectorized kernel (bulk RNG draws, whole-array index math),
+A synchronous round is one call of :meth:`DiscoveryProcess.propose_batch`
 followed by one batched edge insert.  :meth:`~DiscoveryProcess.propose`
 and :meth:`~DiscoveryProcess.apply_edge` state the same rule one node and
 one edge at a time; only the sequential ablation calls them.
@@ -16,10 +15,16 @@ one edge at a time; only the sequential ablation calls them.
 The bulk draw convention: a round of ``m`` participating nodes that
 samples in two stages (push's two endpoints, the two hops of pull and of
 the directed walk) consumes ``2m`` uniforms, ``m`` per stage in stage
-order.  A kernel draws them as one ``rng.random((2, m))`` block and reads
-row ``s`` at stage ``s``.  NumPy fills a block in order, so this is the
-stream one ``rng.random(m)`` per stage would consume (see
-:mod:`repro.graphs.sampling`).
+order.  :meth:`~DiscoveryProcess.propose_batch` is the draw: one
+``rng.random((2, m))`` block.  :meth:`~DiscoveryProcess.sample_batch` is
+the process's vectorized kernel: it turns a drawn block into proposals,
+reading row ``s`` at stage ``s``, and draws nothing itself.  NumPy fills a
+block in order, so this is the stream one ``rng.random(m)`` per stage
+would consume (see :mod:`repro.graphs.sampling`).  Because the kernel is
+draw-free and reads only the graph it is handed, the trial stack of
+:func:`repro.simulation.runner.run_trials` calls it once on a union of
+several trials' graphs, with each trial's own ``(2, n)`` block of
+uniforms side by side.
 
 The processes run on :class:`~repro.graphs.array_adjacency.ArrayGraph`
 and :class:`~repro.graphs.array_adjacency.ArrayDiGraph`, which every
@@ -322,10 +327,20 @@ class DiscoveryProcess(abc.ABC):
     def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
         """Sample every participating node's proposal for one synchronous round.
 
-        This is the process's vectorized kernel.  It reads only the
-        round-start graph and ``self.rng`` and returns the valid proposals,
-        in node order, as a :class:`BatchProposals`.  Processes that
-        replace :meth:`step` (the baselines) need none.
+        Draws the round's ``(2, m)`` block of uniforms from ``self.rng`` and
+        hands it to :meth:`sample_batch` with the round-start graph.
+        Processes that replace :meth:`step` (the baselines) never call it.
+        """
+        nodes = node_array(nodes)
+        return self.sample_batch(self.graph, nodes, self.rng.random((2, nodes.shape[0])))
+
+    def sample_batch(self, graph: GraphLike, nodes: np.ndarray, u: np.ndarray) -> BatchProposals:
+        """The draw-free kernel: the proposals of ``nodes`` on ``graph`` for drawn uniforms ``u``.
+
+        ``u`` is a ``(2, m)`` block, row ``s`` holding stage ``s``'s uniform
+        of each of the ``m`` nodes.  The kernel reads ``graph`` and ``u``
+        only, never ``self.graph`` or ``self.rng``, and returns the valid
+        proposals, in node order, as a :class:`BatchProposals`.
         """
         raise NotImplementedError(f"{type(self).__name__} has no synchronous round kernel")
 
@@ -459,6 +474,9 @@ class DiscoveryProcess(abc.ABC):
                 history.append(result)
             for callback in callbacks:
                 callback(self, result)
+            # Unless the history keeps it, this round's result (and its edge
+            # arrays) must not stay alive while the next step builds its own.
+            del result
             converged = self.is_converged() or (until is not None and until(self))
         return RunResult(
             rounds=rounds_run,

@@ -14,17 +14,11 @@ and an ``Ω(n² log n)`` weakly-connected lower bound; Theorem 15 gives an
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import (
-    AddedEdges,
-    BatchProposals,
-    DiscoveryProcess,
-    UpdateSemantics,
-    node_array,
-)
+from repro.core.base import AddedEdges, BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.graphs import bitset
 from repro.graphs.array_adjacency import ArrayDiGraph, EdgeArrays
 from repro.graphs.closure import IncrementalClosure, adjacency_bits
@@ -101,14 +95,11 @@ class DirectedTwoHopWalk(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
-        """Vectorized directed round: both hops of every walk from one ``(2, m)`` block.
+    def sample_batch(self, graph: ArrayDiGraph, nodes: np.ndarray, u: np.ndarray) -> BatchProposals:
+        """Vectorized directed round: both hops of every walk from the ``(2, m)`` block ``u``.
 
         ``-1`` sentinels chain dead ends through both hops.
         """
-        graph = self.graph
-        nodes = node_array(nodes)
-        u = self.rng.random((2, nodes.shape[0]))
         vs = graph.sample_out_neighbors(nodes, u[0])
         ws = graph.sample_out_neighbors(vs, u[1])
         valid = (ws >= 0) & (ws != nodes)

@@ -15,11 +15,11 @@ complete graph in ``O(n log² n)`` rounds w.h.p.; Theorem 13 gives the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
+from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = ["PullDiscovery"]
@@ -63,17 +63,14 @@ class PullDiscovery(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
-        """Vectorized pull round: both hops of every node's walk from one ``(2, m)`` block.
+    def sample_batch(self, graph: ArrayGraph, nodes: np.ndarray, u: np.ndarray) -> BatchProposals:
+        """Vectorized pull round: both hops of every node's walk from the ``(2, m)`` block ``u``.
 
         Hop one runs over all nodes, hop two over the sampled ``v``s.  The
         second hop chains through the ``-1`` sentinel, so isolated nodes
         consume their uniforms (keeping the draw stream aligned) without
         ever touching a neighbour row.
         """
-        graph = self.graph
-        nodes = node_array(nodes)
-        u = self.rng.random((2, nodes.shape[0]))
         vs = graph.sample_neighbors(nodes, u[0])
         ws = graph.sample_neighbors(vs, u[1])
         valid = (ws >= 0) & (ws != nodes)

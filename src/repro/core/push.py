@@ -14,11 +14,11 @@ complete graph in ``O(n log² n)`` rounds w.h.p.; Theorem 9 gives the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics, node_array
+from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs.sampling import uniform_indices
 
@@ -77,20 +77,16 @@ class PushDiscovery(DiscoveryProcess):
             return None
         return v, w
 
-    def propose_batch(self, nodes: Iterable[int]) -> BatchProposals:
-        """Vectorized push round: every node's neighbour pair from one ``(2, m)`` block.
+    def sample_batch(self, graph: ArrayGraph, nodes: np.ndarray, u: np.ndarray) -> BatchProposals:
+        """Vectorized push round: every node's neighbour pair from the ``(2, m)`` block ``u``.
 
-        With replacement (the paper's process): ``m`` uniforms per
-        introduced endpoint, mapped to indices by the shared sampling rule
-        and gathered in one call.  Without replacement: the same block over
+        With replacement (the paper's process): one uniform per introduced
+        endpoint, mapped to indices by the shared sampling rule and
+        gathered in one call.  Without replacement: the same block over
         ``k`` and ``k - 1`` slots with the collision-shift, so no draw is
         wasted on ``v == w``.
         """
-        graph = self.graph
-        nodes = node_array(nodes)
-        m = nodes.shape[0]
         if self.without_replacement:
-            u = self.rng.random((2, m))
             deg = graph.degrees()[nodes]
             i = uniform_indices(u[0], deg)
             j = uniform_indices(u[1], deg - 1)
@@ -99,11 +95,11 @@ class PushDiscovery(DiscoveryProcess):
             ws = graph.neighbors_at(nodes, np.where(deg >= 2, j, -1))
             valid = deg >= 2
         else:
-            vs, ws = graph.sample_neighbors(nodes, self.rng.random((2, m)))
+            vs, ws = graph.sample_neighbors(nodes, u)
             # An isolated node samples -1 twice, so this also drops it.
             valid = vs != ws
         pos = valid.nonzero()[0]
-        return BatchProposals(m, vs[pos], ws[pos], pos)
+        return BatchProposals(nodes.shape[0], vs[pos], ws[pos], pos)
 
     def is_converged(self) -> bool:
         """The absorbing state of the undirected processes is the complete graph."""

@@ -16,6 +16,14 @@ is then whole-array operations:
   batch is inserted one chunk at a time, in order, so no temporary of
   the insert holds more than :data:`CHUNK` entries.
 
+A *stacked* graph (:meth:`ArrayGraph.stacked`) is the disjoint union of
+up to :func:`stack_width` blocks of ``n`` nodes, each loaded from one
+trial's graph with :meth:`~ArrayGraph.load_block`; block ``s`` holds
+that graph with its node IDs offset by ``s · n``.  It is an ordinary
+graph, so every kernel and the batched insert run on it unchanged, and
+since blocks share no row, each block evolves exactly as its graph would
+on its own.
+
 The paper's processes only ever add edges among a fixed set of ``n``
 nodes, and the rows are append-only.  :meth:`ArrayDiGraph.remove_edge`
 serves the network engine's liveness eviction.
@@ -55,6 +63,7 @@ pins both against a list-of-lists oracle that samples stage by stage.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,7 +71,7 @@ import numpy as np
 from repro.graphs import bitset
 from repro.graphs.sampling import masked_counts, uniform_indices
 
-__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays", "refuse_oversized_run"]
+__all__ = ["ArrayGraph", "ArrayDiGraph", "EdgeArrays", "refuse_oversized_run", "stack_width"]
 
 _MIN_CAPACITY = 4
 
@@ -151,6 +160,54 @@ def refuse_oversized_run(graph: Union["ArrayGraph", "ArrayDiGraph"]) -> None:
             f"to capacity {final_cap} and for its round scratch, but only {available} "
             "bytes are available"
         )
+
+
+def stack_width(n: int) -> int:
+    """How many blocks of ``n`` nodes one :meth:`ArrayGraph.stacked` union may hold.
+
+    The budget is the bytes of one :data:`CHUNK` of row entries (1 MiB of
+    ``int32``).  The union's rows, allocated at the complete ``n``-node
+    graph's width ``_round_up_pow2(n − 1)``, must fit in it, and so must
+    its membership matrix over all ``blocks · n`` nodes.  ``CHUNK`` is
+    read at call time, so shrinking it shrinks the stack.
+    """
+    budget = _ROW_BYTES * CHUNK
+    nodes = math.isqrt(8 * budget)
+    while 8 * nodes * bitset.words_for(nodes) > budget:
+        nodes -= 1
+    return min(budget // (_ROW_BYTES * n * _round_up_pow2(n - 1)), nodes // n)
+
+
+def _block_offset(union: Union["ArrayGraph", "ArrayDiGraph"], s: int, n: int) -> int:
+    """First node of block ``s`` of ``n`` nodes; ``IndexError`` if it does not fit in ``union``."""
+    if s < 0 or (s + 1) * n > union.n:
+        raise IndexError(f"block {s} of {n} nodes lies outside a graph of {union.n} nodes")
+    return s * n
+
+
+def _load_rows(
+    rows: np.ndarray,
+    deg: np.ndarray,
+    bits: np.ndarray,
+    offset: int,
+    src_rows: np.ndarray,
+    src_deg: np.ndarray,
+) -> None:
+    """Overwrite the block of rows from ``offset`` with ``src_rows``, IDs shifted by ``offset``.
+
+    The block's rows, degrees and membership bits are cleared first, so
+    nothing of what it held before survives.  Its bits are set from the
+    copied entries; no other block shares its rows.
+    """
+    block = slice(offset, offset + src_deg.shape[0])
+    width = int(src_deg.max()) if src_deg.size else 0
+    src = src_rows[:, :width]
+    present = src >= 0
+    rows[block] = -1
+    np.add(src, offset, out=rows[block, :width], where=present)
+    deg[block] = src_deg
+    bits[block] = 0
+    bitset.set_bits(bits, present.nonzero()[0] + offset, src[present] + offset)
 
 
 class EdgeArrays:
@@ -622,6 +679,31 @@ class ArrayGraph:
         g._num_edges = self._num_edges
         return g
 
+    @classmethod
+    def stacked(cls, blocks: int, n: int) -> "ArrayGraph":
+        """An edgeless union of ``blocks`` blocks of ``n`` nodes, filled by :meth:`load_block`.
+
+        A block's rows never hold more than a complete ``n``-node graph's
+        ``n − 1`` entries, so they are allocated once, at that width, and
+        never grow.  Membership is the ordinary ``(blocks · n)²``-bit matrix.
+        """
+        g = cls(blocks * n)
+        g._cap = _round_up_pow2(n - 1)
+        g._nbr = np.full((g._n, g._cap), -1, dtype=ROW_DTYPE)
+        return g
+
+    def load_block(self, s: int, graph: "ArrayGraph") -> None:
+        """Make block ``s`` of a :meth:`stacked` union a copy of ``graph``, IDs offset by ``s · n``.
+
+        Rows, degrees, membership bits and the edge count are copied
+        directly, not through the batched insert, after whatever the block
+        held before is cleared.
+        """
+        offset = _block_offset(self, s, graph.n)
+        self._num_edges -= int(self._deg[offset : offset + graph.n].sum()) // 2
+        _load_rows(self._nbr, self._deg, self._bits, offset, graph._nbr, graph._deg)
+        self._num_edges += graph._num_edges
+
     def subgraph(self, nodes: Sequence[int]) -> Tuple["ArrayGraph", Dict[int, int]]:
         """The induced subgraph on ``nodes`` plus the relabelling map.
 
@@ -894,6 +976,23 @@ class ArrayDiGraph:
         g._bits = self._bits.copy()
         g._num_edges = self._num_edges
         return g
+
+    @classmethod
+    def stacked(cls, blocks: int, n: int) -> "ArrayDiGraph":
+        """Directed counterpart of :meth:`ArrayGraph.stacked`."""
+        g = cls(blocks * n)
+        g._cap = _round_up_pow2(n - 1)
+        g._out = np.full((g._n, g._cap), -1, dtype=ROW_DTYPE)
+        return g
+
+    def load_block(self, s: int, graph: "ArrayDiGraph") -> None:
+        """Directed counterpart of :meth:`ArrayGraph.load_block`; in-degrees are copied too."""
+        offset = _block_offset(self, s, graph.n)
+        block = slice(offset, offset + graph.n)
+        self._num_edges -= int(self._out_deg[block].sum())
+        _load_rows(self._out, self._out_deg, self._bits, offset, graph._out, graph._out_deg)
+        self._in_deg[block] = graph._in_deg
+        self._num_edges += graph._num_edges
 
     def to_undirected(self) -> ArrayGraph:
         """Return the undirected graph obtained by forgetting edge direction."""

@@ -79,8 +79,9 @@ class SeedSequenceFactory:
         """
         if index < 0:
             raise ValueError("index must be non-negative")
-        root = np.random.SeedSequence(self._root.entropy)
-        return root.spawn(index + 1)[index]
+        # The child root.spawn(index + 1)[index] would return, built directly:
+        # spawning costs O(index), and a sweep of T trials would pay O(T²).
+        return np.random.SeedSequence(self._root.entropy, spawn_key=(index,))
 
     def rng_for_index(self, index: int) -> np.random.Generator:
         """Return the generator deterministically associated with ``index``.

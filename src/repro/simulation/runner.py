@@ -5,8 +5,35 @@ from the experiment's root seed, so every result table can be
 regenerated bit-for-bit from one integer.  An unseeded run draws that
 integer once, up front, so its trials replay too and a failure reports
 the seed that reproduces it.  A ``processes=`` argument
-enables multiprocessing fan-out across trials for the larger sweeps;
-benchmarks use the default serial path for determinism.
+enables multiprocessing fan-out across trials for the larger sweeps.
+
+The serial path stacks trials.  A spec of ``push`` (either replacement
+mode), ``pull`` or ``directed_pull`` that is synchronous and not
+checkpointed runs up to K trials at once in one disjoint-union graph
+(:meth:`~repro.graphs.array_adjacency.ArrayGraph.stacked`): block ``s``
+holds the trial in slot ``s``, each trial draws its own ``(2, n)`` block
+of a round's uniforms from its own generator, and one call of the
+process's draw-free kernel and one batched insert serve them all.  Every
+trial's :class:`TrialResult` equals the one :func:`_run_single_trial`
+gives, which stays the reference and the pool's worker body.
+
+* K is the largest stack whose rows, at the complete graph's width, and
+  whose membership bits each fit in one
+  :data:`~repro.graphs.array_adjacency.CHUNK` of row entries (1 MiB):
+  4 at n = 256, 16 at n = 128, 1 from n = 258
+  (:func:`~repro.graphs.array_adjacency.stack_width`).  A spec whose K,
+  capped by its trial count, is below 2 runs trial by trial.
+* Trials are admitted in trial order, and a slot whose trial converged or
+  hit its round cap takes the next one.  The graph factory is called
+  once per trial, in that order, and at most K trial graphs are alive at
+  once.  A trial whose graph does not have the spec's ``n`` nodes (a
+  family that rounds ``n``) runs by itself.
+* A trial whose graph build or process construction raises is recorded
+  as the same failed :class:`TrialResult` the per-trial path records; its
+  siblings carry on.  If a stacked round raises, its in-flight trials
+  replay from their own seeds through :func:`_run_single_trial`.
+* Everything else runs trial by trial: the faulty variants, the
+  baselines, sequential semantics, checkpointed specs and pooled runs.
 
 The pooled path is crash-tolerant.  Worker death
 (:class:`~concurrent.futures.process.BrokenProcessPool` — a crash, an OOM
@@ -24,7 +51,9 @@ index and derived seed, and its completed siblings are kept.
 
 from __future__ import annotations
 
+import inspect
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -32,7 +61,17 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation.engine import measure_convergence_rounds
+from repro.core.base import RunResult, UpdateSemantics, id_bits
+from repro.core.directed import DirectedTwoHopWalk
+from repro.core.pull import PullDiscovery
+from repro.core.push import PushDiscovery
+from repro.graphs.array_adjacency import (
+    ArrayDiGraph,
+    ArrayGraph,
+    refuse_oversized_run,
+    stack_width,
+)
+from repro.simulation.engine import PROCESS_REGISTRY, make_process, measure_convergence_rounds
 from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.rng import SeedSequenceFactory, fresh_root_seed
 from repro.simulation import stats
@@ -96,6 +135,26 @@ class TrialResult:
         return self.error is not None
 
 
+def _failed_trial(spec: ExperimentSpec, trial_index: int, root_seed, exc: Exception) -> TrialResult:
+    """The failed :class:`TrialResult` of a trial that raised ``exc``, metrics zeroed."""
+    error = TrialExecutionError(
+        label=spec.describe(),
+        trial_index=trial_index,
+        root_seed=root_seed,
+        cause=f"{type(exc).__name__}: {exc}",
+    )
+    return TrialResult(
+        spec=spec,
+        trial_index=trial_index,
+        rounds=0,
+        converged=False,
+        edges_added=0,
+        messages=0,
+        bits=0,
+        error=error,
+    )
+
+
 def _run_single_trial(args) -> TrialResult:
     """Module-level worker so it can cross a multiprocessing boundary.
 
@@ -128,31 +187,217 @@ def _run_single_trial(args) -> TrialResult:
             **spec.process_kwargs,
         )
     except Exception as exc:
-        error = TrialExecutionError(
-            label=spec.describe(),
-            trial_index=trial_index,
-            root_seed=root_seed,
-            cause=f"{type(exc).__name__}: {exc}",
-        )
-        return TrialResult(
-            spec=spec,
-            trial_index=trial_index,
-            rounds=0,
-            converged=False,
-            edges_added=0,
-            messages=0,
-            bits=0,
-            error=error,
-        )
+        return _failed_trial(spec, trial_index, root_seed, exc)
+    return _completed_trial(spec, trial_index, result)
+
+
+def _completed_trial(spec: ExperimentSpec, trial_index: int, run: RunResult) -> TrialResult:
+    """The :class:`TrialResult` of a trial whose run returned ``run``."""
     return TrialResult(
         spec=spec,
         trial_index=trial_index,
-        rounds=result.rounds,
-        converged=result.converged,
-        edges_added=result.total_edges_added,
-        messages=result.total_messages,
-        bits=result.total_bits,
+        rounds=run.rounds,
+        converged=run.converged,
+        edges_added=run.total_edges_added,
+        messages=run.total_messages,
+        bits=run.total_bits,
     )
+
+
+#: processes whose synchronous round is one ``(2, n)`` draw fed to their
+#: draw-free ``sample_batch``.  Exact classes: the faulty subclasses also
+#: draw participation and failure masks, so they do not stack.
+_STACKABLE = (PushDiscovery, PullDiscovery, DirectedTwoHopWalk)
+
+
+#: the per-trial call's own arguments.  ``process_kwargs`` naming one make
+#: that call raise (``got multiple values``), so such a spec runs per trial
+#: and every trial fails with that error.
+_RUN_ARGUMENTS = frozenset(
+    name
+    for name, parameter in inspect.signature(measure_convergence_rounds).parameters.items()
+    if parameter.kind is not parameter.VAR_KEYWORD and name != "semantics"
+)
+
+
+def _stacks(spec: ExperimentSpec) -> bool:
+    """Whether the serial path runs ``spec``'s trials in a :class:`_TrialStack`."""
+    return (
+        PROCESS_REGISTRY[spec.process][0] in _STACKABLE
+        and spec.process_kwargs.get("semantics", UpdateSemantics.SYNCHRONOUS)
+        == UpdateSemantics.SYNCHRONOUS
+        and _RUN_ARGUMENTS.isdisjoint(spec.process_kwargs)
+        and not spec.checkpoint_every
+        and min(spec.trials, stack_width(spec.n)) >= 2
+    )
+
+
+class _TrialStack:
+    """The trials of one spec advancing together, up to K at a time, in one union graph.
+
+    Slot ``s`` runs its trial in block ``s`` of the union (nodes
+    ``s·n .. (s+1)·n − 1``).  A round draws each busy slot's ``(2, n)``
+    uniforms from its own generator, calls the kernel once over every
+    busy block and inserts all proposals in one batch.  Blocks share no
+    row, so each trial's rows, and with them all its later draws, evolve
+    exactly as in its own run.
+
+    Convergence needs no graph scan.  Each new push or pull edge closes
+    one missing pair, and each new edge of the directed walk one pair of
+    the start graph's closure (the walk adds nothing outside it), so one
+    ``bincount`` of the new edges' blocks updates every slot's counter,
+    and a slot is done when its counter reaches 0 or its rounds reach the
+    trial's cap.
+    """
+
+    def __init__(self, spec: ExperimentSpec, root_seed: int) -> None:
+        self.spec = spec
+        self.root_seed = root_seed
+        self.seeds = SeedSequenceFactory(root_seed)
+        self.results: Dict[int, TrialResult] = {}
+        self.next_trial = 0
+        self.n = n = spec.n
+        k = min(spec.trials, stack_width(n))
+        self.graph = self._union(k)
+        self.trial = np.full(k, -1, dtype=np.int64)
+        self.missing = np.zeros(k, dtype=np.int64)
+        self.rounds = np.zeros(k, dtype=np.int64)
+        self.added = np.zeros(k, dtype=np.int64)
+        self.cap = np.zeros(k, dtype=np.int64)
+        self.rngs: List[Optional[np.random.Generator]] = [None] * k
+        self.draws = np.empty((k, 2, n))
+        self.kernel = None
+        self.messages_per_round = 0
+        self.bits_per_message = 0
+
+    def _union(self, k: int):
+        return (ArrayDiGraph if self.spec.directed else ArrayGraph).stacked(k, self.n)
+
+    def run(self) -> List[TrialResult]:
+        """Every trial's result, in trial order."""
+        while True:
+            try:
+                self._fill()
+                busy = np.flatnonzero(self.trial >= 0)
+                if not busy.size:
+                    break
+                nodes = (busy[:, None] * self.n + np.arange(self.n)).reshape(-1)
+                while not self._round(busy, nodes):
+                    pass
+            except Exception as exc:
+                warnings.warn(
+                    f"a stacked round of {self.spec.describe()} raised {exc!r}; "
+                    "its trials replay one at a time",
+                    RuntimeWarning,
+                )
+                self._replay_in_flight()
+        return [self.results[i] for i in range(self.spec.trials)]
+
+    def _fill(self) -> None:
+        """Admit pending trials in trial order until every slot is busy or none is left."""
+        free = np.flatnonzero(self.trial < 0).tolist()
+        while free and self.next_trial < self.spec.trials:
+            trial_index = self.next_trial
+            self.next_trial += 1
+            if self._admit(free[0], trial_index):
+                free.pop(0)
+
+    def _admit(self, s: int, trial_index: int) -> bool:
+        """Start ``trial_index`` in slot ``s``; False when it finished without a stacked round.
+
+        Builds the graph and the process as the per-trial path does, so a
+        failure is recorded the same way.  A trial that is converged from
+        the start or capped at 0 rounds, or whose graph is not of ``n``
+        nodes, is finished here.
+        """
+        spec = self.spec
+        rng = self.seeds.rng_for_index(trial_index)
+        try:
+            graph = spec.build_graph(rng)
+            process = make_process(spec.process, graph, rng=rng, **spec.process_kwargs)
+            refuse_oversized_run(graph)
+        except Exception as exc:
+            self.results[trial_index] = _failed_trial(spec, trial_index, self.root_seed, exc)
+            return False
+        if graph.n != self.n:
+            self.results[trial_index] = self._run_alone(trial_index, process)
+            return False
+        missing = process.closure_deficit_count() if graph.directed else graph.missing_edges()
+        cap = spec.max_rounds if spec.max_rounds is not None else process.default_round_cap()
+        if missing == 0 or cap == 0:
+            self.results[trial_index] = TrialResult(
+                spec=spec,
+                trial_index=trial_index,
+                rounds=0,
+                converged=missing == 0,
+                edges_added=0,
+                messages=0,
+                bits=0,
+            )
+            return False
+        self.kernel = process.sample_batch
+        self.messages_per_round = process.MESSAGES_PER_NODE * graph.n
+        self.bits_per_message = id_bits(graph.n)
+        self.trial[s] = trial_index
+        self.rngs[s] = rng
+        self.missing[s] = missing
+        self.cap[s] = cap
+        self.rounds[s] = self.added[s] = 0
+        self.graph.load_block(s, graph)
+        return True
+
+    def _run_alone(self, trial_index: int, process) -> TrialResult:
+        """Run one trial by itself, as the per-trial path would from its built process."""
+        try:
+            result = process.run_to_convergence(max_rounds=self.spec.max_rounds)
+        except Exception as exc:
+            return _failed_trial(self.spec, trial_index, self.root_seed, exc)
+        return _completed_trial(self.spec, trial_index, result)
+
+    def _round(self, busy: np.ndarray, nodes: np.ndarray) -> bool:
+        """One synchronous round of the ``busy`` slots, whose blocks hold ``nodes``.
+
+        Finished slots record their results; True when there was one.
+        """
+        for s in busy.tolist():
+            self.rngs[s].random(out=self.draws[s])
+        draws = self.draws if busy.size == self.trial.size else self.draws[busy]
+        batch = self.kernel(self.graph, nodes, draws.swapaxes(0, 1).reshape(2, -1))
+        added = self.graph.add_edges_batch_arrays(batch.us, batch.vs)
+        gained = np.bincount(added.us // self.n, minlength=self.trial.size)
+        self.missing -= gained
+        self.added += gained
+        self.rounds[busy] += 1
+        done = (self.missing[busy] == 0) | (self.rounds[busy] >= self.cap[busy])
+        if not done.any():
+            return False
+        for s in busy[done].tolist():
+            self._finish(s)
+        return True
+
+    def _finish(self, s: int) -> None:
+        trial_index = int(self.trial[s])
+        rounds = int(self.rounds[s])
+        messages = rounds * self.messages_per_round
+        self.results[trial_index] = TrialResult(
+            spec=self.spec,
+            trial_index=trial_index,
+            rounds=rounds,
+            converged=bool(self.missing[s] == 0),
+            edges_added=int(self.added[s]),
+            messages=messages,
+            bits=messages * self.bits_per_message,
+        )
+        self.trial[s] = -1
+        self.rngs[s] = None
+
+    def _replay_in_flight(self) -> None:
+        """Rerun every busy slot's trial alone from its own seed, then start a fresh union."""
+        for trial_index in sorted(self.trial[self.trial >= 0].tolist()):
+            self.results[trial_index] = _run_single_trial((self.spec, trial_index, self.root_seed))
+        self.trial[:] = -1
+        self.rngs = [None] * self.trial.size
+        self.graph = self._union(self.trial.size)
 
 
 def _backoff_sleep(failure_count: int) -> None:
@@ -232,7 +477,9 @@ def run_trials(
         changes earlier ones.  ``None`` draws a root seed from OS entropy
         once per call; failed trials report it as their ``root_seed``.
     processes:
-        Number of worker processes (1 = run serially in this process).
+        Number of worker processes (1 = run serially in this process,
+        stacking the trials of the specs that stack; see the module
+        docstring).
     retries:
         Consecutive worker-pool failures tolerated before the remaining
         trials degrade to in-process execution.  Retried trials replay
@@ -246,6 +493,8 @@ def run_trials(
         root_seed = fresh_root_seed()
     jobs: List[tuple] = [(spec, i, root_seed) for i in range(spec.trials)]
     if processes <= 1 or spec.trials <= 1:
+        if _stacks(spec):
+            return _TrialStack(spec, root_seed).run()
         return [_run_single_trial(job) for job in jobs]
     done = _run_trials_pooled(
         jobs, processes=processes, retries=retries, fault_injector=fault_injector

@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle import ListGraph, check_graph_invariants
+from oracle import ListGraph, check_digraph_invariants, check_graph_invariants
 from repro.graphs import array_adjacency, bitset, properties
+from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, _stable_sort
 from repro.simulation.engine import make_process
@@ -462,3 +463,45 @@ class TestCompositeSort:
         # 8 positions take 4 bits: one more than fits.
         with pytest.raises(OverflowError, match="overflows the int64"):
             _stable_sort(np.zeros(8, dtype=np.int64), 2**60)
+
+
+class TestStackedUnion:
+    """``stacked`` plus ``load_block``: block ``s`` is its graph with IDs offset by ``s · n``."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_each_block_is_the_graph_last_loaded_into_it(self, directed):
+        n, k = 70, 3  # blocks straddle the 64-bit words of the membership rows
+        rng = np.random.default_rng(3)
+        if directed:
+            cls, dense, sparse = ArrayDiGraph, dgen.make_directed_family, dgen.directed_cycle
+            dense_family, rows_of, check = "random_strong", ArrayDiGraph.out_neighbors, check_digraph_invariants
+        else:
+            cls, dense, sparse = ArrayGraph, gen.make_family, gen.cycle_graph
+            dense_family, rows_of, check = "erdos_renyi", ArrayGraph.neighbors, check_graph_invariants
+        union = cls.stacked(k, n)
+        assert union.capacity == 128 and union.number_of_edges() == 0
+        graphs = [dense(dense_family, n, rng) for _ in range(k)]
+        for s, graph in enumerate(graphs):
+            union.load_block(s, graph)
+        # Sparser graphs replace two blocks: nothing of the old ones may survive.
+        graphs[1], graphs[0] = sparse(n), sparse(n)
+        union.load_block(1, graphs[1])
+        union.load_block(0, graphs[0])
+        expected = np.zeros((k * n, k * n), dtype=bool)
+        for s, graph in enumerate(graphs):
+            expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = graph.adjacency_matrix()
+            for u in range(n):
+                assert rows_of(union, s * n + u).tolist() == (rows_of(graph, u) + s * n).tolist()
+            if directed:
+                assert union.in_degrees()[s * n : (s + 1) * n].tolist() == graph.in_degrees().tolist()
+        assert np.array_equal(union.adjacency_matrix(), expected)
+        assert union.number_of_edges() == sum(g.number_of_edges() for g in graphs)
+        assert check(union) == []
+        assert union.capacity == 128
+
+    def test_a_block_outside_the_union_is_refused(self):
+        union = ArrayGraph.stacked(2, 8)
+        with pytest.raises(IndexError, match="block 2 of 8 nodes"):
+            union.load_block(2, gen.cycle_graph(8))
+        with pytest.raises(IndexError, match="block 1 of 9 nodes"):
+            union.load_block(1, gen.cycle_graph(9))

@@ -1,5 +1,7 @@
 """Unit tests for the round engine shared by all processes."""
 
+import weakref
+
 import pytest
 
 from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics, id_bits
@@ -79,6 +81,33 @@ class TestRunLoop:
         calls = []
         proc.run(7, callbacks=[lambda p, r: calls.append(r.round_index)])
         assert calls == list(range(7))
+
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_a_round_result_is_released_before_the_next_step(self, record_history):
+        """Without history, round k's new-edge array is dead while round k + 1 is built.
+
+        ``RoundResult`` has ``__slots__`` and no ``__weakref__``, so the
+        callback watches the new-edge array it holds instead.  With the
+        history kept, every round's array stays alive.
+        """
+        proc = PushDiscovery(gen.cycle_graph(24), rng=0)
+        arrays = []
+        step = proc.step
+
+        def checked_step():
+            if arrays and not record_history:
+                assert arrays[-1]() is None, f"round {len(arrays) - 1}'s result outlived it"
+            return step()
+
+        proc.step = checked_step
+        result = proc.run(
+            20,
+            record_history=record_history,
+            callbacks=[lambda p, r: arrays.append(weakref.ref(r._added.us))],
+        )
+        assert len(arrays) == result.rounds == 20
+        if record_history:
+            assert all(r._added.us is ref() for r, ref in zip(result.history, arrays))
 
     def test_totals_accumulate_across_runs(self):
         g = gen.cycle_graph(10)

@@ -16,6 +16,14 @@ choices:
 
 Every case draws from ``np.random.default_rng(SEED)``; the seed was fixed
 before any result was seen.
+
+The trial-stacked path of :func:`~repro.simulation.runner.run_trials`
+gets its own one-round test: ``SAMPLES`` one-round trials (``max_rounds=1``)
+of each case, each from its own seed, run together in one stack, and
+their ``edges_added`` are compared with the exact distribution's marginal
+over the number of new edges.  These 50 cases are a second Bonferroni
+family with their own threshold, ``STACKED_ALPHA``.  Building 1,000 trials
+costs about 60 ms a case, so the 40 five-node cases run in the slow tier.
 """
 
 import itertools
@@ -29,6 +37,8 @@ from repro.analysis.nonmonotonicity import _pull_round_distribution, _push_round
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs.array_adjacency import ArrayGraph
+from repro.simulation import runner
+from repro.simulation.experiment import ExperimentSpec
 
 SEED = 20120614
 SAMPLES = 1000
@@ -39,6 +49,7 @@ PROCESSES = {
 }
 CASES = 2 * 25
 ALPHA = 1e-3 / CASES
+STACKED_ALPHA = 1e-3 / CASES
 
 
 def _connected(n, edges):
@@ -72,6 +83,7 @@ def connected_noncomplete_graphs(n):
 
 
 GRAPHS = [(n, edges) for n in (4, 5) for edges in connected_noncomplete_graphs(n)]
+GRAPH_IDS = [f"n{n}-{'_'.join(f'{u}{v}' for u, v in e)}" for n, e in GRAPHS]
 
 
 def chi2_tail(stat, df):
@@ -142,9 +154,7 @@ def test_chi2_tail_matches_closed_forms():
 
 
 @pytest.mark.parametrize("process", sorted(PROCESSES))
-@pytest.mark.parametrize(
-    "n, edges", GRAPHS, ids=[f"n{n}-{'_'.join(f'{u}{v}' for u, v in e)}" for n, e in GRAPHS]
-)
+@pytest.mark.parametrize("n, edges", GRAPHS, ids=GRAPH_IDS)
 def test_one_round_matches_the_exact_distribution(process, n, edges):
     cls, round_distribution = PROCESSES[process]
     exact = round_distribution(n, frozenset(edges))
@@ -159,3 +169,33 @@ def test_one_round_matches_the_exact_distribution(process, n, edges):
     assert not impossible, f"next states of probability 0: {sorted(map(sorted, impossible))}"
     p = chi2_pvalue(counts, exact)
     assert p >= ALPHA, f"chi2 p-value {p:.3g} below {ALPHA:.3g}"
+
+
+@pytest.mark.parametrize("process", sorted(PROCESSES))
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        pytest.param(n, edges, id=name, marks=[pytest.mark.slow] if n == 5 else [])
+        for (n, edges), name in zip(GRAPHS, GRAPH_IDS)
+    ],
+)
+def test_one_stacked_round_matches_the_exact_new_edge_count(process, n, edges):
+    _, round_distribution = PROCESSES[process]
+    exact = Counter()
+    for state, p in round_distribution(n, frozenset(edges)).items():
+        exact[len(state) - len(edges)] += p
+    start = ArrayGraph(n, edges)
+    spec = ExperimentSpec(
+        process=process,
+        family="custom",
+        n=n,
+        trials=SAMPLES,
+        max_rounds=1,
+        graph_factory=lambda n, rng: start.copy(),
+    )
+    assert runner._stacks(spec)
+    counts = Counter(t.edges_added for t in runner.run_trials(spec, root_seed=SEED))
+    impossible = set(counts) - set(exact)
+    assert not impossible, f"new-edge counts of probability 0: {sorted(impossible)}"
+    p = chi2_pvalue(counts, exact)
+    assert p >= STACKED_ALPHA, f"chi2 p-value {p:.3g} below {STACKED_ALPHA:.3g}"

@@ -45,6 +45,17 @@ class TestRng:
         with pytest.raises(ValueError):
             factory.rng_for_index(-1)
 
+    @pytest.mark.parametrize("root_seed", [11, None])
+    def test_seed_factory_child_is_the_spawned_child(self, root_seed):
+        """Trial ``i``'s stream is child ``i`` of the root, built without spawning ``i + 1``."""
+        factory = SeedSequenceFactory(root_seed)
+        spawned = np.random.SeedSequence(factory.seed_for_index(0).entropy).spawn(1000)
+        for index in (0, 1, 57, 999):
+            assert (
+                factory.seed_for_index(index).generate_state(4).tolist()
+                == spawned[index].generate_state(4).tolist()
+            )
+
 
 class TestEngineRegistry:
     def test_registry_contains_all_processes(self):
