@@ -8,17 +8,20 @@ hope for — but the per-round traffic is Θ(n · m) IDs.  It anchors the
 "rounds vs bits" trade-off plot of experiment E10.
 
 A round is **one pass of row unions** on the word-packed membership
-rows: node ``v``'s new row is the OR of its neighbours' round-start rows
-(:func:`repro.graphs.bitset.rows_or_into`, which sorts the deliveries by
-recipient and folds each recipient's run with one ``reduceat``), the
-genuinely new edges are the bits the union set, and degree sums feed
-``messages_sent``/``bits_sent``.  Flooding draws no randomness; the round
-adds the edge set a per-node payload loop would add, but discovers it in
-canonical rather than scan order and does not materialise the Θ(n · m)
-``proposed_edges`` list (its ``added_edges`` and accounting are exact).
+rows: node ``v``'s new row is the OR of its active neighbours'
+round-start rows.  The deliveries are built destination-major, straight
+from the rows: an undirected row lists exactly the neighbours that send
+to its node, so ``v``'s run of deliveries is its own row, and
+:func:`repro.graphs.bitset.rows_or_into` folds each run with one
+``reduceat`` without sorting anything.  The genuinely new edges are the
+bits the union set, and degree sums feed ``messages_sent``/``bits_sent``.
+Flooding draws no randomness; the round adds the edge set a per-node
+payload loop would add, but discovers it in canonical rather than scan
+order and does not materialise the Θ(n · m) ``proposed_edges`` list (its
+``added_edges`` and accounting are exact).
 
 The round works in bounded memory.  The deliveries are ORed in one
-chunk of senders at a time (:func:`~repro.baselines._packed.payload_chunks`),
+chunk of recipients at a time (:func:`~repro.baselines._packed.payload_chunks`),
 and the new edges are extracted and inserted one block of rows at a
 time, in row-major order (:func:`repro.graphs.bitset.bit_pairs`), so no
 temporary holds more than :data:`~repro.graphs.array_adjacency.CHUNK`
@@ -82,28 +85,22 @@ class NeighborhoodFlooding(DiscoveryProcess):
         Each participating sender ``u`` delivers its round-start row to
         every neighbour ``v``; a sender's own ID bit is already present in
         the recipient's row, so the neighbour-row union *is* the whole
-        merge.  The deliveries are the flattened neighbour block of the
-        active senders (one row-OR per delivered message), unioned per
-        recipient by :func:`bitset.rows_or_into` one chunk of senders at a
-        time, and the new edges are the bits the union added.  New bits
-        always arrive in symmetric pairs (both endpoints of a new edge are
-        recipients of the same sender), so reading the upper triangle,
-        one block of rows at a time, finds every new edge once.
+        merge.  :func:`_row_union` forms it destination-major, and the new
+        edges are the bits the union added.  New bits always arrive in
+        symmetric pairs (both endpoints of a new edge are recipients of
+        the same sender), so reading the upper triangle, one block of rows
+        at a time, finds every new edge once.
         """
         graph = self.graph
         n = graph.n
         rows, deg, bits = packed_rows(graph)
-        senders = active[deg[active] > 0]
-        counts = deg[senders]
+        counts = deg[active]
         # Each active node sends its (deg+1)-ID knowledge set to every neighbour.
         result.messages_sent = int(counts.sum())
         result.bits_sent = int((counts * (counts + 1)).sum()) * self._id_bits
-        if senders.size == 0:
+        if result.messages_sent == 0:
             return
-        fresh = bits.copy()
-        for part in payload_chunks(counts):
-            recipients = concat_rows(rows, senders[part], counts[part])
-            bitset.rows_or_into(fresh, recipients, bits, np.repeat(senders[part], counts[part]))
+        fresh = _row_union(rows, deg, bits, active)
         fresh &= ~bits
         nodes = np.arange(n, dtype=np.int64)
         bitset.clear_bits(fresh, nodes, nodes)  # no self-knowledge edges
@@ -132,3 +129,34 @@ class NeighborhoodFlooding(DiscoveryProcess):
         """Flooding needs only O(log n) rounds; cap generously above that."""
         n = max(self.graph.n, 2)
         return int(20 * (np.log2(n) + 1)) + 20
+
+
+def _row_union(
+    rows: np.ndarray, deg: np.ndarray, bits: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """The membership rows ``bits`` with every row ORed with its active neighbours' rows.
+
+    Destination-major: node ``v`` hears from the active nodes in its own
+    row, because an undirected row lists exactly the neighbours that
+    send to ``v``.  Every node with a row receives, active or not, and
+    the deliveries come in node order, so their destinations are
+    non-decreasing as :func:`bitset.rows_or_into` requires.  They are
+    expanded one :func:`payload_chunks` run of recipients at a time; a
+    function of its own, so the last run's arrays are freed before the
+    round inserts its new edges.
+    """
+    fresh = bits.copy()
+    sends = np.zeros(deg.shape[0], dtype=bool)
+    sends[active] = True
+    everyone = bool(sends.all())
+    recipients = np.flatnonzero(deg)
+    for part in payload_chunks(deg[recipients]):
+        dst = recipients[part]
+        counts = deg[dst]
+        src = concat_rows(rows, dst, counts)
+        dst = np.repeat(dst, counts)
+        if not everyone:
+            heard = sends[src]
+            src, dst = src[heard], dst[heard]
+        bitset.rows_or_into(fresh, dst, bits, src)
+    return fresh

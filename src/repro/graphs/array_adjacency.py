@@ -349,15 +349,23 @@ def _append_slots(deg: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Row slot of every appended entry: ``deg[end]`` plus the entries for that row before it.
 
     Grouped slot assignment: entries bound for the same row take
-    consecutive slots in batch order (ranked within the row's run of
-    :func:`_stable_sort` order by ``searchsorted``), which is exactly
-    where appending them one at a time would put them.  The slots are
-    ``int64``, ready for the flat index ``end · capacity + slot``.
+    consecutive slots in batch order, which is exactly where appending
+    them one at a time would put them.  In :func:`_stable_sort` order a
+    row's entries form one run, which starts where the rows below it
+    end: at the exclusive prefix sum of the per-row counts.  An entry's
+    rank in its run is its sorted position minus that start, so one
+    ``bincount`` and one ``cumsum`` rank the whole batch in linear time.
+    The same counts then advance ``deg`` in place, so the caller's
+    degrees already include the batch.  The slots are ``int64``, ready
+    for the flat index ``end · capacity + slot``.
     """
     sorted_ends, order = _stable_sort(ends, deg.shape[0])
+    counts = np.bincount(sorted_ends, minlength=deg.shape[0])
+    offset = deg - np.cumsum(counts)
+    offset += counts  # deg[row] minus the sorted position of the row's first entry
     rank = np.arange(ends.shape[0], dtype=np.int64)
-    rank -= np.searchsorted(sorted_ends, sorted_ends)
-    rank += deg[sorted_ends]
+    rank += offset[sorted_ends]
+    deg += counts
     slots = np.empty_like(rank)
     slots[order] = rank
     return slots
@@ -556,8 +564,9 @@ class ArrayGraph:
 
         Interleaving the endpoints (u-entry before v-entry, in batch order)
         makes :func:`_append_slots` reproduce the exact append order of
-        sequential :meth:`add_edge` calls.  The interleaved pairs hold both
-        orientations, so one scatter sets both bits of every edge.
+        sequential :meth:`add_edge` calls, and it advances the degrees.  The
+        interleaved pairs hold both orientations, so one scatter sets both
+        bits of every edge.
         """
         k = add_u.shape[0]
         ends = np.empty(2 * k, dtype=np.int64)
@@ -570,7 +579,6 @@ class ArrayGraph:
         vals[0::2] = add_v
         vals[1::2] = add_u
         self._nbr.put(slots, vals)
-        self._deg += np.bincount(ends, minlength=self._n)
         bitset.set_bits(self._bits, ends, vals)
         self._num_edges += k
 
@@ -881,7 +889,6 @@ class ArrayDiGraph:
             self._ensure_capacity(int(slots.max()) + 1)
             slots += np.multiply(add_u, self._cap, dtype=np.int64)
             self._out.put(slots, add_v)
-            self._out_deg += np.bincount(add_u, minlength=self._n)
             self._in_deg += np.bincount(add_v, minlength=self._n)
             bitset.set_bits(self._bits, add_u, add_v)
             self._num_edges += add_u.shape[0]

@@ -19,10 +19,11 @@ below operates on 64 set elements per machine word:
 * :func:`or_rows` — OR-reduction of selected rows (the frontier-merge
   primitive of bitset BFS);
 * :func:`rows_or_into` / :func:`delta_edges` / :func:`bit_pairs` —
-  row-union delivery (sorted by destination, one ``reduceat`` per run of
-  a destination) and new-edge extraction, whole or one block of rows at a
-  time: the payload-merge primitives of the baseline processes, whose
-  messages are whole neighbour sets;
+  row-union delivery (deliveries given destination-major, in
+  non-decreasing destination order, so each destination's run folds with
+  one ``reduceat`` and nothing is sorted) and new-edge extraction, whole
+  or one block of rows at a time: the payload-merge primitives of the
+  baseline processes, whose messages are whole neighbour sets;
 * :func:`transitive_closure_bits` — all-pairs reachability by Warshall
   elimination on packed rows (n vectorized row-OR passes, O(n³ / 64) bit
   operations total);
@@ -251,19 +252,20 @@ def rows_or_into(
     row per delivery).  This is the packed form of "send your whole known
     set": one message becomes one row-OR, 64 IDs per word operation.
 
-    The deliveries are sorted by destination (one ``np.sort`` of the
-    composite keys ``dst · S + src``, ``S`` the number of source rows; OR
-    commutes, so any order within a destination will do).  Each chunk of
-    ``chunk`` sorted deliveries then gathers its payload rows,
+    The deliveries must come destination-major: ``dst_rows`` is
+    non-decreasing, so every destination's deliveries form one run (OR
+    commutes, so any order within a run will do).  One O(k) pass checks
+    that and raises ``ValueError`` otherwise; nothing is sorted.  Each
+    chunk of ``chunk`` deliveries then gathers its payload rows,
     ``bitwise_or.reduceat`` folds every run of one destination into a
     single row, and one fancy-index ``|=`` merges those rows into their
     destinations, which are unique within the chunk.  Peak scratch memory
     stays at ``chunk`` payload rows however many deliveries a round makes.
     """
-    dst_rows = np.asarray(dst_rows, dtype=np.int64)
+    dst_rows = np.asarray(dst_rows)
     deliveries = dst_rows.shape[0]
     if src_rows is not None:
-        src_rows = np.asarray(src_rows, dtype=np.int64)
+        src_rows = np.asarray(src_rows)
         if src_rows.shape[0] != deliveries:
             raise ValueError(
                 f"src_rows has {src_rows.shape[0]} entries for {deliveries} deliveries"
@@ -274,15 +276,13 @@ def rows_or_into(
         )
     if deliveries == 0:
         return
-    span = src_bits.shape[0]
-    keys = dst_rows * span
-    keys += src_rows if src_rows is not None else np.arange(deliveries, dtype=np.int64)
-    keys.sort()
-    dst_sorted, src_sorted = np.divmod(keys, span)
+    if (dst_rows[1:] < dst_rows[:-1]).any():
+        raise ValueError("rows_or_into needs its deliveries in non-decreasing destination order")
     for start in range(0, deliveries, chunk):
-        dst = dst_sorted[start : start + chunk]
+        part = slice(start, start + chunk)
+        dst = dst_rows[part]
         runs = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
-        payload = src_bits[src_sorted[start : start + chunk]]
+        payload = src_bits[part] if src_rows is None else src_bits[src_rows[part]]
         dst_bits[dst[runs]] |= np.bitwise_or.reduceat(payload, runs, axis=0)
 
 

@@ -233,7 +233,14 @@ class UniformLatency(LatencyModel):
         self._span = self.high - self.low
 
     def sample(self, rng: np.random.Generator) -> float:
-        return self.low + self._span * rng.random()
+        return self.from_uniforms(rng.random())
+
+    def delays(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.from_uniforms(rng.random(count))
+
+    def from_uniforms(self, u: float | np.ndarray) -> float | np.ndarray:
+        """The delay each uniform of ``u`` gives (a float for a float, an array for an array)."""
+        return self.low + self._span * u
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"

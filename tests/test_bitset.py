@@ -141,13 +141,14 @@ class TestBitOps:
     @given(bool_matrices(max_rows=8, max_bits=100), st.integers(0, 2**31 - 1))
     def test_rows_or_into_matches_reference(self, mat, seed):
         """Scatter row-union delivery ≡ per-delivery ``|=`` on the bool matrix,
-        including duplicate destinations and the chunked gather path."""
+        including duplicate destinations and the chunked gather path; the
+        deliveries come destination-major, as the kernel requires."""
         rows, n_bits = mat.shape
         if rows == 0 or n_bits == 0:
             return
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 30))
-        dst = rng.integers(0, rows, size=k)
+        dst = np.sort(rng.integers(0, rows, size=k))
         src = rng.integers(0, rows, size=k)
         packed = bitset.pack_bool_matrix(mat)
         bitset.rows_or_into(packed, dst, bitset.pack_bool_matrix(mat), src, chunk=3)
@@ -166,6 +167,19 @@ class TestBitOps:
             bitset.rows_or_into(bits, np.array([0, 1]), bitset.zeros(3, 10))
         with pytest.raises(ValueError):
             bitset.rows_or_into(bits, np.array([0, 1]), bits, np.array([0]))
+
+    @pytest.mark.parametrize("dst", [[0, 2, 1], [3, 3, 0], [1, 0]])
+    def test_rows_or_into_rejects_unsorted_destinations_before_any_write(self, dst):
+        bits = bitset.pack_bool_matrix(np.eye(4, 10, dtype=bool))
+        before = bits.copy()
+        dst = np.array(dst)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            bitset.rows_or_into(bits, dst, before, np.arange(dst.shape[0]))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            bitset.rows_or_into(bits, dst, bitset.zeros(dst.shape[0], 10))
+        assert np.array_equal(bits, before)
+        bitset.rows_or_into(bits, np.empty(0, dtype=np.int64), before, np.empty(0, dtype=np.int64))
+        assert np.array_equal(bits, before)
 
     @FAST
     @given(bool_matrices(max_rows=8, max_bits=100), st.integers(0, 2**31 - 1))
@@ -276,7 +290,7 @@ ROW_KERNELS = {
     "clear_bits": lambda bits, n, rng: _in_place(bits, bitset.clear_bits, *_batch(rng, n)),
     "or_rows": lambda bits, n, rng: bitset.or_rows(bits, rng.integers(0, n, 4)),
     "rows_or_into": lambda bits, n, rng: _in_place(
-        bits, bitset.rows_or_into, rng.integers(0, n, 12), bits, rng.integers(0, n, 12)
+        bits, bitset.rows_or_into, np.sort(rng.integers(0, n, 12)), bits, rng.integers(0, n, 12)
     ),
     "transitive_closure_bits": lambda bits, n, rng: bitset.transitive_closure_bits(bits, n),
     "closure_add_edges": _closure_plus_batch,

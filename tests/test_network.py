@@ -6,15 +6,20 @@ import pytest
 from repro.core.push import PushDiscovery
 from repro.network import (
     DropUniform,
+    ExponentialLatency,
     FailureModel,
+    FixedLatency,
     LocalityError,
     Message,
+    MessageBatch,
     MessageKind,
     NetworkSimulator,
     NoFailures,
+    UniformLatency,
     id_bits_for,
 )
 from repro.graphs import generators as gen
+from repro.network import failures
 
 
 class DropKind(FailureModel):
@@ -56,6 +61,38 @@ class TestFailureModels:
         assert 850 < delivered < 1150
         with pytest.raises(ValueError):
             DropUniform(1.0)
+
+    @pytest.mark.parametrize(
+        "latency",
+        [FixedLatency(0.3), UniformLatency(0.05, 1.5), ExponentialLatency(0.5, base=0.2)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_drop_uniform_survivors_replay_the_scalar_loop(self, latency, drop_prob):
+        """Rows, delays and the generator's state equal the per-message loop's.
+
+        The loop (``FailureModel.survivors``) draws each message's loss
+        decision and then, for a survivor only, its delay.  Batch sizes
+        fall on both sides of ``WALK_FROM``, and the uniform-latency walk
+        is also run directly on the small ones.
+        """
+        model = DropUniform(drop_prob)
+        assert 3 < failures.WALK_FROM <= 17
+        for k in (0, 1, 2, 3, 17, 64, 257):
+            ends = np.arange(k, dtype=np.int64)
+            batch = MessageBatch.of_kind(MessageKind.INTRODUCE, ends, (ends + 1) % 300)
+            paths = [lambda rng: model.survivors(batch, rng, latency)]
+            if isinstance(latency, UniformLatency) and k:
+                paths.append(lambda rng: model._uniform_survivors(k, rng, latency))
+            for seed in range(40):
+                for path in paths:
+                    fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                    rows, delays = path(fast)
+                    ref_rows, ref_delays = FailureModel.survivors(model, batch, loop, latency)
+                    assert rows.dtype == np.int64 and delays.dtype == np.float64
+                    assert rows.tolist() == ref_rows.tolist()
+                    assert delays.tolist() == ref_delays.tolist()
+                    assert fast.bit_generator.state == loop.bit_generator.state
 
 
 class TestSimulator:

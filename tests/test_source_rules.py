@@ -1,4 +1,4 @@
-"""Source rules: three syntax-level bans, checked over the repository's own code.
+"""Source rules: four syntax-level checks over the repository's own code.
 
 Each rule judges one AST node at a time, so a rule is a function from a
 parsed module to ``(line, message)`` pairs.  A violation fails
@@ -33,6 +33,14 @@ rule flags and what it lets pass is pinned on snippets by :data:`CASES`.
     An exemption added there carries its reason, and one that no longer
     matches fails the test too.
 
+``annotations`` — the modules that ``mypy.ini`` holds to
+    ``disallow_untyped_defs`` (``graphs/bitset.py`` and ``simulation/io.py``).
+    Every function, nested ones included, annotates each parameter (a
+    method's ``self``/``cls`` aside) and its return.  A local stand-in for
+    CI's strict mypy step, for hosts where mypy is not installed: it
+    catches the untyped and half-typed definitions that step rejects, not
+    type errors.
+
 Leaks of pools, shared-memory segments and file descriptors are checked at
 run time instead, by the autouse guard in ``tests/conftest.py``.
 """
@@ -40,8 +48,9 @@ run time instead, by the autouse guard in ``tests/conftest.py``.
 from __future__ import annotations
 
 import ast
+import configparser
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -189,11 +198,58 @@ def exception_hygiene(tree: ast.Module) -> Iterator[Violation]:
             yield node.lineno, f"{caught} swallows the failure: re-raise, log or use it"
 
 
-#: rule -> (check, roots it scans, path prefixes exempt from it), relative to the repo root
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _takes_self(tree: ast.Module) -> Set[int]:
+    """``id`` of every function defined in a class body, static methods aside."""
+    found = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, _FUNCTIONS) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+                ):
+                    found.add(id(node))
+    return found
+
+
+def annotations(tree: ast.Module) -> Iterator[Violation]:
+    methods = _takes_self(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args
+        if id(node) in methods:
+            params = params[1:]  # self or cls
+        params += args.kwonlyargs + [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        missing = [arg.arg for arg in params if arg.annotation is None]
+        if node.returns is None:
+            missing.append("return")
+        if missing:
+            yield node.lineno, f"{node.name}() leaves {', '.join(missing)} unannotated"
+
+
+def _strict_modules() -> List[str]:
+    """The files of the modules ``mypy.ini`` holds to ``disallow_untyped_defs``."""
+    config = configparser.ConfigParser()
+    config.read(ROOT / "mypy.ini")
+    return [
+        "src/" + section[len("mypy-") :].replace(".", "/") + ".py"
+        for section in config.sections()
+        if section.startswith("mypy-")
+        and config.getboolean(section, "disallow_untyped_defs", fallback=False)
+    ]
+
+
+#: rule -> (check, roots it scans, path prefixes exempt from it), relative to the repo root;
+#: a root is a directory or one file.
 RULES = {
     "determinism": (determinism, ["src/repro", "benchmarks", "tests"], ["tests/data/"]),
     "atomic-write": (atomic_write, ["src/repro"], ["src/repro/simulation/io.py"]),
     "exception-hygiene": (exception_hygiene, ["src/repro"], []),
+    "annotations": (annotations, _strict_modules(), []),
 }
 
 #: (rule, file, enclosing function) -> why that violation is accepted
@@ -218,11 +274,13 @@ def test_tree_obeys_rule(rule):
     check, roots, exempt = RULES[rule]
     violations: List[str] = []
     allowed_hits = set()
+    assert roots, f"[{rule}] has nothing to scan"
     for root in roots:
+        found = [ROOT / root] if root.endswith(".py") else sorted((ROOT / root).rglob("*.py"))
         files = [
             path
-            for path in sorted((ROOT / root).rglob("*.py"))
-            if not path.relative_to(ROOT).as_posix().startswith(tuple(exempt))
+            for path in found
+            if path.is_file() and not path.relative_to(ROOT).as_posix().startswith(tuple(exempt))
         ]
         assert files, f"[{rule}] scanned no file under {root}/"
         for path in files:
@@ -316,6 +374,21 @@ CASES = [
     ("exception-hygiene", "try: f()\nexcept Exception: raise RuntimeError('f') from None", 0),
     ("exception-hygiene", "try: f()\nexcept Exception as exc: results.append(exc)", 0),
     ("exception-hygiene", "try: f()\nexcept KeyError: pass", 0),
+    ("annotations", "def f(x): return x", 1),
+    ("annotations", "def f(x: int): return x", 1),
+    ("annotations", "def f(x, y: int) -> int: return y", 1),
+    ("annotations", "def f(*args: int, key, **kw: int) -> None: pass", 1),
+    ("annotations", "def f(*args, **kw) -> None: pass", 1),
+    ("annotations", "async def f(x) -> None: pass", 1),
+    ("annotations", "class A:\n    def m(self, x) -> None: pass", 1),
+    ("annotations", "class A:\n    def m(self): pass", 1),
+    ("annotations", "class A:\n    @staticmethod\n    def m(x) -> None: pass", 1),
+    ("annotations", "def f() -> None:\n    def g(x): pass", 1),
+    ("annotations", "def f(x: int, *args: int, key: str = '', **kw: int) -> None: pass", 0),
+    ("annotations", "class A:\n    def m(self, x: int) -> 'A': return self", 0),
+    ("annotations", "class A:\n    @classmethod\n    def m(cls) -> None: pass", 0),
+    ("annotations", "class A:\n    @staticmethod\n    def m(x: int) -> None: pass", 0),
+    ("annotations", "f = lambda x: x", 0),
 ]
 
 
