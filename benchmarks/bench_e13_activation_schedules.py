@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.push import PushDiscovery
-from repro.core.scheduler import BernoulliActivation, PoissonLikeActivation, ScheduledProcess
+from repro.core.scheduler import BernoulliActivation, PoissonLikeActivation, apply_schedule
 from repro.graphs import generators as gen
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
@@ -43,7 +43,7 @@ def test_e13_bernoulli_participation_work_conservation(benchmark, smoke):
                 graph = gen.cycle_graph(N)
                 proc = PushDiscovery(graph, rng=BENCH_SEED + t)
                 if q < 1.0:
-                    ScheduledProcess(proc, BernoulliActivation(q))
+                    apply_schedule(proc, BernoulliActivation(q))
                 result = proc.run_to_convergence(max_rounds=500_000)
                 # messages_sent counts 2 per activation, so activations = messages / 2
                 per_trial.append((result.rounds, result.total_messages / 2.0))
@@ -81,10 +81,9 @@ def test_e13_async_ticks_match_synchronous_rounds(benchmark, smoke):
         )
 
         def async_ticks(seed):
-            graph = gen.cycle_graph(N)
-            proc = PushDiscovery(graph, rng=seed)
-            wrapped = ScheduledProcess(proc, PoissonLikeActivation())
-            return wrapped.run_to_convergence(max_rounds=2_000_000).rounds
+            proc = PushDiscovery(gen.cycle_graph(N), rng=seed)
+            apply_schedule(proc, PoissonLikeActivation())
+            return proc.run_to_convergence(max_rounds=2_000_000).rounds
 
         ticks = _mean_over_trials(async_ticks, trials=trials)
         return [

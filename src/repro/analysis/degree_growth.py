@@ -4,19 +4,21 @@ The engine of both undirected upper-bound proofs (Theorems 8 and 12) is:
 *in O(n log n) rounds the minimum degree grows by a constant factor (the
 paper uses 9/8 or 13/12) or the graph becomes complete*.  Applying that
 O(log n) times gives the O(n log² n) bound.  This module measures the
-phase structure empirically: it runs a process, records the round at which
-the minimum degree first reaches each threshold ``δ_0 · γ^i``, and reports
-the phase lengths normalised by ``n ln n``.
+phase structure empirically: it runs a process with a
+:class:`~repro.core.metrics.MetricsRecorder`, reads the round at which the
+minimum degree first reaches each threshold ``δ_0 · γ^i`` off the
+recorder's minimum-degree column, and reports the phase lengths
+normalised by ``n ln n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.core.base import DiscoveryProcess, RoundResult
+from repro.core.metrics import MetricsRecorder
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.simulation.engine import make_process
 
@@ -50,21 +52,6 @@ class DegreePhase:
     end_round: int
     length: int
     normalized_length: float
-
-
-class _MinDegreeWatcher:
-    """Run-loop callback that records when each degree threshold is first met."""
-
-    def __init__(self, thresholds: Sequence[int]) -> None:
-        self.thresholds = list(thresholds)
-        self.hit_round: Dict[int, int] = {}
-
-    def __call__(self, process: DiscoveryProcess, result: RoundResult) -> None:
-        cached = getattr(process, "cached_min_degree", None)
-        current = cached() if cached is not None else process.graph.min_degree()
-        for threshold in self.thresholds:
-            if threshold not in self.hit_round and current >= threshold:
-                self.hit_round[threshold] = result.round_index + 1
 
 
 def measure_degree_growth_phases(
@@ -103,17 +90,21 @@ def measure_degree_growth_phases(
             thresholds.append(n - 1)
             break
         thresholds.append(threshold)
-    watcher = _MinDegreeWatcher(thresholds)
-    proc = make_process(process, work, rng=rng)
-    proc.run_to_convergence(max_rounds=max_rounds, callbacks=[watcher])
+    recorder = MetricsRecorder()
+    make_process(process, work, rng=rng).run_to_convergence(
+        max_rounds=max_rounds, callbacks=[recorder]
+    )
+    # The column never falls, so each threshold's first round is a binary search.
+    series = recorder.min_degree_series()
+    hits = np.searchsorted(series, thresholds, side="left")
 
     phases: List[DegreePhase] = []
     log_n = max(float(np.log(n)), 1.0)
     prev_round = 0
-    for i, threshold in enumerate(thresholds):
-        if threshold not in watcher.hit_round:
+    for i, (threshold, hit) in enumerate(zip(thresholds, hits.tolist())):
+        if hit == series.shape[0]:
             break
-        end_round = watcher.hit_round[threshold]
+        end_round = hit + 1
         length = end_round - prev_round
         phases.append(
             DegreePhase(

@@ -117,9 +117,7 @@ class NeighborhoodFlooding(DiscoveryProcess):
             us[filled : filled + len(block)] = block.us
             vs[filled : filled + len(block)] = block.vs
             filled += len(block)
-        added = EdgeArrays(us, vs)
-        result.added_edges = added
-        self._note_added_edges(added)
+        result.added_edges = EdgeArrays(us, vs)
 
     def is_converged(self) -> bool:
         """Flooding also converges to the complete graph."""

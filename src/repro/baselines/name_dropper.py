@@ -105,7 +105,6 @@ class NameDropper(DiscoveryProcess):
             v = self.graph.random_neighbor(u, self.rng)
             payload = list(nbrs) + [u]
             self._apply_action(u, v, payload, result)
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous packed round: expand only what is taught.
@@ -133,7 +132,6 @@ class NameDropper(DiscoveryProcess):
         result.attach_batch(PayloadProposals(graph, recipients, senders, counts, with_self=True))
         added = insert_taught_edges(graph, recipients, senders, counts)
         result.added_edges = added
-        self._note_added_edges(added)
 
     def _apply_action(self, u: int, v: int, payload: List[int], result: RoundResult) -> None:
         result.messages_sent += 1

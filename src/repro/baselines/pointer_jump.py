@@ -45,7 +45,7 @@ from repro.core.base import (
 )
 from repro.graphs import bitset
 from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
-from repro.graphs.closure import reachability_bits
+from repro.graphs.closure import closure_target_bits
 
 __all__ = ["RandomPointerJump"]
 
@@ -78,11 +78,8 @@ class RandomPointerJump(DiscoveryProcess):
         self._target_bits: Optional[np.ndarray] = None
         self._deficit = 0
         if self._directed:
-            target = reachability_bits(graph)
-            diag = np.arange(graph.n, dtype=np.int64)
-            bitset.clear_bits(target, diag, diag)
-            self._target_bits = target
-            self._deficit = bitset.count_total(target & ~graph.adjacency_bits())
+            self._target_bits = closure_target_bits(graph)
+            self._deficit = bitset.count_total(self._target_bits & ~graph.adjacency_bits())
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:  # pragma: no cover - unused
         raise NotImplementedError("RandomPointerJump overrides step() and never calls propose()")
@@ -127,7 +124,6 @@ class RandomPointerJump(DiscoveryProcess):
                 continue
             self._apply_action(u, self._neighbors(v), result)
         self._absorb_added(result.added_edges)
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous packed round: expand only the pulled IDs that are new.
@@ -154,7 +150,6 @@ class RandomPointerJump(DiscoveryProcess):
         added = insert_taught_edges(graph, pullers, chosen, counts)
         result.added_edges = added
         self._absorb_added(added)
-        self._note_added_edges(added)
 
     def _absorb_added(self, added: AddedEdges) -> None:
         """Count a round's new edges off the directed closure deficit.

@@ -18,7 +18,7 @@ from repro.core.base import (
 from repro.core.push import PushDiscovery
 from repro.core.pull import PullDiscovery
 from repro.core.directed import DirectedTwoHopWalk
-from repro.core.metrics import MetricsRecorder, RoundMetrics
+from repro.core.metrics import MetricsRecorder
 from repro.core.subset import SubsetDiscovery
 from repro.core.variants import FaultyPushDiscovery, FaultyPullDiscovery
 from repro.core.scheduler import (
@@ -28,7 +28,7 @@ from repro.core.scheduler import (
     FixedSubsetActivation,
     RoundRobinActivation,
     PoissonLikeActivation,
-    ScheduledProcess,
+    apply_schedule,
 )
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "FixedSubsetActivation",
     "RoundRobinActivation",
     "PoissonLikeActivation",
-    "ScheduledProcess",
+    "apply_schedule",
     "BatchProposals",
     "DiscoveryProcess",
     "RoundResult",
@@ -51,5 +51,4 @@ __all__ = [
     "FaultyPushDiscovery",
     "FaultyPullDiscovery",
     "MetricsRecorder",
-    "RoundMetrics",
 ]

@@ -293,13 +293,6 @@ class DiscoveryProcess(abc.ABC):
         self.total_messages = 0
         self.total_bits = 0
         self._id_bits = id_bits(graph.n)
-        # Incrementally-maintained convergence counters (built lazily by
-        # degree_view): the cached (out-)degree vector, the edge count it
-        # reflects, and a lazily-refreshed minimum degree.
-        self._deg_cache: Optional[np.ndarray] = None
-        self._deg_cache_edges = -1
-        self._min_deg = 0
-        self._min_deg_dirty = True
 
     # ------------------------------------------------------------------ #
     # to be provided by subclasses
@@ -349,64 +342,13 @@ class DiscoveryProcess(abc.ABC):
 
         The batch contract matches applying the proposals one by one in
         order, first occurrence winning, and the new edges stay in array
-        form.  They patch the cached convergence counters through
-        :meth:`_note_added_edges`, so nothing rescans the graph.
+        form.
         """
-        added = self.graph.add_edges_batch_arrays(batch.us, batch.vs)
-        self._note_added_edges(added)
-        return added
+        return self.graph.add_edges_batch_arrays(batch.us, batch.vs)
 
     def apply_edge(self, edge: Edge) -> bool:
         """Insert one proposed edge (the sequential ablation); True when it is new."""
         return self.graph.add_edge(*edge)
-
-    # ------------------------------------------------------------------ #
-    # incrementally-maintained convergence counters
-    # ------------------------------------------------------------------ #
-    def degree_view(self) -> np.ndarray:
-        """The (out-)degree vector as a read-only cached array.
-
-        Built lazily from the graph on first use, then patched in
-        O(#added edges) per round by :meth:`_note_added_edges` instead of
-        recomputed/copied O(n) every convergence check.  Self-healing: if
-        the graph was mutated outside the round engine (a process that
-        overrides :meth:`step`, direct ``add_edge`` calls), the cached edge
-        count disagrees and the vector is rebuilt from the graph.  Callers
-        must not mutate the returned array.
-        """
-        m = self.graph.number_of_edges()
-        if self._deg_cache is None or self._deg_cache_edges != m:
-            graph = self.graph
-            self._deg_cache = graph.out_degrees() if graph.directed else graph.degrees()
-            self._deg_cache_edges = m
-            self._min_deg_dirty = True
-        return self._deg_cache
-
-    def cached_min_degree(self) -> int:
-        """Minimum (out-)degree via the incremental cache.
-
-        The vector minimum is recomputed only when some node at the current
-        minimum gained an edge since the last query (degrees never decrease
-        under the append-only contract), so convergence predicates that
-        poll every round usually pay O(1).
-        """
-        deg = self.degree_view()
-        if self._min_deg_dirty:
-            self._min_deg = int(deg.min()) if deg.size else 0
-            self._min_deg_dirty = False
-        return self._min_deg
-
-    def _note_added_edges(self, added: AddedEdges) -> None:
-        """Patch the cached degree counters for one round's new edges."""
-        if self._deg_cache is None or not len(added):
-            return
-        edges = EdgeArrays.of(added)
-        ends = edges.us if self.graph.directed else np.concatenate((edges.us, edges.vs))
-        deg = self._deg_cache
-        if not self._min_deg_dirty and bool((deg[ends] == self._min_deg).any()):
-            self._min_deg_dirty = True
-        np.add.at(deg, ends, 1)
-        self._deg_cache_edges += len(added)
 
     # ------------------------------------------------------------------ #
     # the round engine
@@ -429,7 +371,6 @@ class DiscoveryProcess(abc.ABC):
                 result.proposed_edges.append(edge)
                 if self.apply_edge(edge):
                     result.added_edges.append(edge)
-            self._note_added_edges(result.added_edges)
         # A participant pays for its messages whether or not it proposed an edge.
         result.messages_sent = self.MESSAGES_PER_NODE * participants
         result.bits_sent = result.messages_sent * self._id_bits

@@ -10,6 +10,11 @@ the initial graph ``G_0``: every node ``u`` has a direct edge to every node
 it could originally reach.  Theorem 14 gives an ``O(n² log n)`` upper bound
 and an ``Ω(n² log n)`` weakly-connected lower bound; Theorem 15 gives an
 ``Ω(n²)`` lower bound on a strongly connected construction.
+
+The target is computed once, as packed rows
+(:func:`~repro.graphs.closure.closure_target_bits`).  Every edge the walk
+adds lies inside it, so the closure itself never changes during a run and
+one deficit counter decides convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from repro.core.base import AddedEdges, BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.graphs import bitset
 from repro.graphs.array_adjacency import ArrayDiGraph, EdgeArrays
-from repro.graphs.closure import IncrementalClosure, adjacency_bits
+from repro.graphs.closure import adjacency_bits, closure_target_bits
 
 __all__ = ["DirectedTwoHopWalk"]
 
@@ -29,16 +34,11 @@ __all__ = ["DirectedTwoHopWalk"]
 class DirectedTwoHopWalk(DiscoveryProcess):
     """The two-hop walk process on a directed graph with closure termination.
 
-    The target transitive closure is computed once from the starting graph
-    and kept as **packed bitset rows** (n²/8 bytes) rather than a Python
-    set of ordered pairs, so the termination target stays affordable at
-    large ``n``.  The still-missing-closure-edges deficit is a counter
-    maintained with one batched membership test per round, and the live
-    closure of the evolving graph is tracked by an
-    :class:`~repro.graphs.closure.IncrementalClosure` (row-OR propagation
-    per edge batch instead of Warshall recomputes) — the walk only ever
-    adds edges inside the initial closure, so each round's maintenance is
-    O(#added edges).
+    The target transitive closure is kept as **packed bitset rows**
+    (n²/8 bytes) rather than a Python set of ordered pairs, so the
+    termination target stays affordable at large ``n``.  The
+    still-missing-closure-edges deficit is a counter maintained with one
+    batched membership test per round.
 
     Parameters
     ----------
@@ -67,13 +67,8 @@ class DirectedTwoHopWalk(DiscoveryProcess):
                 f"DirectedTwoHopWalk requires an ArrayDiGraph, got {type(graph).__name__}"
             )
         super().__init__(graph, rng, semantics)
-        # One full Warshall pass at construction; every later update is
-        # incremental.  The target excludes the diagonal (cycles through u
-        # are never edges), matching transitive_closure_edges().
-        self._closure = IncrementalClosure.from_graph(graph)
-        self._target_bits = self._closure.closure_bits().copy()
-        diag = np.arange(graph.n, dtype=np.int64)
-        bitset.clear_bits(self._target_bits, diag, diag)
+        # One full Warshall pass at construction.
+        self._target_bits = closure_target_bits(graph)
         self._deficit = int(
             bitset.count_total(self._target_bits & ~adjacency_bits(graph))
         )
@@ -107,12 +102,10 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)
 
     def _absorb_added(self, added: AddedEdges) -> None:
-        """Fold genuinely-new edges into the deficit counter and live closure.
+        """Count genuinely-new edges off the deficit counter.
 
-        One batched membership test against the packed target rows replaces
-        the old per-edge set discards; the live closure's update is O(1)
-        per edge already implied (the walk never proposes anything else).
-        Every insertion path — per-edge :meth:`apply_edge` and the batched
+        One batched membership test against the packed target rows.  Every
+        insertion path — per-edge :meth:`apply_edge` and the batched
         synchronous round — funnels its new edges here.
         """
         if not len(added):
@@ -120,7 +113,6 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         edges = EdgeArrays.of(added)
         in_target = bitset.get_bits(self._target_bits, edges.us, edges.vs)
         self._deficit -= int(in_target.sum())
-        self._closure.add_edges(edges.us, edges.vs)
 
     def apply_edge(self, edge: Tuple[int, int]) -> bool:
         """Insert one edge (the sequential ablation) and keep the deficit counter current."""
@@ -157,10 +149,6 @@ class DirectedTwoHopWalk(DiscoveryProcess):
     def closure_deficit_count(self) -> int:
         """Number of target-closure edges still missing (the counter itself)."""
         return self._deficit
-
-    def live_closure(self) -> IncrementalClosure:
-        """The incrementally-maintained closure of the *evolving* graph."""
-        return self._closure
 
     def default_round_cap(self) -> int:
         """Safety cap derived from the paper's directed upper bound O(n² log n)."""

@@ -1,127 +1,87 @@
-"""Per-round metric collection for the discovery processes.
+"""The per-round record of a discovery run.
 
-The recorder is a run-loop callback: attach it via the ``callbacks=``
-argument of :meth:`DiscoveryProcess.run` and it snapshots the metrics the
-experiments need.  Cheap metrics (edge count, min/mean degree, edges added,
-message counts) are recorded every round; expensive metrics (diameter,
-clustering) only every ``expensive_every`` rounds because they cost O(n·m).
+:class:`MetricsRecorder` is a run-loop callback (the ``callbacks=``
+argument of :meth:`DiscoveryProcess.run`) that appends one row per round
+over :data:`COLUMNS`, reading the (out-)degrees from the graph's own
+degree vector, and reads the rows back as columns.  Diameter and
+clustering cost O(n·m) per snapshot, so they are not columns:
+:class:`repro.social.evolution.EvolutionTracker` takes them at its own
+cadence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.base import DiscoveryProcess, RoundResult
-from repro.graphs import properties
 
-__all__ = ["RoundMetrics", "MetricsRecorder"]
+__all__ = ["COLUMNS", "MetricsRecorder"]
 
-
-@dataclass
-class RoundMetrics:
-    """Snapshot of graph/process state after one round."""
-
-    round_index: int
-    num_edges: int
-    edges_added: int
-    min_degree: int
-    mean_degree: float
-    max_degree: int
-    missing_edges: int
-    messages_sent: int
-    bits_sent: int
-    diameter: Optional[int] = None
-    average_clustering: Optional[float] = None
+#: the recorded columns, in row order.
+COLUMNS = (
+    "round_index",
+    "num_edges",
+    "edges_added",
+    "min_degree",
+    "mean_degree",
+    "max_degree",
+    "missing_edges",
+    "messages_sent",
+    "bits_sent",
+)
 
 
 class MetricsRecorder:
-    """Collects a :class:`RoundMetrics` entry after every round.
+    """Appends one row over :data:`COLUMNS` after every round."""
 
-    Parameters
-    ----------
-    expensive_every:
-        Period (in rounds) at which diameter and clustering are computed;
-        0 disables them entirely (the default — they are only needed by the
-        social-evolution experiments).
-    """
-
-    def __init__(self, expensive_every: int = 0) -> None:
-        self.expensive_every = expensive_every
-        self.history: List[RoundMetrics] = []
+    def __init__(self) -> None:
+        self._rows: List[Tuple[float, ...]] = []
 
     def __call__(self, process: DiscoveryProcess, result: RoundResult) -> None:
         graph = process.graph
-        # The per-round degree statistics read the process's incremental
-        # cache (no O(n) copy per round); missing-edge counts come from the
-        # graphs' O(1) edge counters.
-        view = getattr(process, "degree_view", None)
-        if view is not None:
-            degrees = view()
-            missing = (
-                graph.missing_edges()
-                if not graph.directed
-                else graph.n * (graph.n - 1) - graph.number_of_edges()
-            )
-        elif not graph.directed:
-            degrees = graph.degrees()
-            missing = graph.missing_edges()
+        n = graph.n
+        m = graph.number_of_edges()
+        if graph.directed:
+            degrees = graph.out_neighbor_rows()[1]
+            missing = n * (n - 1) - m
         else:
-            degrees = graph.out_degrees()
-            missing = graph.n * (graph.n - 1) - graph.number_of_edges()
-        entry = RoundMetrics(
-            round_index=result.round_index,
-            num_edges=graph.number_of_edges(),
-            edges_added=result.num_added,
-            min_degree=int(degrees.min()) if graph.n else 0,
-            mean_degree=float(degrees.mean()) if graph.n else 0.0,
-            max_degree=int(degrees.max()) if graph.n else 0,
-            missing_edges=missing,
-            messages_sent=result.messages_sent,
-            bits_sent=result.bits_sent,
+            degrees = graph.neighbor_rows()[1]
+            missing = graph.missing_edges()
+        self._rows.append(
+            (
+                result.round_index,
+                m,
+                result.num_added,
+                int(degrees.min()) if n else 0,
+                float(degrees.mean()) if n else 0.0,
+                int(degrees.max()) if n else 0,
+                missing,
+                result.messages_sent,
+                result.bits_sent,
+            )
         )
-        if (
-            self.expensive_every > 0
-            and not graph.directed
-            and result.round_index % self.expensive_every == 0
-            and properties.is_connected(graph)
-        ):
-            entry.diameter = properties.diameter(graph)
-            entry.average_clustering = properties.average_clustering(graph)
-        self.history.append(entry)
 
-    # ------------------------------------------------------------------ #
-    # convenience accessors
-    # ------------------------------------------------------------------ #
-    def as_arrays(self) -> dict:
-        """Return the recorded series as numpy arrays keyed by metric name."""
-        if not self.history:
-            return {}
-        return {
-            "round_index": np.array([m.round_index for m in self.history]),
-            "num_edges": np.array([m.num_edges for m in self.history]),
-            "edges_added": np.array([m.edges_added for m in self.history]),
-            "min_degree": np.array([m.min_degree for m in self.history]),
-            "mean_degree": np.array([m.mean_degree for m in self.history]),
-            "max_degree": np.array([m.max_degree for m in self.history]),
-            "missing_edges": np.array([m.missing_edges for m in self.history]),
-            "messages_sent": np.array([m.messages_sent for m in self.history]),
-            "bits_sent": np.array([m.bits_sent for m in self.history]),
-        }
+    def as_arrays(self) -> Dict[str, np.ndarray]:
+        """Every column as a numpy array keyed by its name (empty before any round)."""
+        return dict(zip(COLUMNS, (np.array(column) for column in zip(*self._rows))))
+
+    def _column(self, name: str) -> np.ndarray:
+        index = COLUMNS.index(name)
+        return np.array([row[index] for row in self._rows], dtype=np.int64)
 
     def min_degree_series(self) -> np.ndarray:
         """The minimum-degree trajectory (one value per recorded round)."""
-        return np.array([m.min_degree for m in self.history], dtype=np.int64)
+        return self._column("min_degree")
 
     def edges_series(self) -> np.ndarray:
         """The edge-count trajectory (one value per recorded round)."""
-        return np.array([m.num_edges for m in self.history], dtype=np.int64)
+        return self._column("num_edges")
 
     def clear(self) -> None:
-        """Drop all recorded history."""
-        self.history.clear()
+        """Drop every recorded row."""
+        self._rows.clear()
 
     def __len__(self) -> int:
-        return len(self.history)
+        return len(self._rows)

@@ -7,18 +7,23 @@ study and for an asynchronous-style model where a random subset of expected
 size one acts per tick (the classic way to compare synchronous round bounds
 against asynchronous wall-clock bounds).
 
-Schedules compose with any :class:`DiscoveryProcess` through
-:class:`ScheduledProcess`, which overrides ``participating_nodes``.
+:func:`apply_schedule` installs a schedule on any
+:class:`DiscoveryProcess` as its ``participating_nodes`` and returns that
+same process, which the caller then drives directly: its own ``run``
+(``record_history=True`` keeps the per-round results) and running totals
+describe the scheduled run.  A process with an installed schedule cannot
+be checkpointed (:func:`repro.simulation.checkpoint.capture_checkpoint`
+refuses it).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core.base import DiscoveryProcess, RoundResult
+from repro.core.base import DiscoveryProcess
 
 __all__ = [
     "ActivationSchedule",
@@ -27,7 +32,7 @@ __all__ = [
     "FixedSubsetActivation",
     "RoundRobinActivation",
     "PoissonLikeActivation",
-    "ScheduledProcess",
+    "apply_schedule",
 ]
 
 
@@ -105,123 +110,23 @@ class PoissonLikeActivation(ActivationSchedule):
         return [int(rng.integers(n))]
 
 
-class ScheduledProcess:
-    """Wrap a process so its per-round participation follows a schedule.
+def apply_schedule(process: DiscoveryProcess, schedule: ActivationSchedule) -> DiscoveryProcess:
+    """Install ``schedule`` as ``process``'s ``participating_nodes``; return ``process``.
 
-    The wrapper monkey-patches ``participating_nodes`` on the wrapped
-    process instance; everything else (stepping, convergence, metrics)
-    passes through untouched, so the wrapped process can be used with the
-    normal run loop and the experiment harness.
-
-    The wrapper is a full stand-in for the process: ``rng``,
-    ``round_index``, the running totals, ``metrics`` and the degree-cache
-    accessors all pass through, so recorders and the experiment harness
-    never need to reach into ``.process``.  Rounds executed through the
-    wrapper (``step`` or ``run``) are additionally collected in
-    :attr:`history`.
+    Each round asks the schedule for the active nodes of round
+    ``process.round_index``, drawing from ``process.rng`` ahead of the
+    round's own draws.  Every round path (the kernels, the baselines'
+    packed rounds, the sequential ablation) consults that hook.
     """
-
-    def __init__(self, process: DiscoveryProcess, schedule: ActivationSchedule) -> None:
-        if not isinstance(process, DiscoveryProcess):
-            # Only the base round machinery consults participating_nodes();
-            # patching it onto another wrapper (e.g. a ScheduledProcess,
-            # whose rounds delegate to its inner process) would be a silent
-            # no-op — the exact failure mode this module exists to prevent.
-            raise TypeError(
-                f"ScheduledProcess wraps DiscoveryProcess instances, got "
-                f"{type(process).__name__}; apply the schedule to the inner process"
-            )
-        self.process = process
-        self.schedule = schedule
-        #: per-round results of every round executed through this wrapper.
-        self.history: List[RoundResult] = []
-        self._install()
-
-    def _install(self) -> None:
-        process = self.process
-        schedule = self.schedule
-
-        def participating_nodes() -> Iterable[int]:
-            return schedule.active_nodes(process.graph.n, process.round_index, process.rng)
-
-        process.participating_nodes = participating_nodes  # type: ignore[method-assign]
-
-    # Pass-through conveniences so the wrapper can be used like a process.
-    def step(self):
-        """Execute one scheduled round."""
-        result = self.process.step()
-        self.history.append(result)
-        return result
-
-    def run(self, max_rounds, until=None, record_history=False, callbacks=()):
-        """Run the wrapped process with the schedule applied."""
-        callbacks = list(callbacks)
-        callbacks.append(lambda _process, result: self.history.append(result))
-        return self.process.run(
-            max_rounds, until=until, record_history=record_history, callbacks=callbacks
+    if not isinstance(process, DiscoveryProcess):
+        # Only the base round machinery consults participating_nodes();
+        # installing it on any other object would be a silent no-op.
+        raise TypeError(
+            f"apply_schedule installs on DiscoveryProcess instances, got {type(process).__name__}"
         )
 
-    def run_to_convergence(self, max_rounds=None, record_history=False, callbacks=()):
-        """Run the wrapped process to convergence with the schedule applied."""
-        callbacks = list(callbacks)
-        callbacks.append(lambda _process, result: self.history.append(result))
-        return self.process.run_to_convergence(
-            max_rounds=max_rounds, record_history=record_history, callbacks=callbacks
-        )
+    def participating_nodes() -> Iterable[int]:
+        return schedule.active_nodes(process.graph.n, process.round_index, process.rng)
 
-    def is_converged(self) -> bool:
-        """Delegate to the wrapped process."""
-        return self.process.is_converged()
-
-    def degree_view(self):
-        """The wrapped process's incremental degree cache (for recorders)."""
-        return self.process.degree_view()
-
-    def cached_min_degree(self) -> int:
-        """The wrapped process's incremental minimum degree."""
-        return self.process.cached_min_degree()
-
-    @property
-    def graph(self):
-        """The wrapped process's graph."""
-        return self.process.graph
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The wrapped process's generator (schedules and proposals share it)."""
-        return self.process.rng
-
-    @property
-    def round_index(self) -> int:
-        """Rounds executed so far by the wrapped process."""
-        return self.process.round_index
-
-    @property
-    def semantics(self):
-        """The wrapped process's update semantics."""
-        return self.process.semantics
-
-    @property
-    def total_edges_added(self) -> int:
-        """Total new edges created by the wrapped process."""
-        return self.process.total_edges_added
-
-    @property
-    def total_messages(self) -> int:
-        """Total protocol messages sent by the wrapped process."""
-        return self.process.total_messages
-
-    @property
-    def total_bits(self) -> int:
-        """Total payload bits sent by the wrapped process."""
-        return self.process.total_bits
-
-    @property
-    def metrics(self) -> dict:
-        """Running totals of the wrapped process as one dict."""
-        return {
-            "rounds": self.process.round_index,
-            "edges_added": self.process.total_edges_added,
-            "messages": self.process.total_messages,
-            "bits": self.process.total_bits,
-        }
+    process.participating_nodes = participating_nodes  # type: ignore[method-assign]
+    return process

@@ -62,7 +62,6 @@ __all__ = [
     "bit_pairs",
     "indices_from_bits",
     "transitive_closure_bits",
-    "closure_add_edges",
     "reachable_bits",
     "bfs_distances_bits",
     "transpose_bits",
@@ -346,45 +345,6 @@ def transitive_closure_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
             # other rows absorb the same (unchanged) word values.
             np.bitwise_or(reach, reach[k][None, :], out=reach, where=into_k[:, None])
     return reach
-
-
-def closure_add_edges(reach: np.ndarray, us: np.ndarray, vs: np.ndarray) -> int:
-    """Update a packed reachability matrix for a batch of newly inserted edges.
-
-    ``reach`` must be the transitive closure of some edge set (as produced
-    by :func:`transitive_closure_bits`); after the call it is the closure
-    of that edge set plus the edges ``(us[i], vs[i])``.  The incremental
-    rule for one edge ``u → v``: every row that reaches ``u`` (plus row
-    ``u`` itself) absorbs ``R[v] ∪ {v}`` — two vectorized passes (a column
-    extraction and a masked row-OR), the same shape as one Warshall pivot.
-    Edges already implied by the closure are skipped with one batched
-    membership test, so a batch whose edges all lie inside the existing
-    closure costs O(batch) instead of O(n²); a full recompute is O(n³/64).
-    The diagonal convention matches :func:`transitive_closure_bits`
-    (``R[u, u]`` set iff ``u`` lies on a directed cycle).
-
-    Returns the number of edges that actually extended the closure.
-    """
-    us = np.asarray(us, dtype=np.int64).reshape(-1)
-    vs = np.asarray(vs, dtype=np.int64).reshape(-1)
-    if us.shape[0] != vs.shape[0]:
-        raise ValueError(f"endpoint arrays disagree: {us.shape[0]} vs {vs.shape[0]}")
-    if us.shape[0] == 0:
-        return 0
-    pending = np.flatnonzero(~get_bits(reach, us, vs))
-    changed = 0
-    for i in pending.tolist():
-        u, v = int(us[i]), int(vs[i])
-        # An earlier edge of this batch may have implied this one already.
-        if get_bit(reach, u, v):
-            continue
-        new_row = reach[v].copy()
-        new_row[v >> 6] |= np.uint64(1 << (v & 63))
-        into_u = (reach[:, u >> 6] & np.uint64(1 << (u & 63))) != 0
-        into_u[u] = True
-        np.bitwise_or(reach, new_row[None, :], out=reach, where=into_u[:, None])
-        changed += 1
-    return changed
 
 
 def reachable_bits(bits: np.ndarray, source: int) -> np.ndarray:

@@ -34,11 +34,11 @@ __all__ = [
     "reachability_matrix",
     "reachability_matrix_bfs",
     "reachability_bits",
+    "closure_target_bits",
     "transitive_closure_edges",
     "transitive_closure_graph",
     "closure_deficit",
     "is_transitively_closed",
-    "IncrementalClosure",
 ]
 
 DiGraphLike = ArrayDiGraph
@@ -94,6 +94,20 @@ def reachability_bits(graph: DiGraphLike) -> np.ndarray:
     return bitset.transitive_closure_bits(adjacency_bits(graph), graph.n)
 
 
+def closure_target_bits(graph: DiGraphLike) -> np.ndarray:
+    """Packed transitive closure of ``graph`` without its diagonal (a new array).
+
+    Bit ``v`` of row ``u`` is set iff ``u != v`` and there is a directed
+    path ``u → v``: the edge set a closure-terminated process (the
+    directed walk, directed pointer jump) must reach.  A cycle through
+    ``u`` is never an edge, so the diagonal is cleared.
+    """
+    target = reachability_bits(graph)
+    diag = np.arange(graph.n, dtype=np.int64)
+    bitset.clear_bits(target, diag, diag)
+    return target
+
+
 def reachability_matrix(graph: DiGraphLike) -> np.ndarray:
     """Boolean matrix R with ``R[u, v]`` true iff there is a nonempty directed
     path from ``u`` to ``v``.  ``R[u, u]`` is true iff ``u`` lies on a cycle."""
@@ -113,20 +127,14 @@ def reachability_matrix_bfs(graph: DiGraphLike) -> np.ndarray:
 
 def transitive_closure_edges(graph: DiGraphLike) -> Set[Tuple[int, int]]:
     """All ordered pairs ``(u, v)``, ``u != v``, with a directed path ``u → v``."""
-    mat = reachability_matrix(graph)
-    if mat.size:
-        np.fill_diagonal(mat, False)
-    us, vs = np.nonzero(mat)
+    us, vs = bitset.bit_pairs(closure_target_bits(graph), graph.n)
     return set(zip(us.tolist(), vs.tolist()))
 
 
 def transitive_closure_graph(graph: DiGraphLike) -> ArrayDiGraph:
     """The transitive closure of ``graph`` as a new :class:`ArrayDiGraph`, rows in canonical order."""
-    mat = reachability_matrix(graph)
-    if mat.size:
-        np.fill_diagonal(mat, False)
     closed = ArrayDiGraph(graph.n)
-    closed.add_edges_batch_arrays(*np.nonzero(mat))
+    closed.add_edges_batch_arrays(*bitset.bit_pairs(closure_target_bits(graph), graph.n))
     return closed
 
 
@@ -140,66 +148,10 @@ def closure_deficit(graph: DiGraphLike, closure: Set[Tuple[int, int]]) -> List[T
     return [(int(u), int(v)) for u, v in missing]
 
 
-class IncrementalClosure:
-    """All-pairs reachability of an evolving (append-only) digraph.
-
-    Computes the packed transitive closure once with Warshall elimination
-    (:func:`repro.graphs.bitset.transitive_closure_bits`) and then keeps it
-    exact under edge *batches* via row-OR propagation from each batch
-    endpoint (:func:`repro.graphs.bitset.closure_add_edges`): an inserted
-    edge ``u → v`` costs one column extraction plus one masked row-OR, and
-    edges already implied by the closure cost O(1) amortised.  This is what
-    makes closure-deficit tracking affordable for the directed sweeps at
-    large ``n`` — a round's edge batch lies (mostly or entirely) inside the
-    existing closure, so maintenance is O(batch) where a recompute would be
-    O(n³/64).
-
-    The diagonal follows the Warshall convention: ``reach[u, u]`` is set
-    iff ``u`` lies on a directed cycle.  Property-tested equal to a full
-    :func:`transitive_closure_bits` recompute under random edge batches
-    (``tests/test_closure.py``).
-    """
-
-    __slots__ = ("n", "reach")
-
-    def __init__(self, bits: np.ndarray, n_bits: int) -> None:
-        self.n = int(n_bits)
-        self.reach = bitset.transitive_closure_bits(bits, self.n)
-
-    @classmethod
-    def from_graph(cls, graph: DiGraphLike) -> "IncrementalClosure":
-        """Seed the closure from a graph's packed rows (zero-copy)."""
-        return cls(adjacency_bits(graph), graph.n)
-
-    def add_edges(self, us: np.ndarray, vs: np.ndarray) -> int:
-        """Fold a batch of inserted edges in; returns how many extended the closure."""
-        return bitset.closure_add_edges(self.reach, us, vs)
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Scalar convenience form of :meth:`add_edges`."""
-        return self.add_edges(np.array([u]), np.array([v])) > 0
-
-    def closure_bits(self) -> np.ndarray:
-        """The packed closure rows (live view — callers must not mutate)."""
-        return self.reach
-
-    def deficit_count(self, adj_bits: np.ndarray) -> int:
-        """Number of off-diagonal closure pairs absent from ``adj_bits``."""
-        missing = self.reach & ~adj_bits
-        diag = np.arange(self.n, dtype=np.int64)
-        bitset.clear_bits(missing, diag, diag)
-        return bitset.count_total(missing)
-
-
 def is_transitively_closed(graph: DiGraphLike) -> bool:
     """True when ``graph`` already equals its own transitive closure.
 
     One packed comparison: every off-diagonal closure bit must already be
     an adjacency bit.
     """
-    adj = adjacency_bits(graph)
-    closed = bitset.transitive_closure_bits(adj, graph.n)
-    # The diagonal (cycles through u) is never an edge; mask it off.
-    diag = np.arange(graph.n, dtype=np.int64)
-    bitset.clear_bits(closed, diag, diag)
-    return not bool((closed & ~adj).any())
+    return not bool((closure_target_bits(graph) & ~adjacency_bits(graph)).any())

@@ -16,11 +16,11 @@ in the target directory + ``os.replace``) and in order:
 ``<stem>.npz``
     The array payload (an uncompressed NumPy ``.npz``): the padded
     (out-)neighbour rows trimmed to the occupied width, the degree vector,
-    and per-process extras (the directed walk's packed target-closure rows
-    and live :class:`~repro.graphs.closure.IncrementalClosure` rows,
-    directed pointer jump's missing-closure pairs as a sorted ``(k, 2)``
-    array).  The rows are written as ``int32``, the dtype the graphs hold
-    them in; files with ``int64`` rows, as written before, load the same.
+    and per-process extras (the directed walk's packed target-closure
+    rows, directed pointer jump's missing-closure pairs as a sorted
+    ``(k, 2)`` array).  The rows are written as ``int32``, the dtype the
+    graphs hold them in; files with ``int64`` rows, as written before,
+    load the same.
     Packed membership bitsets and in-degrees are *derived* state — they
     are rebuilt exactly from the rows on restore and never stored.  The
     payload is streamed from the live arrays into its temporary file a
@@ -45,12 +45,18 @@ a truncated envelope, or a version-1 file that this build cannot replay
 draw-for-draw all raise :class:`CheckpointError` rather than resuming
 from silently corrupt state.
 
+Older version-1 ``directed_pull`` files also carry ``closure_reach``, the
+closure of the evolving graph, which never differs from the start's (the
+walk only adds closure edges).  This build ignores it and resumes such
+files draw for draw, but no longer writes it: a loader that requires it
+cannot resume a ``directed_pull`` checkpoint written by this build.
+
 What is checkpointable
 ----------------------
 Every process constructible through the registry
 (:data:`repro.simulation.engine.PROCESS_REGISTRY`).  A process with an
-instance-patched ``propose`` or ``participating_nodes`` (the one a
-:class:`~repro.core.scheduler.ScheduledProcess` wraps) and an
+instance-patched ``propose`` or ``participating_nodes`` (one that
+:func:`~repro.core.scheduler.apply_schedule` gave a schedule) and an
 unregistered subclass raise :class:`CheckpointError`: their extra state
 lives outside the format.
 """
@@ -169,7 +175,7 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
     """Snapshot ``process``: its envelope metadata and views of its arrays."""
     if "propose" in process.__dict__ or "participating_nodes" in process.__dict__:
         raise CheckpointError(
-            "process has instance-patched hooks (e.g. a ScheduledProcess's schedule); "
+            "process has instance-patched hooks (e.g. a schedule from apply_schedule); "
             "its extra state lies outside the checkpoint format"
         )
     name = _registry_name(process)
@@ -198,7 +204,6 @@ def capture_checkpoint(process: DiscoveryProcess) -> TrialCheckpoint:
     if isinstance(process, DirectedTwoHopWalk):
         meta["deficit"] = int(process._deficit)
         arrays["target_bits"] = process._target_bits
-        arrays["closure_reach"] = process._closure.reach
     if isinstance(process, RandomPointerJump) and process.graph.directed:
         meta["has_missing"] = True
         arrays["missing"] = process.missing_closure_pairs()
@@ -385,10 +390,10 @@ def restore_process(checkpoint: TrialCheckpoint) -> DiscoveryProcess:
     # The constructors recompute the closure bookkeeping from the restored
     # graph (exact, because these processes only ever add closure-internal
     # edges); overwrite with the stored rows anyway so the restored state
-    # is the checkpoint, not an invariant argument about it.
+    # is the checkpoint, not an invariant argument about it.  An older
+    # file's ``closure_reach`` array is not read.
     if isinstance(process, DirectedTwoHopWalk):
         process._target_bits = np.asarray(checkpoint.arrays["target_bits"], dtype=np.uint64)
-        process._closure.reach = np.asarray(checkpoint.arrays["closure_reach"], dtype=np.uint64)
         process._deficit = int(meta["deficit"])
     if isinstance(process, RandomPointerJump) and meta.get("has_missing"):
         missing = np.asarray(checkpoint.arrays["missing"], dtype=np.int64).reshape(-1, 2)

@@ -19,7 +19,7 @@ from repro.core.base import DiscoveryProcess, RoundResult
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs import properties
 from repro.simulation.engine import make_process
-from repro.simulation.rng import require_seed
+from repro.simulation.rng import require_seed, spawn_rngs
 
 __all__ = ["EvolutionSnapshot", "EvolutionTracker", "simulate_social_evolution"]
 
@@ -132,11 +132,13 @@ def simulate_social_evolution(
 
     The round-0 snapshot of the untouched starting graph is always included
     first so growth can be expressed relative to the initial network.
-    ``seed`` is required: ``None`` raises ``ValueError``.
+    ``seed`` is required: ``None`` raises ``ValueError``.  The process
+    draws from ``default_rng(seed)`` and the tracker's probe sample from a
+    stream spawned off ``seed``, so the two never share bits.
     """
     require_seed(seed, "simulate_social_evolution")
     work = graph.copy()
-    tracker = EvolutionTracker(every=every, probe_nodes=probe_nodes, rng=seed)
+    tracker = EvolutionTracker(every=every, probe_nodes=probe_nodes, rng=spawn_rngs(seed, 1)[0])
     baseline = tracker.snapshot(work, 0)
     proc = make_process(process, work, rng=seed)
     proc.run(rounds, callbacks=[tracker])

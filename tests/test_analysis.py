@@ -1,5 +1,8 @@
 """Unit tests for the analysis layer: scaling, non-monotonicity, degree growth, lower bounds."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,11 @@ from repro.analysis.nonmonotonicity import (
 from repro.analysis.scaling import measure_scaling
 from repro.graphs import generators as gen
 from repro.simulation import bounds
+from repro.simulation.engine import make_process
+
+#: sha256 of ``test_phase_tables_pinned``'s 32 phase tables (push and pull on
+#: cycles and stars, n in {32, 64}, rng 0-3).
+E8_PHASE_TABLES_SHA256 = "e5a58b423d57a883a5c93f4c0f5569578c79d85bf600d8f44d31541b8a9cec2a"
 
 
 class TestExactExpectation:
@@ -128,6 +136,38 @@ class TestDegreeGrowth:
         g = gen.cycle_graph(12)
         measure_degree_growth_phases(g, process="pull", rng=1)
         assert g.number_of_edges() == 12
+
+    def test_phase_tables_pinned(self):
+        """The (threshold, start_round, end_round) tables of 32 seeded cases, by digest."""
+        tables = []
+        for process in ("push", "pull"):
+            for family in ("cycle_graph", "star_graph"):
+                for n in (32, 64):
+                    for seed in range(4):
+                        phases = measure_degree_growth_phases(
+                            getattr(gen, family)(n), process=process, rng=seed
+                        )
+                        tables.append(
+                            [process, family, n, seed,
+                             [[p.threshold, p.start_round, p.end_round] for p in phases]]
+                        )
+        blob = json.dumps(tables, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == E8_PHASE_TABLES_SHA256
+
+    @pytest.mark.parametrize("process", ["push", "pull"])
+    def test_phase_ends_are_first_rounds_at_threshold(self, process):
+        """Each phase ends at the first round after which the minimum degree meets its
+        threshold, found here by stepping the same seeded process round by round."""
+        phases = measure_degree_growth_phases(gen.cycle_graph(24), process=process, rng=5)
+        proc = make_process(process, gen.cycle_graph(24), rng=5)
+        first_round = {}
+        while not proc.is_converged():
+            proc.step()
+            for p in phases:
+                if p.threshold not in first_round and proc.graph.min_degree() >= p.threshold:
+                    first_round[p.threshold] = proc.round_index
+        assert [p.end_round for p in phases] == [first_round[p.threshold] for p in phases]
+        assert [p.start_round for p in phases[1:]] == [p.end_round for p in phases[:-1]]
 
 
 class TestLowerBoundCheck:

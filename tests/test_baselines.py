@@ -254,9 +254,9 @@ class TestPayloadRoundsKeepEdgeArrays:
     """Payload rounds hand their new edges on as arrays, never as tuples.
 
     A round at n=2048 adds up to about 10⁶ edges; turning them into Python
-    tuples for the degree cache took longer than some whole rounds.  With
-    ``EdgeArrays.tolist`` refusing, the runs below only finish if nothing
-    on the round path asks for tuples.
+    tuples took longer than some whole rounds.  With ``EdgeArrays.tolist``
+    refusing, the runs below only finish if nothing on the round path asks
+    for tuples.
     """
 
     @pytest.fixture(autouse=True)
@@ -269,7 +269,6 @@ class TestPayloadRoundsKeepEdgeArrays:
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump", "flooding"])
     def test_round_path_builds_no_edge_tuples(self, name):
         process = make_process(name, gen.cycle_graph(40), rng=3)
-        process.degree_view()  # primed, so every round's new edges update it
         result = process.run_to_convergence()
         assert result.converged
-        assert process.degree_view().tolist() == [39] * 40
+        assert process.graph.degrees().tolist() == [39] * 40

@@ -272,12 +272,6 @@ def _batch(rng, n, size=12):
     return rng.integers(0, n, size), rng.integers(0, n, size)
 
 
-def _closure_plus_batch(bits, n, rng):
-    reach = bitset.transitive_closure_bits(bits, n)
-    bitset.closure_add_edges(reach, *_batch(rng, n))
-    return reach
-
-
 #: kernel -> f(packed n x n adjacency, n, rng) returning the packed rows it writes;
 #: in-place kernels write into a copy.
 ROW_KERNELS = {
@@ -293,7 +287,6 @@ ROW_KERNELS = {
         bits, bitset.rows_or_into, np.sort(rng.integers(0, n, 12)), bits, rng.integers(0, n, 12)
     ),
     "transitive_closure_bits": lambda bits, n, rng: bitset.transitive_closure_bits(bits, n),
-    "closure_add_edges": _closure_plus_batch,
     "reachable_bits": lambda bits, n, rng: bitset.reachable_bits(bits, int(rng.integers(n))),
     "transpose_bits": lambda bits, n, rng: bitset.transpose_bits(bits, n),
 }

@@ -333,10 +333,9 @@ def test_latest_checkpoint_empty_dir(tmp_path):
 
 
 def test_instance_patched_process_not_checkpointable():
-    from repro.core.scheduler import BernoulliActivation, ScheduledProcess
+    from repro.core.scheduler import BernoulliActivation, apply_schedule
 
-    process = build("push")
-    ScheduledProcess(process, BernoulliActivation(0.5))
+    process = apply_schedule(build("push"), BernoulliActivation(0.5))
     with pytest.raises(CheckpointError, match="instance-patched"):
         capture_checkpoint(process)
 

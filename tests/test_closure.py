@@ -1,10 +1,11 @@
 """Unit tests for transitive closure / reachability utilities."""
 
+import numpy as np
 import pytest
 
+from repro.graphs import bitset, closure
 from repro.graphs import directed_generators as dgen
-from repro.graphs.array_adjacency import ArrayDiGraph
-from repro.graphs import closure
+from repro.simulation.engine import make_process
 
 
 class TestReachability:
@@ -62,85 +63,41 @@ class TestClosure:
         assert len(edges) == 8 * 7  # strongly connected -> closure is complete
 
 
-class TestIncrementalClosure:
-    """IncrementalClosure ≡ full Warshall recompute under random edge batches."""
+class TestClosureTarget:
+    """``closure_target_bits``: the closure without its diagonal, one helper for
+    every closure-terminated process."""
 
-    @staticmethod
-    def _random_case(seed):
-        import numpy as np
-        from repro.graphs import bitset
-
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 14))
-        density = rng.random() * 0.3
-        mat = rng.random((n, n)) < density
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dgen.directed_path(5),
+            lambda: dgen.directed_cycle(5),
+            lambda: dgen.layered_dag(3, 2),
+            lambda: dgen.thm15_strong_lower_bound(8),
+        ],
+        ids=["path", "cycle", "layered_dag", "thm15_strong"],
+    )
+    def test_bits_are_the_off_diagonal_closure(self, make):
+        g = make()
+        target = closure.closure_target_bits(g)
+        mat = closure.reachability_matrix_bfs(g)
         np.fill_diagonal(mat, False)
-        return rng, n, bitset.pack_bool_matrix(mat)
+        assert np.array_equal(bitset.unpack_bool_matrix(target, g.n), mat)
 
-    def test_matches_recompute_under_random_batches(self):
-        import numpy as np
-        from repro.graphs import bitset
+    def test_returns_a_new_array(self):
+        g = dgen.directed_cycle(4)
+        target = closure.closure_target_bits(g)
+        target[:] = 0
+        assert closure.transitive_closure_edges(g) == {
+            (u, v) for u in range(4) for v in range(4) if u != v
+        }
+        assert g.number_of_edges() == 4
 
-        for seed in range(25):
-            rng, n, bits = self._random_case(seed)
-            inc = closure.IncrementalClosure(bits.copy(), n)
-            current = bits.copy()
-            for _ in range(int(rng.integers(1, 5))):
-                batch = int(rng.integers(0, 2 * n + 1))
-                us = rng.integers(0, n, size=batch).astype(np.int64)
-                vs = rng.integers(0, n, size=batch).astype(np.int64)
-                keep = us != vs
-                us, vs = us[keep], vs[keep]
-                if us.size:
-                    bitset.set_bits(current, us, vs)
-                inc.add_edges(us, vs)
-                expected = bitset.transitive_closure_bits(current, n)
-                assert np.array_equal(inc.closure_bits(), expected), (
-                    f"seed={seed}: incremental closure diverged from recompute"
-                )
-
-    def test_in_closure_edges_are_noops(self):
-        import numpy as np
-
-        g = dgen.thm15_strong_lower_bound(8)
-        inc = closure.IncrementalClosure.from_graph(g)
-        before = inc.closure_bits().copy()
-        # every pair is in the strong construction's closure already
-        us, vs = np.nonzero(~np.eye(8, dtype=bool))
-        assert inc.add_edges(us.astype(np.int64), vs.astype(np.int64)) == 0
-        assert np.array_equal(inc.closure_bits(), before)
-
-    def test_scalar_edge_extends_closure(self):
-        g = dgen.directed_path(3)  # 0 -> 1 -> 2
-        inc = closure.IncrementalClosure.from_graph(g)
-        assert inc.add_edge(2, 0)  # closes the cycle
-        mat = closure.reachability_matrix(dgen.directed_cycle(3))
-        import numpy as np
-        from repro.graphs import bitset
-
-        assert np.array_equal(bitset.unpack_bool_matrix(inc.closure_bits(), 3), mat)
-
-    def test_deficit_count_matches_closure_deficit(self):
-        g = dgen.layered_dag(3, 2)
-        inc = closure.IncrementalClosure.from_graph(g)
-        expected = len(closure.closure_deficit(g, closure.transitive_closure_edges(g)))
-        assert inc.deficit_count(closure.adjacency_bits(g)) == expected
-
-    def test_batch_with_internal_dependencies(self):
-        import numpy as np
-        from repro.graphs import bitset
-
-        # (0,1) then (1,2) in ONE batch: the second edge must see the first.
-        inc = closure.IncrementalClosure(bitset.zeros(3, 3), 3)
-        inc.add_edges(np.array([0, 1]), np.array([1, 2]))
-        expected = bitset.transitive_closure_bits(
-            closure.adjacency_bits(ArrayDiGraph(3, [(0, 1), (1, 2)])), 3
-        )
-        assert np.array_equal(inc.closure_bits(), expected)
-
-    def test_endpoint_length_mismatch_raises(self):
-        import numpy as np
-        from repro.graphs import bitset
-
-        with pytest.raises(ValueError, match="disagree"):
-            bitset.closure_add_edges(bitset.zeros(3, 3), np.array([0]), np.array([1, 2]))
+    @pytest.mark.parametrize("name", ["directed_pull", "pointer_jump_directed"])
+    def test_directed_processes_start_from_it(self, name):
+        g = dgen.layered_dag(3, 3)
+        expected = closure.closure_target_bits(g)
+        process = make_process(name, g, rng=0)
+        assert np.array_equal(process._target_bits, expected)
+        missing = expected & ~closure.adjacency_bits(g)
+        assert process._deficit == bitset.count_total(missing)

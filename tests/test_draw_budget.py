@@ -24,7 +24,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
+from repro.core.scheduler import FixedSubsetActivation, apply_schedule
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayGraph
@@ -80,9 +80,10 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_array_round_draws_exactly_two_m_uniforms(name, subset):
     process = make_process(name, CASES[name](), rng=np.random.default_rng(3), backend="array")
-    runner = process if subset is None else ScheduledProcess(process, FixedSubsetActivation(subset))
+    if subset is not None:
+        apply_schedule(process, FixedSubsetActivation(subset))
     m = process.graph.n if subset is None else len(subset)
     for _ in range(3):
         expected = _state_after_uniforms(process.rng, 2 * m)
-        runner.step()
+        process.step()
         assert process.rng.bit_generator.state == expected

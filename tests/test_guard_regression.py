@@ -5,8 +5,8 @@ Two seed-era layers gated on the old list graph class:
 and ``NetworkSimulator`` rejected ``ArrayGraph`` topologies outright —
 the same failure mode earlier fixes removed from the baselines and the
 activation schedules.  These tests run every recorder/callback
-(``EvolutionTracker``, the E8 degree-growth watcher, ``MetricsRecorder``)
-over array graphs, the one substrate, and assert non-empty output.
+(``EvolutionTracker``, ``MetricsRecorder`` and the E8 phase table built
+on it) over array graphs, the one substrate, and assert non-empty output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.degree_growth import _MinDegreeWatcher
+from repro.analysis.degree_growth import measure_degree_growth_phases
 from repro.core.metrics import MetricsRecorder
 from repro.graphs import generators as gen
 from repro.graphs.array_adjacency import ArrayDiGraph
@@ -41,13 +41,12 @@ class TestRecorders:
     def test_metrics_recorder_records(self):
         recorder = MetricsRecorder()
         run_with_callback(recorder)
-        assert len(recorder.history) > 0
+        assert len(recorder) > 0
         assert recorder.edges_series().max() > 0
 
-    def test_degree_growth_watcher_records(self):
-        watcher = _MinDegreeWatcher([3, 4])
-        run_with_callback(watcher, rounds=60)
-        assert watcher.hit_round  # at least one threshold reached
+    def test_degree_growth_phases_record(self):
+        phases = measure_degree_growth_phases(gen.cycle_graph(16), rng=3, max_rounds=60)
+        assert phases  # at least one threshold reached
 
     def test_simulate_social_evolution_records(self):
         snaps = simulate_social_evolution(gen.cycle_graph(14), rounds=12, every=4, seed=2)

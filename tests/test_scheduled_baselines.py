@@ -2,7 +2,7 @@
 
 Regression suite for the scheduled-baseline bug: the baselines override
 ``step()`` wholesale, and before this fix they never consulted
-``participating_nodes()``, so a ``ScheduledProcess`` subset run produced
+``participating_nodes()``, so a scheduled subset run produced
 byte-identical edge sets to full activation.  The headline test here fails
 on the pre-fix code: a strict subset of active nodes must add strictly
 fewer edges than full activation for every registered process.
@@ -21,7 +21,7 @@ from repro.core.scheduler import (
     BernoulliActivation,
     FixedSubsetActivation,
     RoundRobinActivation,
-    ScheduledProcess,
+    apply_schedule,
 )
 from oracle import run_oracle
 from repro.graphs import directed_generators as dgen
@@ -44,7 +44,7 @@ def _base_graph(name: str):
 def _edges_after(name: str, schedule) -> int:
     process = make_process(name, _base_graph(name).copy(), rng=11)
     if schedule is not None:
-        process = ScheduledProcess(process, schedule)
+        apply_schedule(process, schedule)
     for _ in range(ROUNDS):
         process.step()
     return process.total_edges_added
@@ -66,10 +66,11 @@ class TestSubsetRestrictsEveryProcess:
     @pytest.mark.parametrize("name", ["flooding", "name_dropper", "pointer_jump"])
     def test_subset_edge_sets_match_oracle(self, name):
         """The packed round and the oracle agree on *which* edges a subset run creates."""
-        process = make_process(name, gen.cycle_graph(N), rng=5)
-        wrapped = ScheduledProcess(process, FixedSubsetActivation(SUBSET))
+        process = apply_schedule(
+            make_process(name, gen.cycle_graph(N), rng=5), FixedSubsetActivation(SUBSET)
+        )
         for _ in range(ROUNDS):
-            wrapped.step()
+            process.step()
         _, graph, _ = run_oracle(
             name, gen.cycle_graph(N), 5, ROUNDS, schedule=FixedSubsetActivation(SUBSET)
         )
@@ -81,15 +82,14 @@ def _canon(edges):
 
 
 class TestScheduledTraceEquivalence:
-    """ScheduledProcess × {push, pull, baselines}: the oracle's rounds, round by round."""
+    """Scheduled {push, pull, baselines}: the oracle's rounds, round by round."""
 
     PROCESSES = ["push", "pull", "name_dropper", "pointer_jump", "flooding"]
 
     @staticmethod
     def _pair(name: str, make_schedule):
-        process = make_process(name, gen.cycle_graph(20), rng=13)
-        wrapped = ScheduledProcess(process, make_schedule())
-        fast = [wrapped.step() for _ in range(5)]
+        process = apply_schedule(make_process(name, gen.cycle_graph(20), rng=13), make_schedule())
+        fast = [process.step() for _ in range(5)]
         history, graph, _ = run_oracle(name, gen.cycle_graph(20), 13, 5, schedule=make_schedule())
         ref = {
             "per_round": [_canon(r.added) for r in history],
@@ -119,51 +119,39 @@ class TestScheduledTraceEquivalence:
     def test_round_robin_single_actor_rounds(self, name):
         """One node per tick: a baseline round does at most one node's work."""
         process = make_process(name, gen.cycle_graph(10), rng=2)
-        wrapped = ScheduledProcess(process, RoundRobinActivation())
-        result = wrapped.step()
+        apply_schedule(process, RoundRobinActivation())
+        result = process.step()
         assert result.messages_sent <= 2  # one actor (pointer jump pays 2)
 
 
-class TestScheduledProcessPassthrough:
-    """The wrapper is a full stand-in: no reaching into ``.process`` needed."""
+class TestScheduledRuns:
+    """A scheduled process is driven directly; its own run records the rounds."""
 
-    def test_exposes_rng_round_index_metrics_history(self):
+    def test_run_history_covers_every_scheduled_round(self):
         process = make_process("push", gen.cycle_graph(12), rng=0)
-        wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 1, 2]))
-        assert wrapped.rng is process.rng
-        assert wrapped.round_index == 0
-        assert wrapped.semantics is process.semantics
-        first = wrapped.step()
-        assert wrapped.round_index == 1
-        assert wrapped.history == [first]
-        result = wrapped.run(3)
-        assert wrapped.round_index == 1 + result.rounds
-        assert len(wrapped.history) == 1 + result.rounds
-        metrics = wrapped.metrics
-        assert metrics["rounds"] == wrapped.round_index
-        assert metrics["edges_added"] == wrapped.total_edges_added == process.total_edges_added
-        assert metrics["messages"] == wrapped.total_messages == process.total_messages
-        assert metrics["bits"] == wrapped.total_bits == process.total_bits
-
-    def test_degree_view_passthrough_matches_graph(self):
-        process = make_process("pull", gen.cycle_graph(10), rng=3)
-        wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 5]))
-        wrapped.run(4)
-        assert np.array_equal(wrapped.degree_view(), process.graph.degrees())
-        assert wrapped.cached_min_degree() == process.graph.min_degree()
+        assert apply_schedule(process, FixedSubsetActivation([0, 1, 2])) is process
+        first = process.step()
+        result = process.run(3, record_history=True)
+        assert process.round_index == 1 + result.rounds
+        assert [r.round_index for r in result.history] == list(range(1, 1 + result.rounds))
+        rounds = [first] + result.history
+        assert all(r.messages_sent == 2 * 3 for r in rounds)
+        assert sum(r.num_added for r in rounds) == process.total_edges_added
+        assert sum(r.messages_sent for r in rounds) == process.total_messages
+        assert sum(r.bits_sent for r in rounds) == process.total_bits
 
     def test_out_of_range_subset_raises_at_first_step(self):
         process = make_process("push", gen.cycle_graph(6), rng=0)
-        wrapped = ScheduledProcess(process, FixedSubsetActivation([2, 9]))
+        apply_schedule(process, FixedSubsetActivation([2, 9]))
         with pytest.raises(ValueError, match="node 9"):
-            wrapped.step()
+            process.step()
 
-    def test_run_accepts_positional_arguments(self):
-        """The wrapper's run mirrors DiscoveryProcess.run's full signature."""
-        process = make_process("pull", gen.cycle_graph(8), rng=0)
-        wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 1]))
+    def test_callbacks_see_every_scheduled_round(self):
+        process = apply_schedule(
+            make_process("pull", gen.cycle_graph(8), rng=0), FixedSubsetActivation([0, 1])
+        )
         seen = []
-        result = wrapped.run(3, None, True, [lambda proc, res: seen.append(res)])
+        result = process.run(3, None, True, [lambda proc, res: seen.append(res)])
         assert result.rounds == 3
         assert len(result.history) == 3
-        assert seen == wrapped.history
+        assert seen == result.history

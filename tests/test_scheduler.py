@@ -1,4 +1,4 @@
-"""Tests for activation schedules and the scheduled-process wrapper."""
+"""Tests for activation schedules and apply_schedule."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from repro.core.scheduler import (
     FullActivation,
     PoissonLikeActivation,
     RoundRobinActivation,
-    ScheduledProcess,
+    apply_schedule,
 )
 from repro.graphs import generators as gen
+from repro.network import NetworkSimulator
 
 
 class TestSchedules:
@@ -56,17 +57,17 @@ class TestSchedules:
         assert picks == set(range(6))
 
 
-class TestScheduledProcess:
-    def test_wrapper_converges_with_round_robin(self):
+class TestApplySchedule:
+    def test_round_robin_converges(self):
         g = gen.cycle_graph(8)
-        proc = ScheduledProcess(PushDiscovery(g, rng=0), RoundRobinActivation())
+        proc = apply_schedule(PushDiscovery(g, rng=0), RoundRobinActivation())
         result = proc.run_to_convergence(max_rounds=100_000)
         assert result.converged
         assert g.is_complete()
 
     def test_one_node_per_tick_means_one_proposal_per_tick(self):
         g = gen.cycle_graph(8)
-        proc = ScheduledProcess(PushDiscovery(g, rng=1), PoissonLikeActivation())
+        proc = apply_schedule(PushDiscovery(g, rng=1), PoissonLikeActivation())
         result = proc.step()
         assert len(result.proposed_edges) <= 1
         assert result.messages_sent <= 2
@@ -80,8 +81,8 @@ class TestScheduledProcess:
             g_sync = gen.cycle_graph(n)
             sync_rounds.append(PushDiscovery(g_sync, rng=seed).run_to_convergence().rounds)
             g_async = gen.cycle_graph(n)
-            wrapped = ScheduledProcess(PushDiscovery(g_async, rng=seed), PoissonLikeActivation())
-            async_ticks.append(wrapped.run_to_convergence(max_rounds=500_000).rounds)
+            scheduled = apply_schedule(PushDiscovery(g_async, rng=seed), PoissonLikeActivation())
+            async_ticks.append(scheduled.run_to_convergence(max_rounds=500_000).rounds)
         ratio = np.mean(async_ticks) / (n * np.mean(sync_rounds))
         assert 0.3 < ratio < 3.0
 
@@ -91,7 +92,7 @@ class TestScheduledProcess:
         # but pairs of two passive nodes can never be created.
         g = gen.cycle_graph(10)
         active = list(range(0, 10, 2))
-        proc = ScheduledProcess(PullDiscovery(g, rng=2), FixedSubsetActivation(active))
+        proc = apply_schedule(PullDiscovery(g, rng=2), FixedSubsetActivation(active))
         proc.run(5000)
         active_set = set(active)
         for u in range(10):
@@ -102,17 +103,20 @@ class TestScheduledProcess:
         # graph cannot be complete
         assert not g.is_complete()
 
-    def test_pass_through_properties(self):
-        g = gen.cycle_graph(6)
-        proc = ScheduledProcess(PushDiscovery(g, rng=0), FullActivation())
-        assert proc.graph is g
-        assert not proc.is_converged()
-        proc.step()
-        assert proc.process.round_index == 1
+    def test_returns_the_process_and_full_activation_changes_nothing(self):
+        """The schedule installs on the process itself; FullActivation acts like no schedule."""
+        plain = PushDiscovery(gen.cycle_graph(6), rng=0)
+        proc = PushDiscovery(gen.cycle_graph(6), rng=0)
+        assert apply_schedule(proc, FullActivation()) is proc
+        expected = plain.run_to_convergence()
+        result = proc.run_to_convergence()
+        assert (result.rounds, result.total_bits) == (expected.rounds, expected.total_bits)
+        assert proc.graph.edge_list() == plain.graph.edge_list()
+        assert proc.rng.bit_generator.state == plain.rng.bit_generator.state
 
-    def test_schedule_cannot_wrap_another_wrapper(self):
-        """Patching a schedule onto a wrapper would be a silent no-op: the
-        wrapper's rounds run on its inner process, which never sees it."""
-        inner = ScheduledProcess(PushDiscovery(gen.cycle_graph(8), rng=0), FullActivation())
-        with pytest.raises(TypeError, match="inner process"):
-            ScheduledProcess(inner, FixedSubsetActivation([0, 1]))
+    def test_rejects_anything_but_a_discovery_process(self):
+        """Installing the hook on an object whose rounds never consult it would be a
+        silent no-op."""
+        sim = NetworkSimulator(gen.cycle_graph(8), protocol="push", rng=0)
+        with pytest.raises(TypeError, match="DiscoveryProcess"):
+            apply_schedule(sim, FixedSubsetActivation([0, 1]))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
+from repro.simulation.engine import make_process
+from repro.simulation.rng import spawn_rngs
 from repro.social.evolution import EvolutionTracker, simulate_social_evolution
 from repro.social.group_discovery import discover_group, sample_connected_group
 from repro.graphs import properties as props
@@ -44,6 +46,28 @@ class TestEvolutionTracker:
         assert last.diameter is not None and first.diameter is not None
         assert last.diameter <= first.diameter
         assert last.average_clustering >= first.average_clustering
+
+    def test_tracker_and_process_draw_from_separate_streams(self, monkeypatch):
+        """The probe sample does not reuse the bits of the process's first round."""
+        probes = []
+        snapshot = EvolutionTracker.snapshot
+
+        def spy(self, graph, round_index):
+            result = snapshot(self, graph, round_index)
+            probes.append(list(self._probes))
+            return result
+
+        monkeypatch.setattr(EvolutionTracker, "snapshot", spy)
+        n, k, seed = 40, 8, 7
+        g = gen.cycle_graph(n)
+        snaps = simulate_social_evolution(g, rounds=4, every=3, seed=seed, probe_nodes=k)
+        assert probes[0] != np.random.default_rng(seed).choice(n, size=k, replace=False).tolist()
+        assert probes[0] == spawn_rngs(seed, 1)[0].choice(n, size=k, replace=False).tolist()
+        # the process itself still runs on ``seed``
+        process = make_process("push", g.copy(), rng=seed)
+        process.run(4)
+        assert snaps[-1].round_index == 4
+        assert snaps[-1].num_edges == process.graph.number_of_edges()
 
     def test_as_rows(self):
         g = gen.cycle_graph(12)
